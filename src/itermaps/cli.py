@@ -46,6 +46,14 @@ def parse_map(spec: str) -> maps.UnimodalMap:
     raise argparse.ArgumentTypeError(f"unknown map kind {kind!r}")
 
 
+def _warmup_k_max(text: str) -> int:
+    """--k-max of warmup: its growth rates span k = 8 .. min(14, k_max)."""
+    k = int(text)
+    if k < 9:
+        raise argparse.ArgumentTypeError(f"must be >= 9, got {k}")
+    return k
+
+
 class Reporter:
     def __init__(self):
         self.failures = 0
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         fn=cmd_superstable)
 
     w = sub.add_parser("warmup", help="toy-map growth comparison")
-    w.add_argument("--k-max", type=int, default=14)
+    w.add_argument("--k-max", type=_warmup_k_max, default=14)
     w.set_defaults(fn=cmd_warmup)
 
     b = sub.add_parser("bifurcation", help="parameter sweep orbit cloud")

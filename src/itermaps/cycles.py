@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import pl
+from .errors import NotPiecewiseLinear
 from .maps import LogisticMap, SineMap, UnimodalMap
 
 FLOAT_MATCH_TOL = 1e-8
@@ -176,26 +177,10 @@ def sharkovsky_precedes(p: int, p2: int) -> bool:
 
 
 def _pl_period_roots(f_p: pl.PiecewiseLinear) -> list[Fraction]:
-    roots: set[Fraction] = set()
-    for (x0, y0), (x1, y1) in zip(f_p.knots, f_p.knots[1:]):
-        s = (y1 - y0) / (x1 - x0)
-        if s == 1:
-            if y0 == x0:  # whole segment fixed
-                roots.update((x0, x1))
-            continue
-        x = (y0 - s * x0) / (1 - s)
-        if x0 <= x <= x1:
-            roots.add(x)
-    return sorted(roots)
+    return pl.level_set([(x, y - x) for x, y in f_p.knots], 0)
 
 
 def _smooth_period_roots(m: UnimodalMap, p: int, grid: int) -> list[float]:
-    def g(x):
-        y = x
-        for _ in range(p):
-            y = m(y)
-        return y - x
-
     xs = np.linspace(0.0, 1.0, grid + 1)
     ys = xs.copy()
     for _ in range(p):
@@ -249,7 +234,7 @@ def find_cycles(m: UnimodalMap, p_max: int,
         raise ValueError("p_max must be >= 1")
     try:
         f1 = m.to_pl()
-    except Exception:
+    except NotPiecewiseLinear:
         f1 = None
     exact = f1 is not None
 

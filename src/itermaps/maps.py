@@ -254,6 +254,7 @@ class CustomPLMap(UnimodalMap):
             f = pl.new([(x, scale * y) for x, y in f.knots])
         self.f = f
         self.r = scale
+        self._float_xs, self._float_ys = np.array(f.knots, dtype=float).T
         ys = [y for _, y in f.knots]
         if ys[0] != 0 or ys[-1] != 0:
             raise ValueError("custom map must vanish at 0 and 1")
@@ -278,27 +279,14 @@ class CustomPLMap(UnimodalMap):
     def __call__(self, x):
         if isinstance(x, (Fraction, int)):
             return self.f(x)
-        # float fast path via local interpolation on float knots
-        ks = self.f.knots
-        xs = [float(a) for a, _ in ks]
-        ys = [float(b) for _, b in ks]
-        return float(np.interp(x, xs, ys))
+        # float fast path via interpolation on the float knots
+        return float(np.interp(x, self._float_xs, self._float_ys))
 
     def max_value(self):
         return self.f(self.apex_x)
 
     def preimages(self, y):
-        y = pl.rat(y)
-        hits = []
-        for (x0, y0), (x1, y1) in zip(self.f.knots, self.f.knots[1:]):
-            if y0 == y1:
-                if y0 == y:
-                    hits.extend([x0, x1])
-                continue
-            lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-            if lo <= y <= hi:
-                hits.append(x0 + (y - y0) * (x1 - x0) / (y1 - y0))
-        return tuple(sorted(set(hits)))
+        return tuple(pl.level_set(self.f.knots, pl.rat(y)))
 
     def to_pl(self):
         return self.f

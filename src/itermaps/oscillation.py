@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import pl
-from .errors import ResourceLimitError
+from .errors import NotPiecewiseLinear, ResourceLimitError
 from .maps import PREIMAGE_DEDUP_TOL, UnimodalMap
 
 DEFAULT_NODE_CAP = 10**7
@@ -99,7 +99,7 @@ def count_crossings_map(m: UnimodalMap, k: int, a, b,
         raise ValueError("k must be >= 1")
     try:
         f = m.to_pl()
-    except Exception:
+    except NotPiecewiseLinear:
         f = None
     if f is not None:
         return pl.crossings(pl.iterate(f, k, cap=cap), pl.rat(a), pl.rat(b))
@@ -160,6 +160,8 @@ class GrowthSeries:
     def geometric_rate(self, k_lo: int, k_hi: int) -> float:
         """(M(f^k_hi)/M(f^k_lo))^(1/(k_hi-k_lo)): per-step growth factor."""
         c = self.counts
+        if not 1 <= k_lo < k_hi <= len(c):
+            raise ValueError(f"need 1 <= k_lo < k_hi <= {len(c)}")
         return (c[k_hi - 1] / c[k_lo - 1]) ** (1.0 / (k_hi - k_lo))
 
     def to_csv(self) -> str:

@@ -4,6 +4,11 @@ Everything in this module is exact: knots are pairs of ``fractions.Fraction``
 and no operation introduces rounding.  This is the carrier for iterated maps
 f^k, for functions computed by rational ReLU networks, and for all error
 measurements (sup norm, integral norm, classification error).
+
+Beneath ``PiecewiseLinear`` lies one layer on raw knots (sorted (x, y), y
+unclamped): ``canon``, ``combine``, ``level_set`` and the segment solver
+``_at``.  ``relunet``, ``maps.CustomPLMap``, ``cycles``, ``compose``,
+``crossing_points`` and the error norms use it and keep no copy of their own.
 """
 
 from __future__ import annotations
@@ -44,6 +49,67 @@ def _collinear(p, q, r) -> bool:
     return (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0)
 
 
+def canon(pts: Sequence) -> list:
+    """Raw knots with every collinear interior knot removed, in one pass."""
+    out = [pts[0]]
+    for p in pts[1:]:
+        while len(out) >= 2 and _collinear(out[-2], out[-1], p):
+            out.pop()
+        out.append(p)
+    return out
+
+
+def combine(inputs: Sequence[Sequence], coeffs: Sequence, bias) -> list:
+    """Raw knots of sum(c * f_i) + bias at every merged abscissa.
+
+    The inputs share one domain; their slope changes are summed in one sweep.
+    The result is not canonicalised.
+    """
+    xs = sorted({x for knots in inputs for x, _ in knots})
+    bend = dict.fromkeys(xs, 0)  # slope change of the sum at each abscissa
+    y = bias
+    for c, knots in zip(coeffs, inputs):
+        y += c * knots[0][1]
+        prev = 0
+        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+            s = c * (y1 - y0) / (x1 - x0)
+            bend[x0] += s - prev
+            prev = s
+    out = [(xs[0], y)]
+    slope = 0
+    for x0, x1 in zip(xs, xs[1:]):
+        slope += bend[x0]
+        y += slope * (x1 - x0)
+        out.append((x1, y))
+    return out
+
+
+def _at(p, q, level) -> Fraction:
+    """The x at which the non-flat segment from knot p to knot q is level."""
+    (x0, y0), (x1, y1) = p, q
+    return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+
+
+def level_set(knots: Sequence, y) -> list:
+    """Sorted x with f(x) = y on raw knots; a flat piece at y gives both ends."""
+    hits = []
+    it = iter(knots)
+    p = next(it)
+    for q in it:
+        y0, y1 = p[1], q[1]
+        if y0 == y1:
+            if y0 == y:
+                if not hits or hits[-1] != p[0]:
+                    hits.append(p[0])
+                hits.append(q[0])
+        elif y0 <= y <= y1 or y1 <= y <= y0:
+            x = _at(p, q, y)
+            if not hits or hits[-1] != x:
+                hits.append(x)
+        p = q
+    return hits
+
+
 @dataclass(frozen=True)
 class PiecewiseLinear:
     """Canonical PL function [0,1] -> [0,1].
@@ -66,13 +132,7 @@ class PiecewiseLinear:
             raise ValueError("knots must span [0,1]")
         if any(not (0 <= y <= 1) for _, y in pts):
             raise ValueError("knot values must lie in [0,1]")
-        # strip collinear interior knots in one pass
-        canon = [pts[0]]
-        for p in pts[1:]:
-            while len(canon) >= 2 and _collinear(canon[-2], canon[-1], p):
-                canon.pop()
-            canon.append(p)
-        object.__setattr__(self, "knots", tuple(canon))
+        object.__setattr__(self, "knots", tuple(canon(pts)))
 
     def __call__(self, x) -> Fraction:
         x = rat(x)
@@ -139,13 +199,14 @@ def compose(inner: PiecewiseLinear, outer: PiecewiseLinear,
     """
     xs = set(x for x, _ in inner.knots)
     outer_xs = [x for x, _ in outer.knots[1:-1]]
-    for (x0, y0), (x1, y1) in zip(inner.knots, inner.knots[1:]):
+    for p, q in zip(inner.knots, inner.knots[1:]):
+        y0, y1 = p[1], q[1]
         if y0 == y1:
             continue
         lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
         for kx in outer_xs:
             if lo < kx < hi:
-                xs.add(x0 + (kx - y0) * (x1 - x0) / (y1 - y0))
+                xs.add(_at(p, q, kx))
         if len(xs) > cap:
             raise ResourceLimitError(f"composition exceeds {cap} knots")
     pts = sorted(xs)
@@ -187,17 +248,17 @@ def crossing_points(f: PiecewiseLinear, a, b) -> tuple[tuple[Fraction, Fraction]
     if not (0 <= a < b <= 1):
         raise ValueError("need 0 <= a < b <= 1")
     events: list[tuple[Fraction, Fraction]] = []
-    for (x0, y0), (x1, y1) in zip(f.knots, f.knots[1:]):
+    for p, q in zip(f.knots, f.knots[1:]):
+        y0, y1 = p[1], q[1]
         if y0 == y1:
             if y0 == a or y0 == b:
-                events.append((x0, y0))
+                events.append(p)
             continue
         lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
         hits = []
         for level in (a, b):
             if lo <= level <= hi:
-                t = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
-                hits.append((t, level))
+                hits.append((_at(p, q, level), level))
         events.extend(sorted(hits))
     collapsed: list[tuple[Fraction, Fraction]] = []
     for ev in events:
@@ -213,28 +274,22 @@ def crossings(f: PiecewiseLinear, a, b) -> int:
     return max(0, len(pts) - 1)
 
 
-def _merged_xs(f: PiecewiseLinear, g: PiecewiseLinear) -> list[Fraction]:
-    return sorted({x for x, _ in f.knots} | {x for x, _ in g.knots})
-
-
 def linf_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
     """Exact sup |f - g|; attained at a knot of the merged breakpoint set."""
-    return max(abs(f(x) - g(x)) for x in _merged_xs(f, g))
+    return max(abs(d) for _, d in combine((f.knots, g.knots), (1, -1), 0))
 
 
 def l1_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
     """Exact integral of |f - g| over [0,1]."""
-    xs = _merged_xs(f, g)
+    diff = combine((f.knots, g.knots), (1, -1), 0)
     total = ZERO
-    for x0, x1 in zip(xs, xs[1:]):
-        d0 = f(x0) - g(x0)
-        d1 = f(x1) - g(x1)
-        w = x1 - x0
+    for p, q in zip(diff, diff[1:]):
+        (x0, d0), (x1, d1) = p, q
         if d0 * d1 < 0:
-            z = x0 + d0 * w / (d0 - d1)
+            z = _at(p, q, 0)
             total += abs(d0) * (z - x0) / 2 + abs(d1) * (x1 - z) / 2
         else:
-            total += (abs(d0) + abs(d1)) * w / 2
+            total += (abs(d0) + abs(d1)) * (x1 - x0) / 2
     return total
 
 

@@ -126,56 +126,16 @@ def stack(block: ReluNetwork, k: int) -> ReluNetwork:
     return ReluNetwork(layers=block.layers * k)
 
 
-# raw (unclamped) PL propagation: sorted [(x, y)] with y unrestricted
-
-
-def _raw_eval(knots, x):
-    lo, hi = 0, len(knots) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if knots[mid][0] <= x:
-            lo = mid
-        else:
-            hi = mid
-    (x0, y0), (x1, y1) = knots[lo], knots[hi]
-    if x == x0:
-        return y0
-    if x == x1:
-        return y1
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
-def _raw_canon(knots):
-    out = [knots[0]]
-    for p in knots[1:]:
-        while len(out) >= 2 and (out[-1][1] - out[-2][1]) * (p[0] - out[-1][0]) \
-                == (p[1] - out[-1][1]) * (out[-1][0] - out[-2][0]):
-            out.pop()
-        out.append(p)
-    return out
-
-
-def _raw_affine(inputs, row, bias, cap):
-    xs = sorted({x for knots in inputs for x, _ in knots})
-    if len(xs) > cap:
-        raise ResourceLimitError(f"network PL exceeds {cap} knots")
-    pts = [
-        (x, sum(c * _raw_eval(k, x) for c, k in zip(row, inputs)) + bias)
-        for x in xs
-    ]
-    return _raw_canon(pts)
-
-
 def _raw_relu(knots):
+    """ReLU of raw knots: zero crossings become knots, negatives clip to 0."""
     pts = []
-    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-        pts.append((x0, y0))
-        if y0 * y1 < 0:
-            z = x0 + y0 * (x1 - x0) / (y0 - y1)
-            pts.append((z, Fraction(0)))
+    for p, q in zip(knots, knots[1:]):
+        pts.append(p)
+        if p[1] * q[1] < 0:
+            pts.append((pl._at(p, q, 0), Fraction(0)))
     pts.append(knots[-1])
     clipped = [(x, y if y > 0 else Fraction(0)) for x, y in pts]
-    return _raw_canon(clipped)
+    return pl.canon(clipped)
 
 
 def net_to_pl(n: ReluNetwork, cap: int = pl.DEFAULT_KNOT_CAP
@@ -190,7 +150,9 @@ def net_to_pl(n: ReluNetwork, cap: int = pl.DEFAULT_KNOT_CAP
     state = [[(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]]
     last = len(n.layers) - 1
     for i, (w, b) in enumerate(n.layers):
-        state = [_raw_affine(state, row, bias, cap)
+        if len({x for knots in state for x, _ in knots}) > cap:
+            raise ResourceLimitError(f"network PL exceeds {cap} knots")
+        state = [pl.canon(pl.combine(state, row, bias))
                  for row, bias in zip(w, b)]
         if i != last:
             state = [_raw_relu(k) for k in state]
@@ -237,9 +199,7 @@ def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
         for level in levels[1:-1]:
             while not _level_in(ks[j], ks[j + 1], level):
                 j += 1
-            (ax, ay), (bx, by) = ks[j], ks[j + 1]
-            x = ax + (level - ay) * (bx - ax) / (by - ay)
-            out.append((x, level))
+            out.append((pl._at(ks[j], ks[j + 1], level), level))
         out.append(ks[hi])
 
     def _level_in(a, b, level):

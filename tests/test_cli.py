@@ -45,7 +45,7 @@ class TestRhoTable:
 
 class TestSuperstable:
     def test_known_paper_defect_reported(self, capsys):
-        # the 1324 row cannot match the published 0.8671 (see ledger);
+        # the 1324 row cannot match the published 0.8671 (see CHANGES.md);
         # the command must fail its embedded assertion and exit 1
         code, out = run(["superstable"], capsys)
         assert code == 1
@@ -64,6 +64,18 @@ class TestWarmup:
         assert first == "1,2,2,2,2"
         svg = (tmp_path / "warmup_growth.svg").read_text()
         ET.fromstring(svg)  # well-formed XML
+
+    @pytest.mark.parametrize("k_max", ["7", "8"])
+    def test_small_k_max_is_usage_error(self, k_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["warmup", "--k-max", k_max])
+        assert exc.value.code == 2
+
+    def test_smallest_k_max_runs(self, capsys):
+        code, out = run(["warmup", "--k-max", "9"], capsys)
+        assert code == 0
+        last = out.splitlines()[9]
+        assert last.startswith("9,") and last.endswith(",512")
 
 
 class TestBifurcation:

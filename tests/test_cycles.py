@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from itermaps import cycles, maps, spectra
+from itermaps import cycles, maps, pl, spectra
 
 
 def tent(r):
@@ -148,6 +148,21 @@ class TestFindCyclesExact:
                     for _ in range(d):
                         y = m(y)
                     assert y != c.orbit[0]
+
+
+    def test_fixed_segment_gives_both_ends(self):
+        # f runs along the diagonal on [0, 2/5]: both ends are reported
+        f = pl.new([(0, 0), (F(2, 5), F(2, 5)), (F(1, 2), F(9, 10)), (1, 0)])
+        found = cycles.find_cycles(maps.CustomPLMap(f), 1)
+        assert [c.orbit for c in found] == [(0,), (F(2, 5),), (F(9, 14),)]
+
+    def test_to_pl_fault_propagates(self):
+        class BrokenTent(maps.TentMap):
+            def to_pl(self):
+                raise ZeroDivisionError("fault inside to_pl")
+
+        with pytest.raises(ZeroDivisionError):
+            cycles.find_cycles(BrokenTent(1), 2)
 
 
 class TestFindCyclesSmooth:

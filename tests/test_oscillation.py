@@ -130,3 +130,9 @@ class TestEntropy:
     def test_geometric_rate(self):
         series = oscillation.entropy_estimate(maps.TentMap(1), 10)
         assert series.geometric_rate(4, 10) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("k_lo,k_hi", [(8, 8), (8, 7), (0, 5), (4, 11)])
+    def test_geometric_rate_rejects_bad_window(self, k_lo, k_hi):
+        series = oscillation.entropy_estimate(maps.TentMap(1), 10)
+        with pytest.raises(ValueError):
+            series.geometric_rate(k_lo, k_hi)

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itermaps import pl
+from itermaps import maps, pl
 from itermaps.errors import ResourceLimitError
 
-from conftest import random_pl, random_unit_map
+from conftest import random_pl, random_rational, random_unit_map
 
 TENT = pl.new([(0, 0), (F(1, 2), 1), (1, 0)])
 
@@ -189,6 +189,56 @@ class TestErrors:
     def test_l1_sign_change_split(self):
         # f - g changes sign at x = 1/2; integral of |x - 1/2| = 1/4
         assert pl.l1_diff(pl.identity(), pl.constant(F(1, 2))) == F(1, 4)
+
+
+def pointwise_l1(f, g):
+    """Integral of |f - g| from f and g evaluated at each merged knot."""
+    xs = sorted({x for x, _ in f.knots} | {x for x, _ in g.knots})
+    total = F(0)
+    for x0, x1 in zip(xs, xs[1:]):
+        d0 = f(x0) - g(x0)
+        d1 = f(x1) - g(x1)
+        w = x1 - x0
+        if d0 * d1 < 0:
+            z = x0 + d0 * w / (d0 - d1)
+            total += abs(d0) * (z - x0) / 2 + abs(d1) * (x1 - z) / 2
+        else:
+            total += (abs(d0) + abs(d1)) * w / 2
+    return total
+
+
+class TestRawKnots:
+    def test_norms_match_pointwise_reference(self, rng):
+        for _ in range(100):
+            f, g = random_pl(rng), random_pl(rng)
+            xs = {x for x, _ in f.knots} | {x for x, _ in g.knots}
+            assert pl.linf_diff(f, g) == max(abs(f(x) - g(x)) for x in xs)
+            assert pl.l1_diff(f, g) == pointwise_l1(f, g)
+
+    def test_combine_is_pointwise_sum(self, rng):
+        for _ in range(50):
+            fs = [random_pl(rng) for _ in range(rng.randint(1, 4))]
+            cs = [random_rational(rng) - random_rational(rng) for _ in fs]
+            bias = random_rational(rng) - random_rational(rng)
+            out = pl.combine([f.knots for f in fs], cs, bias)
+            assert [x for x, _ in out] == sorted(
+                {x for f in fs for x, _ in f.knots})
+            for x, y in out:
+                assert y == sum(c * f(x) for c, f in zip(cs, fs)) + bias
+
+    def test_level_set_hits_are_on_level(self, rng):
+        for _ in range(100):
+            f = random_pl(rng)
+            y = random_rational(rng, den_max=4)
+            xs = pl.level_set(f.knots, y)
+            assert xs == sorted(set(xs))
+            assert all(f(x) == y for x in xs)
+            assert {x for x, v in f.knots if v == y} <= set(xs)
+
+    def test_level_set_plateau_gives_both_ends(self):
+        f = pl.new([(0, 0), (F(2, 5), F(1, 2)), (F(3, 5), F(1, 2)), (1, 0)])
+        assert pl.level_set(f.knots, F(1, 2)) == [F(2, 5), F(3, 5)]
+        assert maps.CustomPLMap(f).preimages(F(1, 2)) == (F(2, 5), F(3, 5))
 
 
 class TestClassification:

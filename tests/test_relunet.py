@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from itermaps import pl, relunet
+from itermaps.errors import ResourceLimitError
 
 from conftest import random_pl
 
@@ -120,6 +121,14 @@ class TestNetToPL:
         net = relunet.ReluNetwork(layers=((((0.5,),), (0.0,)),))
         with pytest.raises(ValueError, match="rational"):
             relunet.net_to_pl(net)
+
+    def test_cap_on_merged_abscissae(self):
+        # the output layer merges 0, 1 and the 7 interior ramp thresholds
+        f = pl.iterate(TENT, 3)
+        net = relunet.synth_from_pl(f)
+        assert relunet.net_to_pl(net, cap=9).knots == f.knots
+        with pytest.raises(ResourceLimitError, match="exceeds 8 knots"):
+            relunet.net_to_pl(net, cap=8)
 
 
 class TestEpsApprox:
