@@ -128,10 +128,11 @@ def cmd_warmup(args) -> int:
               all(s1234.counts[k] > s123.counts[k] > s1324.counts[k]
                   for k in range(5, k_max)),
               "M(1234) > M(123) > M(1324) for k >= 6")
-    g1234 = s1234.geometric_rate(8, min(14, k_max))
-    g123 = s123.geometric_rate(8, min(14, k_max))
-    rep.check("rate_1234", 1.74 <= g1234 <= 1.94, f"geom[8,14]={g1234:.4f}")
-    rep.check("rate_123", 1.55 <= g123 <= 1.68, f"geom[8,14]={g123:.4f}")
+    hi = min(14, k_max)
+    g1234 = s1234.geometric_rate(8, hi)
+    g123 = s123.geometric_rate(8, hi)
+    rep.check("rate_1234", 1.74 <= g1234 <= 1.94, f"geom[8,{hi}]={g1234:.4f}")
+    rep.check("rate_123", 1.55 <= g123 <= 1.68, f"geom[8,{hi}]={g123:.4f}")
     rep.check("poly_cap_1324",
               all(c <= 2 * (4 * k) ** 3
                   for k, c in enumerate(s1324.counts, 1)),

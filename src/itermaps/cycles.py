@@ -240,9 +240,11 @@ def find_cycles(m: UnimodalMap, p_max: int,
 
     records: list[CycleRecord] = []
     seen: list[tuple] = []
+    fp = pl.identity()
     for p in range(1, p_max + 1):
         if exact:
-            roots = _pl_period_roots(pl.iterate(f1, p))
+            fp = pl.compose(fp, f1)
+            roots = _pl_period_roots(fp)
         else:
             roots = _smooth_period_roots(m, p, grid_per_period * p)
         for x in roots:

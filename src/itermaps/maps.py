@@ -58,8 +58,13 @@ class UnimodalMap:
         """All x with f(x) = y, at most one per side of the critical point."""
         raise NotImplementedError
 
+    @property
+    def apex_x(self):
+        """The critical point, where f attains its maximum."""
+        return HALF if self.is_exact else 0.5
+
     def max_value(self):
-        return self(HALF if self.is_exact else 0.5)
+        return self(self.apex_x)
 
     def to_pl(self) -> pl.PiecewiseLinear:
         raise NotPiecewiseLinear(f"{self.kind} map is not piecewise linear")
@@ -74,8 +79,7 @@ class UnimodalMap:
     def critical_orbit(self, steps: int) -> "CriticalOrbit":
         if steps < 1:
             raise ValueError("need at least one step")
-        x0 = HALF if self.is_exact else 0.5
-        values = tuple(self.orbit(x0, steps)[1:])
+        values = tuple(self.orbit(self.apex_x, steps)[1:])
         return CriticalOrbit(values=values, x_max=values[0])
 
     def to_json(self) -> str:
@@ -94,8 +98,7 @@ class CriticalOrbit:
     def __init__(self, values, x_max):
         self.values = tuple(values)
         self.x_max = x_max
-        lo, hi = 0, 1
-        if any(not (lo <= float(v) <= hi) for v in self.values):
+        if any(not (0 <= float(v) <= 1) for v in self.values):
             raise ValueError("orbit escaped [0,1]")
 
 
@@ -265,8 +268,6 @@ class CustomPLMap(UnimodalMap):
                 pl.monotone_pieces(f) != 2):
             raise ValueError("custom map must increase then decrease")
         self.strictly_unimodal = 0 not in signs
-        apex = max(range(len(f.knots)), key=lambda i: f.knots[i][1])
-        self.apex_x = f.knots[apex][0]
         self.symmetric = all(
             (1 - x, y) in set(f.knots) for x, y in f.knots)
         self.concave = all(a >= b for a, b in zip(slopes, slopes[1:]))
@@ -276,14 +277,16 @@ class CustomPLMap(UnimodalMap):
     def is_exact(self):
         return True
 
+    @property
+    def apex_x(self):
+        """Abscissa of the top knot (the first one on a plateau)."""
+        return max(self.f.knots, key=lambda kn: kn[1])[0]
+
     def __call__(self, x):
         if isinstance(x, (Fraction, int)):
             return self.f(x)
         # float fast path via interpolation on the float knots
         return float(np.interp(x, self._float_xs, self._float_ys))
-
-    def max_value(self):
-        return self.f(self.apex_x)
 
     def preimages(self, y):
         return tuple(pl.level_set(self.f.knots, pl.rat(y)))

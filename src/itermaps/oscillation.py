@@ -1,27 +1,27 @@
 """Monotone-piece and crossing counts for iterated maps, and entropy estimates.
 
-A strictly unimodal map's iterate f^k has a local extremum exactly at the
-points whose orbit hits the maximizer within the first k-1 steps, so
-
-    M(f^k) = 1 + |union_{j=0}^{k-1} f^{-j}(x_apex)|.
-
-The union is computed by breadth-first preimage expansion with global
-deduplication; at super-stable parameters the critical orbit returns to the
-maximizer and distinct tree levels intersect, so summing level sizes would
-over-count.  For PL kinds the result is cross-checked against the exact PL
-engine in the test suite.
+Laps are counted from the critical orbit c_j = f^j(c), c = ``m.apex_x``
+(kneading recursion; Milnor & Thurston, LNM 1342, 1988).  A lap of f^k maps
+monotonically onto an interval (lo, hi) with ends in {0} and {c_j}; laps are
+kept by image with big-integer multiplicities, starting from two onto
+(0, c_1).  Under f a lap splits into (f(lo), c_1) and (f(hi), c_1) exactly
+when lo < c < hi, and otherwise maps onto the sorted (f(lo), f(hi)).  On
+float maps an orbit value within ``maps.SMOOTH_TOL`` of c is snapped to c.
+``cap`` bounds M(f^k) - 1, the turning points of f^k (the nodes of the
+critical preimage tree, never built); ``ResourceLimitError`` is raised at
+the first k where it is exceeded.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import pl
 from .errors import NotPiecewiseLinear, ResourceLimitError
-from .maps import PREIMAGE_DEDUP_TOL, UnimodalMap
+from .maps import PREIMAGE_DEDUP_TOL, SMOOTH_TOL, UnimodalMap
 
 DEFAULT_NODE_CAP = 10**7
 
@@ -45,46 +45,40 @@ class _FloatSet:
         return len(self.xs)
 
 
-def _apex(m: UnimodalMap):
+def _lap_counts(m: UnimodalMap, k_max: int, cap: int) -> list[int]:
+    """M(f^k) for k = 1..k_max by the kneading recursion (module docstring)."""
     if not m.strictly_unimodal:
         raise ValueError(f"{m.kind} map has no unique maximizer")
-    if hasattr(m, "apex_x"):
-        return m.apex_x
-    return Fraction(1, 2) if m.is_exact else 0.5
+    c = m.apex_x
+    def f(v):
+        y = m(v)
+        return c if not m.is_exact and abs(y - c) <= SMOOTH_TOL else y
 
-
-def _expand_union(m: UnimodalMap, levels: int, cap: int):
-    """Visited-set sizes after 0..levels preimage expansions of the apex."""
-    apex = _apex(m)
-    if m.is_exact:
-        seen = {apex}
-        add = lambda x: x not in seen and (seen.add(x) or True)
-        size = seen.__len__
-    else:
-        fs = _FloatSet(PREIMAGE_DEDUP_TOL)
-        fs.add(apex)
-        add = fs.add
-        size = fs.__len__
-    sizes = [1]
-    frontier = [apex]
-    for _ in range(levels):
-        nxt = []
-        for y in frontier:
-            for x in m.preimages(y):
-                if add(x):
-                    nxt.append(x)
-            if size() > cap:
-                raise ResourceLimitError(f"preimage tree exceeds {cap} nodes")
-        frontier = nxt
-        sizes.append(size())
-    return sizes
+    c1 = f(c)
+    laps = {(0 * c, c1): 2}
+    counts = [2]
+    for k in range(2, k_max + 1):
+        nxt = Counter()
+        for (lo, hi), mult in laps.items():
+            flo, fhi = f(lo), f(hi)
+            if lo < c < hi:
+                nxt[flo, c1] += mult
+                nxt[fhi, c1] += mult
+            else:
+                nxt[min(flo, fhi), max(flo, fhi)] += mult
+        laps = nxt
+        counts.append(sum(laps.values()))
+        if counts[-1] - 1 > cap:
+            raise ResourceLimitError(f"preimage tree exceeds {cap} nodes")
+    return counts
 
 
 def count_monotone(m: UnimodalMap, k: int, cap: int = DEFAULT_NODE_CAP) -> int:
-    """Exact number of monotone pieces of f^k via the critical preimage tree."""
+    """M(f^k) by the lap recursion: exact on exact maps, ``SMOOTH_TOL`` snap
+    on float maps; raises ``ResourceLimitError`` once M(f^k) - 1 > cap."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return 1 + _expand_union(m, k - 1, cap)[-1]
+    return _lap_counts(m, k, cap)[-1]
 
 
 def count_crossings_map(m: UnimodalMap, k: int, a, b,
@@ -175,13 +169,13 @@ def entropy_estimate(m: UnimodalMap, k_max: int,
                      cap: int = DEFAULT_NODE_CAP) -> GrowthSeries:
     """Counts and rates up to k_max; the last rate estimates h_top.
 
-    The estimate is heuristic (finite k); decision rules for zero-vs-positive
-    entropy live with the callers.  The geometric growth factor rho is
-    exp(rate), reported separately to avoid conflating the two units.
+    Counts come from the lap recursion of ``count_monotone`` (same snap and
+    cap).  The estimate is heuristic (finite k); decision rules for
+    zero-vs-positive entropy live with the callers; the growth factor rho =
+    exp(rate) is reported separately to avoid conflating the two units.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    sizes = _expand_union(m, k_max - 1, cap)
-    counts = tuple(1 + s for s in sizes)
+    counts = tuple(_lap_counts(m, k_max, cap))
     rates = tuple(math.log(c) / k for k, c in enumerate(counts, start=1))
     return GrowthSeries(counts=counts, rates=rates)

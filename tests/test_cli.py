@@ -77,6 +77,12 @@ class TestWarmup:
         last = out.splitlines()[9]
         assert last.startswith("9,") and last.endswith(",512")
 
+    def test_rate_label_names_window_used(self, capsys):
+        code, out = run(["warmup", "--k-max", "9"], capsys)
+        assert code == 0
+        assert "rate_1234 :: geom[8,9]=" in out
+        assert "geom[8,14]" not in out
+
 
 class TestBifurcation:
     def test_csv_and_metadata(self, tmp_path, capsys):

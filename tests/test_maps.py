@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from itermaps import maps, pl
+from itermaps import maps, pl, warmup
 from itermaps.errors import NotPiecewiseLinear
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -136,6 +136,12 @@ class TestOrbits:
         orb = maps.TentMap(1).critical_orbit(3)
         assert orb.values == (F(1), F(0), F(0))
         assert orb.x_max == 1
+
+    @pytest.mark.parametrize("name", sorted(warmup.TOY_CYCLES))
+    def test_critical_orbit_starts_at_apex(self, name):
+        # the toy maps peak off 1/2, at their top knot
+        m = warmup.toy_map(name)
+        assert m.critical_orbit(2).x_max == m.max_value()
 
     def test_tent_near_golden_returns_to_half(self):
         # parameter at the increasing-3-cycle birth: half-orbit closes in 3

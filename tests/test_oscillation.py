@@ -1,10 +1,12 @@
-"""Preimage-tree counting vs exact PL iteration, growth series, entropy."""
+"""Lap counting vs exact PL iteration and exact rationals, growth series,
+entropy."""
 
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import random_unit_map
 
 from itermaps import maps, oscillation, pl
 from itermaps.errors import ResourceLimitError
@@ -12,6 +14,37 @@ from itermaps.errors import ResourceLimitError
 SS_12 = 0.8090169943749474  # logistic two-cycle through the critical point
 SS_1324 = 0.8671
 SS_123 = 0.9580
+
+
+def _exact_logistic_laps(r: F, k_max: int) -> tuple[int, ...]:
+    """M(f^k), k = 1..k_max, of f(x) = 4 r x (1 - x) in exact rationals.
+
+    Laps are grouped by their image (lo, hi); one splits under f into
+    (f(lo), f(1/2)) and (f(hi), f(1/2)) exactly when lo < 1/2 < hi.
+    """
+    image = {}
+
+    def f(x):
+        if x not in image:
+            image[x] = 4 * r * x * (1 - x)
+        return image[x]
+
+    c = F(1, 2)
+    c1 = f(c)
+    laps = {(F(0), c1): 2}
+    counts = [2]
+    for _ in range(k_max - 1):
+        nxt = {}
+        for (lo, hi), mult in laps.items():
+            if lo < c < hi:
+                images = [(f(lo), c1), (f(hi), c1)]
+            else:
+                images = [tuple(sorted((f(lo), f(hi))))]
+            for key in images:
+                nxt[key] = nxt.get(key, 0) + mult
+        laps = nxt
+        counts.append(sum(laps.values()))
+    return tuple(counts)
 
 
 class TestCountMonotone:
@@ -54,6 +87,13 @@ class TestCountMonotone:
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
             oscillation.count_monotone(maps.TentMap(1), 14, cap=500)
+
+    def test_cap_boundary_is_turning_points(self):
+        # cap bounds M(f^k) - 1; the full tent has M(f^10) = 1024
+        m = maps.TentMap(1)
+        assert oscillation.count_monotone(m, 10, cap=1023) == 1024
+        with pytest.raises(ResourceLimitError):
+            oscillation.count_monotone(m, 10, cap=1022)
 
 
 class TestCountCrossings:
@@ -115,6 +155,31 @@ class TestEntropy:
         series = oscillation.entropy_estimate(m, 14)
         target = math.log(1.839)
         assert abs(series.entropy - target) <= 0.05 * target
+
+    def test_random_custom_pl_equals_pl_engine(self, rng):
+        checked = 0
+        while checked < 12:
+            try:
+                m = maps.CustomPLMap(random_unit_map(rng))
+            except ValueError:
+                continue
+            if not m.strictly_unimodal:
+                continue
+            checked += 1
+            f = m.to_pl()
+            want = tuple(pl.monotone_pieces(pl.iterate(f, k))
+                         for k in range(1, 9))
+            assert oscillation.entropy_estimate(m, 8).counts == want
+
+    def test_float_counts_match_exact_rational_recursion(self):
+        # near the super-stable 123 parameter some distinct preimages of 1/2
+        # lie within PREIMAGE_DEDUP_TOL of each other, so a count of merged
+        # float preimages comes out low (1942); the same recursion in exact
+        # rationals at Fraction(r) is the oracle
+        m = maps.LogisticMap(0.9579685138702394)
+        want = _exact_logistic_laps(F(m.r), 13)
+        assert want[-1] == 1946
+        assert oscillation.entropy_estimate(m, 13).counts == want
 
     def test_counts_never_decrease(self):
         series = oscillation.entropy_estimate(maps.LogisticMap(0.93), 12)
