@@ -239,7 +239,8 @@ def find_cycles(m: UnimodalMap, p_max: int,
     exact = f1 is not None
 
     records: list[CycleRecord] = []
-    seen: list[tuple] = []
+    seen: list[tuple] = []  # smooth kinds only
+    on_orbit: set = set()  # PL kinds: every point of every orbit kept
     fp = pl.identity()
     for p in range(1, p_max + 1):
         if exact:
@@ -248,6 +249,8 @@ def find_cycles(m: UnimodalMap, p_max: int,
         else:
             roots = _smooth_period_roots(m, p, grid_per_period * p)
         for x in roots:
+            if x in on_orbit:
+                continue  # a kept orbit's period divides p: nothing new
             # minimal-period filter over proper divisors
             minimal = True
             for d in range(1, p):
@@ -267,11 +270,14 @@ def find_cycles(m: UnimodalMap, p_max: int,
                     for b in orbit[i + 1:]):
                 continue  # collapsed orbit: root of a lower period in disguise
             canon = _canonical(orbit)
-            if any(len(c) == p and all(_close(a, b, exact)
-                                       for a, b in zip(c, canon))
-                   for c in seen):
+            if exact:
+                on_orbit.update(orbit)
+            elif any(len(c) == p and all(_close(a, b, exact)
+                                         for a, b in zip(c, canon))
+                     for c in seen):
                 continue
-            seen.append(canon)
+            else:
+                seen.append(canon)
             closure = m(orbit[-1])
             residual = abs(float(closure) - float(orbit[0]))
             if residual > (0 if exact else RESIDUAL_TOL):

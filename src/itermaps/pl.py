@@ -5,17 +5,20 @@ and no operation introduces rounding.  This is the carrier for iterated maps
 f^k, for functions computed by rational ReLU networks, and for all error
 measurements (sup norm, integral norm, classification error).
 
-Beneath ``PiecewiseLinear`` lies one layer on raw knots (sorted (x, y), y
-unclamped): ``canon``, ``combine``, ``level_set`` and the segment solver
-``_at``.  ``relunet``, ``maps.CustomPLMap``, ``cycles``, ``compose``,
-``crossing_points`` and the error norms use it and keep no copy of their own.
+Beneath ``PiecewiseLinear`` lies one layer of single sweeps over raw knots
+(sorted (x, y), y unclamped) that hash nothing: ``canon`` keeps a knot where
+the slope changes, ``combine`` sums slope changes, ``level_set``, the norms
+``max_abs`` and ``abs_integral``, and the segment solver ``_at``; no other
+module keeps a copy.  ``compose`` walks inner's pieces through outer's knots.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
@@ -44,43 +47,48 @@ def rat(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-def _collinear(p, q, r) -> bool:
-    (x0, y0), (x1, y1), (x2, y2) = p, q, r
-    return (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0)
-
-
 def canon(pts: Sequence) -> list:
-    """Raw knots with every collinear interior knot removed, in one pass."""
+    """Raw knots kept only where the slope changes, one division a segment.
+
+    A segment as steep as the last kept one moves that knot forward.
+    """
     out = [pts[0]]
-    for p in pts[1:]:
-        while len(out) >= 2 and _collinear(out[-2], out[-1], p):
-            out.pop()
-        out.append(p)
+    last = None  # slope of the segment ending at out[-1]
+    for (x0, y0), p in zip(pts, pts[1:]):
+        s = (p[1] - y0) / (p[0] - x0)
+        if s == last:
+            out[-1] = p
+        else:
+            out.append(p)
+            last = s
     return out
 
 
 def combine(inputs: Sequence[Sequence], coeffs: Sequence, bias) -> list:
     """Raw knots of sum(c * f_i) + bias at every merged abscissa.
 
-    The inputs share one domain; their slope changes are summed in one sweep.
-    The result is not canonicalised.
+    The inputs share one domain.  One sort of their (x, slope change) events
+    and end abscissae merges the presorted runs; a sweep sums the changes at
+    equal x.  Nothing is hashed or evaluated, and nothing canonicalised.
     """
-    xs = sorted({x for knots in inputs for x, _ in knots})
-    bend = dict.fromkeys(xs, 0)  # slope change of the sum at each abscissa
+    events = []
     y = bias
     for c, knots in zip(coeffs, inputs):
         y += c * knots[0][1]
         prev = 0
         for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
             s = c * (y1 - y0) / (x1 - x0)
-            bend[x0] += s - prev
+            events.append((x0, s - prev))
             prev = s
-    out = [(xs[0], y)]
+        events.append((knots[-1][0], 0))
+    events.sort(key=itemgetter(0))
+    out = [(events[0][0], y)]
     slope = 0
-    for x0, x1 in zip(xs, xs[1:]):
-        slope += bend[x0]
-        y += slope * (x1 - x0)
-        out.append((x1, y))
+    for x, bend in events:
+        if x != out[-1][0]:
+            y += slope * (x - out[-1][0])
+            out.append((x, y))
+        slope += bend
     return out
 
 
@@ -108,6 +116,25 @@ def level_set(knots: Sequence, y) -> list:
                 hits.append(x)
         p = q
     return hits
+
+
+def max_abs(knots: Sequence):
+    """max |y| over raw knots: the sup norm of the function they define."""
+    return max(abs(y) for _, y in knots)
+
+
+def abs_integral(knots: Sequence) -> Fraction:
+    """Exact integral of |y| over raw knots, as twice the area halved once.
+
+    A sign change from d0 to d1 adds (d0^2 + d1^2)(x1 - x0) / (|d0| + |d1|).
+    """
+    total = ZERO
+    for (x0, d0), (x1, d1) in zip(knots, knots[1:]):
+        if d0 < 0 < d1 or d1 < 0 < d0:
+            total += (d0 * d0 + d1 * d1) * (x1 - x0) / (abs(d0) + abs(d1))
+        else:
+            total += (abs(d0) + abs(d1)) * (x1 - x0)
+    return total / 2
 
 
 @dataclass(frozen=True)
@@ -192,25 +219,27 @@ def constant(c) -> PiecewiseLinear:
 
 def compose(inner: PiecewiseLinear, outer: PiecewiseLinear,
             cap: int = DEFAULT_KNOT_CAP) -> PiecewiseLinear:
-    """Exact outer(inner(x)).
+    """Exact outer(inner(x)), in one sweep over inner's segments.
 
-    Breakpoints are inner's knots plus, on every non-flat inner piece, the
-    preimages of outer's interior knot abscissae.
+    A non-flat piece gains the preimages of outer's interior knots, in order
+    along the piece, at those knots' ordinates; inner's knots take outer(y).
+    Raises ResourceLimitError once the knots would number more than `cap`.
     """
-    xs = set(x for x, _ in inner.knots)
-    outer_xs = [x for x, _ in outer.knots[1:-1]]
+    oxs = [x for x, _ in outer.knots]
+    room = cap - len(inner.knots)  # preimages the cap leaves room for
+    pts = [(ZERO, outer(inner.knots[0][1]))]
     for p, q in zip(inner.knots, inner.knots[1:]):
         y0, y1 = p[1], q[1]
-        if y0 == y1:
-            continue
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        for kx in outer_xs:
-            if lo < kx < hi:
-                xs.add(_at(p, q, kx))
-        if len(xs) > cap:
-            raise ResourceLimitError(f"composition exceeds {cap} knots")
-    pts = sorted(xs)
-    return PiecewiseLinear(tuple((x, outer(inner(x))) for x in pts))
+        if y0 != y1:
+            lo = bisect_right(oxs, min(y0, y1))
+            hi = bisect_left(oxs, max(y0, y1))
+            hit = range(lo, hi) if y0 < y1 else range(hi - 1, lo - 1, -1)
+            room -= len(hit)
+            if room < 0:
+                raise ResourceLimitError(f"composition exceeds {cap} knots")
+            pts.extend((_at(p, q, oxs[j]), outer.knots[j][1]) for j in hit)
+        pts.append((q[0], outer(y1)))
+    return PiecewiseLinear(tuple(pts))
 
 
 def iterate(f: PiecewiseLinear, k: int,
@@ -276,21 +305,12 @@ def crossings(f: PiecewiseLinear, a, b) -> int:
 
 def linf_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
     """Exact sup |f - g|; attained at a knot of the merged breakpoint set."""
-    return max(abs(d) for _, d in combine((f.knots, g.knots), (1, -1), 0))
+    return max_abs(combine((f.knots, g.knots), (1, -1), 0))
 
 
 def l1_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
     """Exact integral of |f - g| over [0,1]."""
-    diff = combine((f.knots, g.knots), (1, -1), 0)
-    total = ZERO
-    for p, q in zip(diff, diff[1:]):
-        (x0, d0), (x1, d1) = p, q
-        if d0 * d1 < 0:
-            z = _at(p, q, 0)
-            total += abs(d0) * (z - x0) / 2 + abs(d1) * (x1 - z) / 2
-        else:
-            total += (abs(d0) + abs(d1)) * (x1 - x0) / 2
-    return total
+    return abs_integral(combine((f.knots, g.knots), (1, -1), 0))
 
 
 @dataclass(frozen=True)

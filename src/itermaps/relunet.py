@@ -189,6 +189,9 @@ def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
 
     def emit_run(lo: int, hi: int):
         """Approximate f on knots[lo..hi] (monotone) by eps-spaced levels."""
+        if hi == lo + 1:  # one segment: its level points are collinear
+            out.append(ks[hi])
+            return
         y0, y1 = ks[lo][1], ks[hi][1]
         sign = 1 if y1 >= y0 else -1
         levels = [y0]

@@ -1,5 +1,6 @@
 """CLI: exit codes, determinism, emitted file formats."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -205,3 +206,26 @@ class TestUsage:
     def test_resource_cap_exit_3(self, capsys):
         code = main(["--cap", "10", "synth", "--map", "tent:1", "--k", "12"])
         assert code == 3
+
+
+class TestExactOutputsPinned:
+    """Stdout of small exact commands, byte for byte.
+
+    The digests were recorded before the PL kernel's sweep rewrite; a change
+    that only makes the exact path faster must leave every byte in place.
+    """
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--seed", "7", "certify", "--map", "tent:9/10", "--k", "8"],
+         "c579f5fd8bfe423fee6d4ff4793ae8e3de874db91f4d18aa3ca37c77acfa9026"),
+        (["cycles", "--map", "tent:1", "--p-max", "8"],
+         "20a2a493b501d8d18558fb0436fb41babe2c7978817f5298d78d6d2714ab4121"),
+        (["counterexample", "--k-max", "8"],
+         "2741e1e9e1397bc758246062a03d607308f80946681c640160a8cc8a5c3cfae4"),
+        (["synth", "--map", "tent:9/10", "--k", "6"],
+         "5d5b442fd2bcca69b7ec392a22ea9c8f1feb427d6f7e846294961eaf9d82c0be"),
+    ], ids=["certify", "cycles", "counterexample", "synth"])
+    def test_stdout_digest_and_exit_code(self, argv, digest, capsys):
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -14,6 +14,8 @@ import pytest
 
 from itermaps import cycles, maps, pl, spectra
 
+from conftest import random_unit_map
+
 
 def tent(r):
     return maps.TentMap(r)
@@ -163,6 +165,39 @@ class TestFindCyclesExact:
 
         with pytest.raises(ZeroDivisionError):
             cycles.find_cycles(BrokenTent(1), 2)
+
+
+class TestCycleCountOracles:
+    def test_full_tent_counts_are_primitive_necklaces(self):
+        # cycles of minimal period p of the doubling tent: the number of
+        # primitive binary necklaces of length p
+        found = cycles.find_cycles(tent(1), 10)
+        counts = [sum(1 for c in found if c.period == p) for p in range(1, 11)]
+        assert counts == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
+
+    def test_records_cover_minimal_period_roots(self, rng):
+        # every root of f^p(x) = x of minimal period p lies on exactly one
+        # period-p record, counted straight from the knots of f^p
+        checked = 0
+        while checked < 30:
+            try:
+                m = maps.CustomPLMap(random_unit_map(rng))
+            except ValueError:
+                continue
+            if not m.strictly_unimodal:
+                continue
+            checked += 1
+            f = m.to_pl()
+            found = cycles.find_cycles(m, 6)
+            iterates = [pl.iterate(f, p) for p in range(7)]
+            for p in range(1, 7):
+                roots = pl.level_set(
+                    [(x, y - x) for x, y in iterates[p].knots], 0)
+                minimal = [x for x in roots
+                           if all(iterates[d](x) != x
+                                  for d in range(1, p) if p % d == 0)]
+                assert sum(c.period for c in found
+                           if c.period == p) == len(minimal)
 
 
 class TestFindCyclesSmooth:

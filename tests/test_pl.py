@@ -241,6 +241,126 @@ class TestRawKnots:
         assert maps.CustomPLMap(f).preimages(F(1, 2)) == (F(2, 5), F(3, 5))
 
 
+def ref_canon(pts):
+    """Canonical knots by the stack test with two cross-multiplications."""
+    out = [pts[0]]
+    for p in pts[1:]:
+        while len(out) >= 2:
+            (x0, y0), (x1, y1), (x2, y2) = out[-2], out[-1], p
+            if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
+def ref_combine(inputs, coeffs, bias):
+    """sum(c * f_i) + bias with the slope changes keyed by abscissa."""
+    xs = sorted({x for knots in inputs for x, _ in knots})
+    bend = dict.fromkeys(xs, 0)
+    y = bias
+    for c, knots in zip(coeffs, inputs):
+        y += c * knots[0][1]
+        prev = 0
+        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+            s = c * (y1 - y0) / (x1 - x0)
+            bend[x0] += s - prev
+            prev = s
+    out = [(xs[0], y)]
+    slope = 0
+    for x0, x1 in zip(xs, xs[1:]):
+        slope += bend[x0]
+        y += slope * (x1 - x0)
+        out.append((x1, y))
+    return out
+
+
+def ref_compose(inner, outer):
+    """Raw knots of outer(inner(x)), evaluated at every breakpoint."""
+    xs = {x for x, _ in inner.knots}
+    for (x0, y0), (x1, y1) in zip(inner.knots, inner.knots[1:]):
+        for kx, _ in outer.knots[1:-1]:
+            if min(y0, y1) < kx < max(y0, y1):
+                xs.add(x0 + (kx - y0) * (x1 - x0) / (y1 - y0))
+    return [(x, outer(inner(x))) for x in sorted(xs)]
+
+
+def subdivided(rng, f, extra=12):
+    """f's knots plus collinear knots inside random segments."""
+    pts = list(f.knots)
+    for _ in range(extra):
+        i = rng.randrange(len(pts) - 1)
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        t = F(rng.randint(1, 7), 8)
+        pts.insert(i + 1, (x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    return pts
+
+
+def knotted_inner(rng, outer, n=8):
+    """Random PL whose ordinates repeat (plateaus) and include every knot
+    abscissa of outer, so the sweep meets outer's knots at inner knots."""
+    levels = [x for x, _ in outer.knots] + [random_rational(rng)]
+    xs = sorted({F(rng.randint(1, 127), 128) for _ in range(n)})
+    ys = [rng.choice(levels) for _ in range(len(xs) + 2)]
+    return pl.new(zip([F(0)] + xs + [F(1)], ys))
+
+
+class TestKernelOracles:
+    """The sweep kernels against the breakpoint-set versions they replace."""
+
+    def test_canon_matches_stack_reference(self, rng):
+        for _ in range(100):
+            pts = subdivided(rng, random_pl(rng), extra=rng.randint(0, 20))
+            assert pl.canon(pts) == ref_canon(pts)
+            raw = [(x, y - F(1, 2)) for x, y in pts]  # unclamped ordinates
+            assert pl.canon(raw) == ref_canon(raw)
+
+    def test_canon_long_collinear_runs(self):
+        line = [(F(i, 64), F(3 * i, 64) - 1) for i in range(65)]
+        assert pl.canon(line) == [line[0], line[-1]]
+        zigzag = [(F(i, 16), F(i % 2)) for i in range(17)]
+        assert pl.canon(zigzag) == zigzag
+        flat = [(F(i, 16), F(1, 3)) for i in range(17)]
+        assert pl.canon(flat) == [flat[0], flat[-1]]
+
+    def test_combine_matches_dict_reference(self, rng):
+        for _ in range(100):
+            fs = [subdivided(rng, random_pl(rng), extra=rng.randint(0, 4))
+                  for _ in range(rng.randint(1, 5))]
+            cs = [random_rational(rng) - random_rational(rng) for _ in fs]
+            bias = random_rational(rng) - random_rational(rng)
+            assert pl.combine(fs, cs, bias) == ref_combine(fs, cs, bias)
+
+    def test_compose_matches_evaluating_reference(self, rng):
+        for _ in range(60):
+            inner = random_unit_map(rng)
+            outer = random_pl(rng)
+            want = tuple(ref_canon(ref_compose(inner, outer)))
+            assert pl.compose(inner, outer).knots == want
+
+    def test_compose_plateaus_and_knots_on_outer_knots(self, rng):
+        for _ in range(60):
+            outer = random_pl(rng)
+            inner = knotted_inner(rng, outer)
+            want = tuple(ref_canon(ref_compose(inner, outer)))
+            assert pl.compose(inner, outer).knots == want
+
+    def test_iterates_match_reference(self, rng):
+        for _ in range(6):
+            f = random_unit_map(rng)
+            fk = pl.identity()
+            for _ in range(5):
+                want = tuple(ref_canon(ref_compose(fk, f)))
+                fk = pl.compose(fk, f)
+                assert fk.knots == want
+
+    def test_cap_boundary_is_distinct_knots(self):
+        assert len(pl.iterate(TENT, 10, cap=1025).knots) == 1025
+        with pytest.raises(ResourceLimitError,
+                           match="^composition exceeds 1024 knots$"):
+            pl.iterate(TENT, 10, cap=1024)
+
+
 class TestClassification:
     def test_equal_functions(self):
         s = pl.SampleSet((F(1, 4), F(1, 2)), F(1, 2))
