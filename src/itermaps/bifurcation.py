@@ -1,20 +1,29 @@
 """Bifurcation sweeps: long-run orbit clouds over a parameter range.
 
 The initial point 0.5001 (not 0.5) avoids landing exactly on super-stable
-orbits; the metadata records it.  Orbits are iterated in floats, except for
-tent members whose slope 2r is an integer (r = 1/2 and r = 1): there the
-float step is exact in binary and each doubling shifts one bit out of the
-mantissa, so the float orbit of 0.5001 reaches 0 within about 55 steps.
-Those members are iterated exactly from the rational 5001/10000, whose
-denominators stay bounded under an integer slope, and each value is
-converted to float only when emitted.  Sweeps across r are independent and
-can run on a process pool with a deterministic ordered merge.
+orbits; the metadata records it.  One numpy vector holds the orbit point of
+every member of a sweep, and each step advances all of them at once through
+the family's ``float_step``, the expression its ``__call__`` evaluates on
+floats, so every value is bit-equal to iterating that member alone (the sine
+step calls np.sin where a scalar call uses math.sin; the pinned sweep
+outputs in the tests check that they agree).  The exception is a tent member
+whose slope 2r is an integer (r = 1/2 and r = 1): there the float step is
+exact in binary and each doubling shifts one bit out of the mantissa, so the
+float orbit of 0.5001 reaches 0 within about 55 steps.  Those members are
+iterated exactly from the rational 5001/10000, whose denominators stay
+bounded under an integer slope, and each value is converted to float only
+when emitted.  Members never interact, so a process pool, when asked for,
+only splits the r grid into contiguous chunks and runs the same kernel on
+each; the merge keeps r order.  It pays only when a chunk's work outweighs
+starting a worker and pickling the chunk's tails back.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+
+import numpy as np
 
 from .maps import FlatTentMap, LogisticMap, SineMap, TentMap, UnimodalMap
 
@@ -37,46 +46,70 @@ def family_map(kind: str, r: float) -> UnimodalMap:
     return cls(r)
 
 
+def _exact_tail(m: TentMap, burn: int, keep: int) -> list[float]:
+    x = X0_EXACT
+    for _ in range(burn):
+        x = m(x)
+    out = []
+    for _ in range(keep):
+        x = m(x)
+        out.append(float(x))
+    return out
+
+
+def _tails(kind: str, rs: list[float], burn: int,
+           keep: int) -> list[list[float]]:
+    """Orbit tails of the family members at rs, in the order of rs.
+
+    Each member is built with family_map (range check and unimodality
+    audit); its float parameter is float(m.r), which for the tents is the
+    rounded rational, not the grid value.
+    """
+    members = [family_map(kind, r) for r in rs]
+    exact = [kind == "tent" and (2 * m.r).denominator == 1 for m in members]
+    step = _FAMILIES[kind].float_step
+    r = np.array([float(m.r) for m, e in zip(members, exact) if not e])
+    x = np.full(r.shape, X0)
+    for _ in range(burn):
+        x = step(r, x)
+    out = np.empty((keep, r.size))
+    for row in out:
+        x = step(r, x)
+        row[:] = x
+    floats = iter(out.T.tolist())
+    return [_exact_tail(m, burn, keep) if e else next(floats)
+            for m, e in zip(members, exact)]
+
+
 def orbit_tail(kind: str, r: float, burn: int = DEFAULT_BURN,
                keep: int = DEFAULT_KEEP) -> list[float]:
     """Post-transient orbit values of the family member at r.
 
-    A tent member with 2r an integer is iterated exactly from X0_EXACT (float
-    doubling loses a bit per step and would end the orbit at 0); every other
-    member is iterated in floats from X0.
+    A one-member sweep: floats from X0, except a tent member with 2r an
+    integer, which is iterated exactly from X0_EXACT (float doubling loses a
+    bit per step and would end the orbit at 0).
     """
-    m = family_map(kind, r)
-    if kind == "tent" and (2 * m.r).denominator == 1:
-        x = X0_EXACT
-        for _ in range(burn):
-            x = m(x)
-        out = []
-        for _ in range(keep):
-            x = m(x)
-            out.append(float(x))
-        return out
-    x = X0
-    for _ in range(burn):
-        x = float(m(x))
-    out = []
-    for _ in range(keep):
-        x = float(m(x))
-        out.append(x)
-    return out
+    return _tails(kind, [r], burn, keep)[0]
 
 
 def sweep(kind: str, r_lo: float, r_hi: float, steps: int = DEFAULT_STEPS,
           burn: int = DEFAULT_BURN, keep: int = DEFAULT_KEEP,
           jobs: int = 1) -> list[tuple[float, list[float]]]:
-    """(r, orbit tail) per grid value, merged in r order regardless of jobs."""
+    """(r, orbit tail) per grid value, merged in r order regardless of jobs.
+
+    Grid values outside (0, 1] are dropped.  All members advance together in
+    one vector; jobs > 1 splits the grid into min(jobs, len(grid))
+    contiguous chunks, one kernel call each, on a pool of as many processes.
+    """
     rs = [r_lo + (r_hi - r_lo) * i / max(steps - 1, 1) for i in range(steps)]
     rs = [r for r in rs if 0 < r <= 1]
-    if jobs <= 1:
-        return [(r, orbit_tail(kind, r, burn, keep)) for r in rs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        tails = pool.map(orbit_tail, [kind] * len(rs), rs,
-                         [burn] * len(rs), [keep] * len(rs))
-        return list(zip(rs, tails))
+    n = min(jobs, len(rs))
+    if n <= 1:
+        return list(zip(rs, _tails(kind, rs, burn, keep)))
+    chunks = [rs[len(rs) * j // n:len(rs) * (j + 1) // n] for j in range(n)]
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        parts = pool.map(_tails, [kind] * n, chunks, [burn] * n, [keep] * n)
+        return list(zip(rs, (tail for part in parts for tail in part)))
 
 
 def cluster_count(values: list[float], tol: float = 1e-3) -> int:
@@ -87,14 +120,3 @@ def cluster_count(values: list[float], tol: float = 1e-3) -> int:
         if b - a > tol:
             clusters += 1
     return clusters
-
-
-def dispersed(values: list[float], tol: float = 1e-3,
-              mass_cap: float = 0.10) -> bool:
-    """True when no cluster holds more than mass_cap of the orbit mass."""
-    pts = sorted(values)
-    largest = run = 1
-    for a, b in zip(pts, pts[1:]):
-        run = run + 1 if b - a <= tol else 1
-        largest = max(largest, run)
-    return largest <= mass_cap * len(pts)

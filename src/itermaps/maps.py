@@ -29,13 +29,21 @@ Scalar = Union[Fraction, int, float]
 
 
 def _audit_unimodal(m: "UnimodalMap", grid: int = 101):
+    """Reject m unless f(0) = f(1) = 0 and f(i/(grid+1)) > 0 for i = 1..grid.
+
+    The grid, endpoints included, is evaluated in one float array call;
+    np.arange(grid + 2) / (grid + 1) is bit-equal to i / (grid + 1), and the
+    error names the first failing x.
+    """
+    xs = np.arange(grid + 2) / (grid + 1)
+    ys = m(xs)
     end_tol = 0 if m.is_exact else 1e-15
-    if abs(float(m(0.0))) > end_tol or abs(float(m(1.0))) > end_tol:
+    if abs(ys[0]) > end_tol or abs(ys[-1]) > end_tol:
         raise ValueError(f"{m.kind}: endpoints must map to 0")
-    for i in range(1, grid + 1):
-        x = i / (grid + 1)
-        if not m(x) > 0:
-            raise ValueError(f"{m.kind}: not positive at x={x}")
+    positive = ys[1:-1] > 0
+    if not positive.all():
+        x = float(xs[1 + positive.argmin()])
+        raise ValueError(f"{m.kind}: not positive at x={x}")
 
 
 class UnimodalMap:
@@ -120,8 +128,12 @@ class TentMap(UnimodalMap):
             if not (0 <= x <= 1):
                 raise ValueError(f"x={x} outside [0,1]")
             return 2 * self.r * min(x, 1 - x)
-        rf = float(self.r)
-        return 2.0 * rf * np.minimum(x, 1.0 - x)
+        return self.float_step(float(self.r), x)
+
+    @staticmethod
+    def float_step(r, x):
+        """Float f at parameter r; elementwise over arrays of r and x."""
+        return 2.0 * r * np.minimum(x, 1.0 - x)
 
     def preimages(self, y):
         if isinstance(y, (Fraction, int)):
@@ -168,8 +180,12 @@ class FlatTentMap(UnimodalMap):
             if not (0 <= x <= 1):
                 raise ValueError(f"x={x} outside [0,1]")
             return min(5 * self.r * x / 2, self.r, 5 * self.r * (1 - x) / 2)
-        rf = float(self.r)
-        return np.minimum(np.minimum(2.5 * rf * x, rf), 2.5 * rf * (1.0 - x))
+        return self.float_step(float(self.r), x)
+
+    @staticmethod
+    def float_step(r, x):
+        """Float f at parameter r; elementwise over arrays of r and x."""
+        return np.minimum(np.minimum(2.5 * r * x, r), 2.5 * r * (1.0 - x))
 
     def preimages(self, y):
         y = pl.rat(y)
@@ -202,7 +218,12 @@ class LogisticMap(UnimodalMap):
     def __call__(self, x):
         if isinstance(x, Fraction):
             x = float(x)
-        return 4.0 * self.r * x * (1.0 - x)
+        return self.float_step(self.r, x)
+
+    @staticmethod
+    def float_step(r, x):
+        """f at parameter r; elementwise over arrays of r and x."""
+        return 4.0 * r * x * (1.0 - x)
 
     def preimages(self, y):
         y = float(y)
@@ -230,8 +251,13 @@ class SineMap(UnimodalMap):
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):
-            return self.r * np.sin(np.pi * x)
+            return self.float_step(self.r, x)
         return self.r * math.sin(math.pi * float(x))
+
+    @staticmethod
+    def float_step(r, x):
+        """f at parameter r in numpy; elementwise over arrays of r and x."""
+        return r * np.sin(np.pi * x)
 
     def preimages(self, y):
         y = float(y)
@@ -286,7 +312,8 @@ class CustomPLMap(UnimodalMap):
         if isinstance(x, (Fraction, int)):
             return self.f(x)
         # float fast path via interpolation on the float knots
-        return float(np.interp(x, self._float_xs, self._float_ys))
+        y = np.interp(x, self._float_xs, self._float_ys)
+        return y if isinstance(x, np.ndarray) else float(y)
 
     def preimages(self, y):
         return tuple(pl.level_set(self.f.knots, pl.rat(y)))

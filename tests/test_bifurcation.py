@@ -1,4 +1,5 @@
-"""Bifurcation sweeps: attractor cluster counts and dispersion."""
+"""Bifurcation sweeps: attractor cluster counts, the vector kernel against
+the scalar per-r loop it replaced, and the process pool."""
 
 from fractions import Fraction
 
@@ -6,6 +7,36 @@ import pytest
 
 from itermaps import bifurcation
 from itermaps.maps import TentMap
+
+FAMILIES = ("logistic", "sine", "tent", "flat_tent")
+
+
+def reference_tail(kind, r, burn, keep):
+    """The scalar per-r orbit loop that the vector kernel replaced."""
+    m = bifurcation.family_map(kind, r)
+    if kind == "tent" and (2 * m.r).denominator == 1:
+        x = bifurcation.X0_EXACT
+        for _ in range(burn):
+            x = m(x)
+        out = []
+        for _ in range(keep):
+            x = m(x)
+            out.append(float(x))
+        return out
+    x = bifurcation.X0
+    for _ in range(burn):
+        x = float(m(x))
+    out = []
+    for _ in range(keep):
+        x = float(m(x))
+        out.append(x)
+    return out
+
+
+def reference_sweep(kind, r_lo, r_hi, steps, burn, keep):
+    rs = [r_lo + (r_hi - r_lo) * i / max(steps - 1, 1) for i in range(steps)]
+    return [(r, reference_tail(kind, r, burn, keep))
+            for r in rs if 0 < r <= 1]
 
 
 class TestClusters:
@@ -20,10 +51,6 @@ class TestClusters:
     def test_superstable_three_cycle(self):
         tail = bifurcation.orbit_tail("logistic", 0.9580)
         assert bifurcation.cluster_count(tail) == 3
-
-    def test_full_tent_dispersed(self):
-        tail = bifurcation.orbit_tail("tent", 1.0)
-        assert bifurcation.dispersed(tail)
 
     def test_full_tent_follows_exact_orbit(self):
         m, x = TentMap(1), Fraction(5001, 10000)
@@ -51,10 +78,11 @@ class TestSweep:
         rs = [r for r, _ in data]
         assert rs == sorted(rs)
 
-    def test_parallel_matches_serial(self):
-        serial = bifurcation.sweep("logistic", 0.8, 0.95, steps=6, burn=50,
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_parallel_matches_serial(self, kind):
+        serial = bifurcation.sweep(kind, 0.8, 0.95, steps=6, burn=50,
                                    keep=10, jobs=1)
-        parallel = bifurcation.sweep("logistic", 0.8, 0.95, steps=6, burn=50,
+        parallel = bifurcation.sweep(kind, 0.8, 0.95, steps=6, burn=50,
                                      keep=10, jobs=2)
         assert serial == parallel
 
@@ -63,6 +91,31 @@ class TestSweep:
         parallel = bifurcation.sweep("tent", 0.9, 1.0, steps=3, jobs=2)
         assert serial[-1][0] == 1.0
         assert serial == parallel
+
+    def test_pool_splits_grid_into_at_most_one_chunk_per_value(
+            self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(bifurcation, "ProcessPoolExecutor", InlinePool)
+        for steps in (1, 3, 7):
+            serial = bifurcation.sweep("tent", 0.9, 1.0, steps=steps,
+                                       burn=40, keep=5)
+            assert bifurcation.sweep("tent", 0.9, 1.0, steps=steps, burn=40,
+                                     keep=5, jobs=64) == serial
+        assert sizes == [3, 7]
 
     def test_out_of_range_parameters_dropped(self):
         data = bifurcation.sweep("logistic", 0.9, 1.2, steps=7, burn=10,
@@ -73,3 +126,27 @@ class TestSweep:
         for fam in ("sine", "flat_tent"):
             tail = bifurcation.orbit_tail(fam, 0.9, burn=100, keep=30)
             assert all(0 <= x <= 1 for x in tail)
+
+
+class TestKernelOracle:
+    """The vector kernel against the scalar loop, value for value.
+
+    The half_to_one and keep_0 grids hold r = 1/2 and r = 1 exactly, the
+    tent's exact rows.
+    """
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("r_lo, r_hi, steps, burn, keep", [
+        (0.5, 1.0, 11, 100, 20),
+        (0.6, 1.0, 40, bifurcation.DEFAULT_BURN, bifurcation.DEFAULT_KEEP),
+        (0.7, 0.9, 1, 50, 10),
+        (0.0, 1.0, 9, 40, 0),
+        (0.9, 1.2, 7, 60, 15),
+    ], ids=["half_to_one", "defaults", "one_step", "keep_0", "r_hi_above_1"])
+    def test_sweep_equals_scalar_loop(self, kind, r_lo, r_hi, steps, burn,
+                                      keep):
+        want = reference_sweep(kind, r_lo, r_hi, steps, burn, keep)
+        assert bifurcation.sweep(kind, r_lo, r_hi, steps=steps, burn=burn,
+                                 keep=keep) == want
+        assert [bifurcation.orbit_tail(kind, r, burn, keep)
+                for r, _ in want] == [tail for _, tail in want]

@@ -229,3 +229,36 @@ class TestExactOutputsPinned:
         code, out = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BIF = ["bifurcation", "--family"]
+BIF_GRID = ["--steps", "60", "--burn", "100", "--keep", "20",
+            "--r-lo", "0.5", "--r-hi", "1.0"]
+
+
+class TestFloatOutputsPinned:
+    """Stdout and exit code of float sweeps and the super-stable table.
+
+    The digests were recorded with the scalar per-r orbit loop, before the
+    vector kernel.  The sine pin also guards np.sin against math.sin, which
+    the kernel and the scalar map call respectively.  superstable exits 1:
+    its 1324 row misses the doubling parameter.
+    """
+
+    @pytest.mark.parametrize("argv, exit_code, digest", [
+        ([*BIF, "logistic", *BIF_GRID], 0,
+         "fecfe5d5d889c19bf340743f7e21b982247ba5f5784da83d9753699be4d8241f"),
+        ([*BIF, "sine", *BIF_GRID], 0,
+         "375e806836b3de3c04b9c4134a982de1ee5fb646f24200107514f8ea7431deec"),
+        ([*BIF, "tent", *BIF_GRID], 0,
+         "919c3e28de81b11fe73b18f549cde4d1f5cc75bf6fd5b2fb744e3c4aa3ec0bd0"),
+        ([*BIF, "flat_tent", *BIF_GRID], 0,
+         "e0df2136e4464e313252825bf4eb6885af62f1b1c468681bf7ff509f2c48d5dc"),
+        (["superstable"], 1,
+         "6a4baac453d7a247261afefabb01517540c5aa9eacd2dac958ff7988806c0447"),
+    ], ids=["logistic", "sine", "tent", "flat_tent", "superstable"])
+    def test_stdout_digest_and_exit_code(self, argv, exit_code, digest,
+                                         capsys):
+        code, out = run(argv, capsys)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

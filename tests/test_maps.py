@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from itermaps import maps, pl, warmup
@@ -125,6 +126,23 @@ class TestSymmetryAndAudit:
                          (F(3, 4), F(3, 4)), (1, 0)])
         with pytest.raises(ValueError):
             maps.CustomPLMap(zigzag)
+
+    @pytest.mark.parametrize("knots, x", [
+        ([(0, 0), (F(3, 10), 0), (F(1, 2), 1), (1, 0)], "0.00980392156862745"),
+        ([(0, 0), (F(1, 2), 1), (F(9, 10), 0), (1, 0)], "0.9019607843137255"),
+    ], ids=["zero_on_left", "zero_on_right"])
+    def test_audit_names_first_nonpositive_grid_point(self, knots, x):
+        with pytest.raises(ValueError) as exc:
+            maps.CustomPLMap(pl.new(knots))
+        assert str(exc.value) == f"custom_pl: not positive at x={x}"
+
+    def test_custom_pl_array_call_matches_scalar_calls(self):
+        m = maps.CustomPLMap(pl.new([(0, 0), (F(1, 4), F(3, 4)), (1, 0)]))
+        rng = random.Random(9)
+        xs = np.array([0.0, 0.25, 1.0] + [rng.random() for _ in range(200)])
+        ys = m(xs)
+        assert isinstance(ys, np.ndarray)
+        assert ys.tolist() == [m(x) for x in xs.tolist()]
 
     def test_custom_pl_flags(self):
         asym = maps.CustomPLMap(pl.new([(0, 0), (F(1, 4), F(3, 4)), (1, 0)]))
