@@ -324,26 +324,6 @@ def classify_regime(cycles: Sequence[CycleRecord], p_max: int | None = None
     return RegimeReport("doubling", witness, q, p_max)
 
 
-def increasing_cycle_certificate(m: UnimodalMap, p: int,
-                                 slack: float = 1e-9) -> bool:
-    """Half-orbit sufficient condition for an increasing p-cycle.
-
-    True when f(1/2) > 1/2 and f^2(1/2) < ... < f^p(1/2) <= 1/2 (the last
-    comparison takes `slack` to absorb float/rational parameter rounding).
-    False means "not certified", not "absent".
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    x0 = Fraction(1, 2) if m.is_exact else 0.5
-    orbit = m.orbit(x0, p)
-    if not float(orbit[1]) > 0.5:
-        return False
-    chain = orbit[2:]
-    if any(float(b) <= float(a) for a, b in zip(chain, chain[1:])):
-        return False
-    return float(chain[-1]) <= 0.5 + slack
-
-
 # MSS forcing order for the logistic family: cycles appear (and are
 # super-stable) in this row order as r increases.
 FORCING_TABLE = (

@@ -1,9 +1,9 @@
-"""Parametric unimodal map families with analytic preimage oracles.
+"""Parametric unimodal map families.
 
 Tent, flat-tent, and custom-PL maps are exact (rational parameter, rational
 arithmetic); logistic and sine maps are double precision with a documented
-1e-12 tolerance on preimages and orbits.  All maps send [0,1] to [0,1] with
-f(0) = f(1) = 0 and a maximum at the critical point.
+1e-12 tolerance on orbits.  All maps send [0,1] to [0,1] with f(0) = f(1) = 0
+and a maximum at the critical point.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from .errors import NotPiecewiseLinear
 
 HALF = Fraction(1, 2)
 
-#: tolerance for float preimage/orbit arithmetic on smooth families
+#: tolerance for float orbit arithmetic on smooth families
 SMOOTH_TOL = 1e-12
-#: two float preimages closer than this collapse to the critical point
-PREIMAGE_DEDUP_TOL = 1e-10
 
 Scalar = Union[Fraction, int, float]
 
@@ -47,7 +45,7 @@ def _audit_unimodal(m: "UnimodalMap", grid: int = 101):
 
 
 class UnimodalMap:
-    """Base class; subclasses define kind, evaluation, and preimages."""
+    """Base class; subclasses define kind and evaluation."""
 
     kind = "abstract"
     symmetric = True
@@ -60,10 +58,6 @@ class UnimodalMap:
         return isinstance(self.r, Fraction)
 
     def __call__(self, x):
-        raise NotImplementedError
-
-    def preimages(self, y) -> tuple:
-        """All x with f(x) = y, at most one per side of the critical point."""
         raise NotImplementedError
 
     @property
@@ -84,12 +78,6 @@ class UnimodalMap:
             out.append(self(out[-1]))
         return out
 
-    def critical_orbit(self, steps: int) -> "CriticalOrbit":
-        if steps < 1:
-            raise ValueError("need at least one step")
-        values = tuple(self.orbit(self.apex_x, steps)[1:])
-        return CriticalOrbit(values=values, x_max=values[0])
-
     def to_json(self) -> str:
         r = self.r
         payload = {"kind": self.kind,
@@ -98,16 +86,6 @@ class UnimodalMap:
 
     def __repr__(self):
         return f"{type(self).__name__}(r={self.r})"
-
-
-class CriticalOrbit:
-    """Forward orbit of the critical point; x_max is the map's maximum value."""
-
-    def __init__(self, values, x_max):
-        self.values = tuple(values)
-        self.x_max = x_max
-        if any(not (0 <= float(v) <= 1) for v in self.values):
-            raise ValueError("orbit escaped [0,1]")
 
 
 class TentMap(UnimodalMap):
@@ -135,24 +113,6 @@ class TentMap(UnimodalMap):
         """Float f at parameter r; elementwise over arrays of r and x."""
         return 2.0 * r * np.minimum(x, 1.0 - x)
 
-    def preimages(self, y):
-        if isinstance(y, (Fraction, int)):
-            y = pl.rat(y)
-            r = self.r
-            if y > r:
-                return ()
-            if y == r:
-                return (HALF,)
-            t = y / (2 * r)
-            return (t, 1 - t)
-        rf = float(self.r)
-        if y > rf + SMOOTH_TOL:
-            return ()
-        t = min(y, rf) / (2.0 * rf)
-        if 1.0 - 2.0 * t < PREIMAGE_DEDUP_TOL:
-            return (0.5,)
-        return (t, 1.0 - t)
-
     def to_pl(self):
         return pl.new([(0, 0), (HALF, self.r), (1, 0)])
 
@@ -160,8 +120,8 @@ class TentMap(UnimodalMap):
 class FlatTentMap(UnimodalMap):
     """Symmetric trapezoid min(5rx/2, r, 5r(1-x)/2): plateau r on [2/5, 3/5].
 
-    Only weakly unimodal; admitted for bifurcation plotting, not for the
-    counting machinery that needs a strict maximizer.
+    Only weakly unimodal; admitted for bifurcation plotting and crossing
+    counts, not for lap counts, which need a strict maximizer.
     """
 
     kind = "flat_tent"
@@ -186,17 +146,6 @@ class FlatTentMap(UnimodalMap):
     def float_step(r, x):
         """Float f at parameter r; elementwise over arrays of r and x."""
         return np.minimum(np.minimum(2.5 * r * x, r), 2.5 * r * (1.0 - x))
-
-    def preimages(self, y):
-        y = pl.rat(y)
-        r = self.r
-        if y > r:
-            return ()
-        if y == r:
-            # representative endpoints of the full-plateau preimage
-            return (Fraction(2, 5), Fraction(3, 5))
-        t = 2 * y / (5 * r)
-        return (t, 1 - t)
 
     def to_pl(self):
         return pl.new([(0, 0), (Fraction(2, 5), self.r),
@@ -225,17 +174,6 @@ class LogisticMap(UnimodalMap):
         """f at parameter r; elementwise over arrays of r and x."""
         return 4.0 * r * x * (1.0 - x)
 
-    def preimages(self, y):
-        y = float(y)
-        r = self.r
-        t = 1.0 - y / r
-        if t < -SMOOTH_TOL:
-            return ()
-        s = math.sqrt(max(t, 0.0))
-        if s < PREIMAGE_DEDUP_TOL:
-            return (0.5,)
-        return ((1.0 - s) / 2.0, (1.0 + s) / 2.0)
-
 
 class SineMap(UnimodalMap):
     """f(x) = r sin(pi x) for float r in (0,1]."""
@@ -258,16 +196,6 @@ class SineMap(UnimodalMap):
     def float_step(r, x):
         """f at parameter r in numpy; elementwise over arrays of r and x."""
         return r * np.sin(np.pi * x)
-
-    def preimages(self, y):
-        y = float(y)
-        r = self.r
-        if y > r + SMOOTH_TOL:
-            return ()
-        t = math.asin(min(y / r, 1.0)) / math.pi
-        if abs(1.0 - 2.0 * t) < PREIMAGE_DEDUP_TOL:
-            return (0.5,)
-        return (t, 1.0 - t)
 
 
 class CustomPLMap(UnimodalMap):
@@ -314,9 +242,6 @@ class CustomPLMap(UnimodalMap):
         # float fast path via interpolation on the float knots
         y = np.interp(x, self._float_xs, self._float_ys)
         return y if isinstance(x, np.ndarray) else float(y)
-
-    def preimages(self, y):
-        return tuple(pl.level_set(self.f.knots, pl.rat(y)))
 
     def to_pl(self):
         return self.f

@@ -1,63 +1,57 @@
 """Monotone-piece and crossing counts for iterated maps, and entropy estimates.
 
-Laps are counted from the critical orbit c_j = f^j(c), c = ``m.apex_x``
-(kneading recursion; Milnor & Thurston, LNM 1342, 1988).  A lap of f^k maps
-monotonically onto an interval (lo, hi) with ends in {0} and {c_j}; laps are
-kept by image with big-integer multiplicities, starting from two onto
-(0, c_1).  Under f a lap splits into (f(lo), c_1) and (f(hi), c_1) exactly
-when lo < c < hi, and otherwise maps onto the sorted (f(lo), f(hi)).  On
-float maps an orbit value within ``maps.SMOOTH_TOL`` of c is snapped to c.
-``cap`` bounds M(f^k) - 1, the turning points of f^k (the nodes of the
-critical preimage tree, never built); ``ResourceLimitError`` is raised at
-the first k where it is exceeded.
+Both counts come from one walk over the critical orbit c_j = f^j(c),
+c = ``m.apex_x`` (kneading theory; Milnor & Thurston, LNM 1342, 1988).  A
+lap of f^n maps monotonically onto an interval (lo, hi) with ends in {0} and
+{c_j}; laps are kept by image with big-integer multiplicities, starting from
+two onto (0, c_1).  Under f a lap splits into (f(lo), c_1) and (f(hi), c_1)
+exactly when lo < c < hi, and otherwise maps onto the sorted
+(f(lo), f(hi)).  M(f^n) is the total multiplicity of level n.
+
+The crossings of [a, b] by f^k are the laps of f^k whose image covers
+[a, b].  No crossing spans two laps: at a split, both halves run through
+f^(n-1) on intervals that end at c_1, so the touches of a and b nearest the
+turning point are the same touch of f^(n-1), seen from either side, and
+have the same level.  On a plateau map f is monotone, though not strictly,
+on each side of c, and a monotone surjection keeps the crossings.
+
+On float maps an orbit value within ``maps.SMOOTH_TOL`` of c is snapped to
+c; that is the walk's only float decision.  ``cap`` bounds M(f^k) - 1, the
+turning points of f^k (the nodes of the critical preimage tree, never
+built); ``ResourceLimitError`` is raised at the first k where it is
+exceeded.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 from . import pl
-from .errors import NotPiecewiseLinear, ResourceLimitError
-from .maps import PREIMAGE_DEDUP_TOL, SMOOTH_TOL, UnimodalMap
+from .errors import ResourceLimitError
+from .maps import SMOOTH_TOL, UnimodalMap
 
 DEFAULT_NODE_CAP = 10**7
 
 
-class _FloatSet:
-    """Sorted float collection with tolerance-based membership."""
-
-    def __init__(self, tol):
-        self.xs: list[float] = []
-        self.tol = tol
-
-    def add(self, x: float) -> bool:
-        i = bisect.bisect_left(self.xs, x)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.xs) and abs(self.xs[j] - x) <= self.tol:
-                return False
-        self.xs.insert(i, x)
-        return True
-
-    def __len__(self):
-        return len(self.xs)
-
-
-def _lap_counts(m: UnimodalMap, k_max: int, cap: int) -> list[int]:
-    """M(f^k) for k = 1..k_max by the kneading recursion (module docstring)."""
-    if not m.strictly_unimodal:
-        raise ValueError(f"{m.kind} map has no unique maximizer")
+def _walk(m: UnimodalMap, k: int, cap: int) -> tuple[list[int], Counter]:
+    """M(f^n) for n = 1..k, and the lap images of f^k with multiplicities."""
     c = m.apex_x
+    zero = c - c
+    # f(0) = f(1) = 0 on every map; SineMap(r)(1.0) is r sin(pi), about 1e-16
+    image = {zero: zero, zero + 1: zero}
+
     def f(v):
-        y = m(v)
-        return c if not m.is_exact and abs(y - c) <= SMOOTH_TOL else y
+        if v not in image:
+            y = m(v)
+            image[v] = c if not m.is_exact and abs(y - c) <= SMOOTH_TOL else y
+        return image[v]
 
     c1 = f(c)
-    laps = {(0 * c, c1): 2}
+    laps = Counter({(zero, c1): 2})
     counts = [2]
-    for k in range(2, k_max + 1):
+    for _ in range(k - 1):
         nxt = Counter()
         for (lo, hi), mult in laps.items():
             flo, fhi = f(lo), f(hi)
@@ -70,12 +64,18 @@ def _lap_counts(m: UnimodalMap, k_max: int, cap: int) -> list[int]:
         counts.append(sum(laps.values()))
         if counts[-1] - 1 > cap:
             raise ResourceLimitError(f"preimage tree exceeds {cap} nodes")
-    return counts
+    return counts, laps
+
+
+def _lap_counts(m: UnimodalMap, k: int, cap: int) -> list[int]:
+    if not m.strictly_unimodal:
+        raise ValueError(f"{m.kind} map has no unique maximizer")
+    return _walk(m, k, cap)[0]
 
 
 def count_monotone(m: UnimodalMap, k: int, cap: int = DEFAULT_NODE_CAP) -> int:
-    """M(f^k) by the lap recursion: exact on exact maps, ``SMOOTH_TOL`` snap
-    on float maps; raises ``ResourceLimitError`` once M(f^k) - 1 > cap."""
+    """M(f^k) by the lap walk: exact on exact maps, ``SMOOTH_TOL`` snap on
+    float maps; raises ``ResourceLimitError`` once M(f^k) - 1 > cap."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return _lap_counts(m, k, cap)[-1]
@@ -83,44 +83,15 @@ def count_monotone(m: UnimodalMap, k: int, cap: int = DEFAULT_NODE_CAP) -> int:
 
 def count_crossings_map(m: UnimodalMap, k: int, a, b,
                         cap: int = DEFAULT_NODE_CAP) -> int:
-    """Crossings of [a,b] by f^k.
-
-    PL kinds go through exact iteration; smooth kinds expand the full k-level
-    preimage sets of the two band edges and count alternations of the merged,
-    sorted touch sequence.
-    """
+    """Crossings of [a,b] by f^k: the laps of f^k whose image covers [a,b]
+    (module docstring), with the snap and cap of ``count_monotone``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    try:
-        f = m.to_pl()
-    except NotPiecewiseLinear:
-        f = None
-    if f is not None:
-        return pl.crossings(pl.iterate(f, k, cap=cap), pl.rat(a), pl.rat(b))
-
-    a, b = float(a), float(b)
+    a, b = (pl.rat(a), pl.rat(b)) if m.is_exact else (float(a), float(b))
     if not (0 <= a < b <= 1):
         raise ValueError("need 0 <= a < b <= 1")
-    touches: list[tuple[float, int]] = []
-    for level, tag in ((a, 0), (b, 1)):
-        layer = [level]
-        for _ in range(k):
-            nxt = _FloatSet(PREIMAGE_DEDUP_TOL)
-            for y in layer:
-                for x in m.preimages(y):
-                    nxt.add(x)
-                if len(nxt) > cap:
-                    raise ResourceLimitError(f"level set exceeds {cap} nodes")
-            layer = nxt.xs
-        touches.extend((x, tag) for x in layer)
-    touches.sort()
-    count = 0
-    prev = None
-    for _, tag in touches:
-        if prev is not None and tag != prev:
-            count += 1
-        prev = tag
-    return count
+    laps = _walk(m, k, cap)[1]
+    return sum(mult for (lo, hi), mult in laps.items() if lo <= a and b <= hi)
 
 
 @dataclass(frozen=True)
@@ -169,7 +140,7 @@ def entropy_estimate(m: UnimodalMap, k_max: int,
                      cap: int = DEFAULT_NODE_CAP) -> GrowthSeries:
     """Counts and rates up to k_max; the last rate estimates h_top.
 
-    Counts come from the lap recursion of ``count_monotone`` (same snap and
+    Counts come from the lap walk of ``count_monotone`` (same snap and
     cap).  The estimate is heuristic (finite k); decision rules for
     zero-vs-positive entropy live with the callers; the growth factor rho =
     exp(rate) is reported separately to avoid conflating the two units.

@@ -213,6 +213,8 @@ class TestExactOutputsPinned:
 
     The digests were recorded before the PL kernel's sweep rewrite; a change
     that only makes the exact path faster must leave every byte in place.
+    The flat-tent certificate was recorded while crossings were still counted
+    on the built f^k; it guards the plateau path of the lap walk.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -224,7 +226,9 @@ class TestExactOutputsPinned:
          "2741e1e9e1397bc758246062a03d607308f80946681c640160a8cc8a5c3cfae4"),
         (["synth", "--map", "tent:9/10", "--k", "6"],
          "5d5b442fd2bcca69b7ec392a22ea9c8f1feb427d6f7e846294961eaf9d82c0be"),
-    ], ids=["certify", "cycles", "counterexample", "synth"])
+        (["certify", "--map", "flat_tent:1", "--k", "8"],
+         "6ee622915254b9e5a8f87ea43f8913391f2c80397a6ab5b6dfa5ef7ec86f9eb4"),
+    ], ids=["certify", "cycles", "counterexample", "synth", "certify_flat"])
     def test_stdout_digest_and_exit_code(self, argv, digest, capsys):
         code, out = run(argv, capsys)
         assert code == 0
@@ -242,7 +246,8 @@ class TestFloatOutputsPinned:
     The digests were recorded with the scalar per-r orbit loop, before the
     vector kernel.  The sine pin also guards np.sin against math.sin, which
     the kernel and the scalar map call respectively.  superstable exits 1:
-    its 1324 row misses the doubling parameter.
+    its 1324 row misses the doubling parameter.  The two certificates were
+    recorded while float crossings came from preimage trees.
     """
 
     @pytest.mark.parametrize("argv, exit_code, digest", [
@@ -256,7 +261,12 @@ class TestFloatOutputsPinned:
          "e0df2136e4464e313252825bf4eb6885af62f1b1c468681bf7ff509f2c48d5dc"),
         (["superstable"], 1,
          "6a4baac453d7a247261afefabb01517540c5aa9eacd2dac958ff7988806c0447"),
-    ], ids=["logistic", "sine", "tent", "flat_tent", "superstable"])
+        (["certify", "--map", "logistic:0.958", "--k", "12"], 0,
+         "cc34bbc4cf18fd3f472a4891fb54078333481f738960a13cf19f88906144e786"),
+        (["certify", "--map", "sine:0.99", "--k", "12"], 0,
+         "41849d2fb8c914160484a6f37d16235ab85172dc22f19aa52dc2115b42b4f930"),
+    ], ids=["logistic", "sine", "tent", "flat_tent", "superstable",
+            "certify_logistic", "certify_sine"])
     def test_stdout_digest_and_exit_code(self, argv, exit_code, digest,
                                          capsys):
         code, out = run(argv, capsys)

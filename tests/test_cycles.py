@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from itermaps import cycles, maps, pl, spectra
+from itermaps import cycles, maps, pl
 
 from conftest import random_unit_map
 
@@ -258,26 +258,6 @@ class TestRegime:
     def test_empty_is_doubling_floor(self):
         report = cycles.classify_regime([], p_max=1)
         assert report.regime == "doubling" and report.max_power_of_two == 0
-
-
-class TestHalfOrbitCertificate:
-    def test_golden_tent(self):
-        m = maps.tent_near(spectra.rho_inc(3) / 2)
-        assert cycles.increasing_cycle_certificate(m, 3)
-
-    def test_p5_tent(self):
-        m = maps.tent_near(spectra.rho_inc(5) / 2)
-        assert cycles.increasing_cycle_certificate(m, 5)
-
-    def test_low_tent_fails_ordering(self):
-        assert not cycles.increasing_cycle_certificate(tent(F(51, 100)), 3)
-
-    def test_certificate_implies_detection(self):
-        for p in (3, 4, 5):
-            m = maps.tent_near(spectra.rho_inc(p) / 2)
-            assert cycles.increasing_cycle_certificate(m, p)
-            found = cycles.find_cycles(m, p)
-            assert any(c.period == p and c.increasing for c in found)
 
 
 class TestSuperstable:

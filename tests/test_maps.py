@@ -1,4 +1,4 @@
-"""Map families: evaluation, preimage oracles, PL conversion, orbits."""
+"""Map families: evaluation, PL conversion, audit, orbits."""
 
 import math
 import random
@@ -66,42 +66,6 @@ class TestToPL:
                 assert f(x) == m(x)
 
 
-class TestPreimages:
-    def test_tent_half(self):
-        assert maps.TentMap(1).preimages(F(1, 2)) == (F(1, 4), F(3, 4))
-
-    def test_logistic_apex(self):
-        assert maps.LogisticMap(1.0).preimages(1.0) == (0.5,)
-
-    def test_logistic_above_range_empty(self):
-        assert maps.LogisticMap(0.5).preimages(0.75) == ()
-
-    def test_soundness_random(self):
-        rng = random.Random(12)
-        exact = [maps.TentMap(F(4, 5)), maps.FlatTentMap(F(2, 3))]
-        smooth = [maps.LogisticMap(0.93), maps.SineMap(0.81)]
-        for _ in range(500):
-            y = F(rng.randint(0, 999), 999)
-            for m in exact:
-                for x in m.preimages(y):
-                    assert m(x) == y
-            yf = float(y)
-            for m in smooth:
-                pre = m.preimages(yf)
-                assert len(pre) <= 2
-                for x in pre:
-                    assert abs(m(x) - yf) <= 1e-12
-
-    def test_at_most_one_per_side(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            y = rng.random()
-            pre = maps.LogisticMap(0.97).preimages(y)
-            left = [x for x in pre if x < 0.5]
-            right = [x for x in pre if x > 0.5]
-            assert len(left) <= 1 and len(right) <= 1
-
-
 class TestSymmetryAndAudit:
     def test_exact_symmetry(self):
         rng = random.Random(5)
@@ -151,21 +115,20 @@ class TestSymmetryAndAudit:
 
 class TestOrbits:
     def test_full_tent_critical_orbit(self):
-        orb = maps.TentMap(1).critical_orbit(3)
-        assert orb.values == (F(1), F(0), F(0))
-        assert orb.x_max == 1
+        m = maps.TentMap(1)
+        assert m.orbit(m.apex_x, 3) == [F(1, 2), F(1), F(0), F(0)]
 
     @pytest.mark.parametrize("name", sorted(warmup.TOY_CYCLES))
     def test_critical_orbit_starts_at_apex(self, name):
         # the toy maps peak off 1/2, at their top knot
         m = warmup.toy_map(name)
-        assert m.critical_orbit(2).x_max == m.max_value()
+        top = max(y for _, y in m.to_pl().knots)
+        assert m.orbit(m.apex_x, 2)[1] == top
 
     def test_tent_near_golden_returns_to_half(self):
         # parameter at the increasing-3-cycle birth: half-orbit closes in 3
         m = maps.tent_near(PHI / 2)
-        orb = m.critical_orbit(3)
-        assert abs(float(orb.values[2]) - 0.5) < 1e-9
+        assert abs(float(m.orbit(m.apex_x, 3)[3]) - 0.5) < 1e-9
 
     def test_logistic_superstable_123_orbit(self):
         m = maps.LogisticMap(0.9580)

@@ -1,14 +1,17 @@
-"""Lap counting vs exact PL iteration and exact rationals, growth series,
-entropy."""
+"""Lap and crossing counts vs exact PL iteration, exact rationals and the
+float preimage tree; growth series, entropy."""
 
+import bisect
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from conftest import random_unit_map
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from itermaps import maps, oscillation, pl
+from itermaps import cycles, maps, oscillation, pl
 from itermaps.errors import ResourceLimitError
 
 SS_12 = 0.8090169943749474  # logistic two-cycle through the critical point
@@ -45,6 +48,158 @@ def _exact_logistic_laps(r: F, k_max: int) -> tuple[int, ...]:
         laps = nxt
         counts.append(sum(laps.values()))
     return tuple(counts)
+
+
+#: two float preimages closer than this collapse to one
+MERGE_TOL = 1e-10
+
+
+def ref_preimages(m, y: float) -> tuple:
+    """Closed-form float preimages of y under a logistic or sine map, at most
+    one per side of 1/2; a pair closer than ``MERGE_TOL`` collapses to 1/2."""
+    r = m.r
+    if m.kind == "logistic":
+        t = 1.0 - y / r
+        if t < -maps.SMOOTH_TOL:
+            return ()
+        s = math.sqrt(max(t, 0.0))
+        if s < MERGE_TOL:
+            return (0.5,)
+        return ((1.0 - s) / 2.0, (1.0 + s) / 2.0)
+    if y > r + maps.SMOOTH_TOL:
+        return ()
+    t = math.asin(min(y / r, 1.0)) / math.pi
+    if abs(1.0 - 2.0 * t) < MERGE_TOL:
+        return (0.5,)
+    return (t, 1.0 - t)
+
+
+def ref_float_crossings(m, k: int, a: float, b: float) -> int:
+    """Crossings of [a, b] by f^k from the k-level float preimage sets of a
+    and b: the float path the lap walk replaced.
+
+    Each level keeps a preimage only when no kept one lies within
+    ``MERGE_TOL``; the count is the tag alternations of the merged, sorted
+    touch sequence.
+    """
+    touches = []
+    for tag, level in enumerate((a, b)):
+        layer = [level]
+        for _ in range(k):
+            kept = []
+            for y in layer:
+                for x in ref_preimages(m, y):
+                    i = bisect.bisect_left(kept, x)
+                    if all(abs(kept[j] - x) > MERGE_TOL for j in (i - 1, i)
+                           if 0 <= j < len(kept)):
+                        kept.insert(i, x)
+            layer = kept
+        touches += [(x, tag) for x in layer]
+    tags = [tag for _, tag in sorted(touches)]
+    return sum(s != t for s, t in zip(tags, tags[1:]))
+
+
+def assert_matches_pl(m, k, bands):
+    """The walk's crossings against the exact crossings of the built f^k."""
+    fk = pl.iterate(m.to_pl(), k)
+    for a, b in bands:
+        assert oscillation.count_crossings_map(m, k, a, b) == pl.crossings(
+            fk, a, b), (m, k, a, b)
+
+
+SMOOTH_MAPS = [maps.LogisticMap(r) for r in (0.958, 0.9347, 0.99, 0.97,
+                                             0.9764)]
+SMOOTH_MAPS += [maps.SineMap(0.97), maps.SineMap(0.99)]
+#: bands whose ends include the critical point, orbit values and cycle points
+BANDS = [(F(0), F(1)), (F(1, 4), F(3, 4)), (F(1, 3), F(2, 3)),
+         (F(2, 9), F(4, 9)), (F(4, 9), F(8, 9)), (F(1, 8), F(5, 8)),
+         (F(0), F(1, 2)), (F(1, 2), F(9, 10)), (F(2, 5), F(3, 5))]
+
+
+class TestFloatPreimageOracle:
+    """The closed-form inverses behind ``ref_float_crossings``."""
+
+    def test_logistic_apex(self):
+        assert ref_preimages(maps.LogisticMap(1.0), 1.0) == (0.5,)
+
+    def test_logistic_above_range_empty(self):
+        assert ref_preimages(maps.LogisticMap(0.5), 0.75) == ()
+
+    def test_soundness_random(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            y = rng.randint(0, 999) / 999
+            for m in (maps.LogisticMap(0.93), maps.SineMap(0.81)):
+                pre = ref_preimages(m, y)
+                assert len(pre) <= 2
+                for x in pre:
+                    assert abs(m(x) - y) <= 1e-12
+
+    def test_at_most_one_per_side(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            pre = ref_preimages(maps.LogisticMap(0.97), rng.random())
+            assert len([x for x in pre if x < 0.5]) <= 1
+            assert len([x for x in pre if x > 0.5]) <= 1
+
+
+class TestCrossingOracles:
+    """The lap walk's crossing counts against the float preimage tree and the
+    exact crossings of the built f^k."""
+
+    @pytest.mark.parametrize("m", SMOOTH_MAPS, ids=repr)
+    def test_float_cycle_gaps_match_preimage_tree(self, m):
+        gaps = set()
+        for c in cycles.find_cycles(m, 5):
+            pts = sorted(c.orbit)
+            gaps.update(zip(pts, pts[1:]))
+        assert gaps
+        for k in (4, 8, 12):
+            for a, b in gaps:
+                assert oscillation.count_crossings_map(m, k, a, b) == (
+                    ref_float_crossings(m, k, a, b))
+
+    @pytest.mark.parametrize("r", [1, F(9, 10), F(4, 5), F(3, 4), F(7, 10),
+                                   F(1, 2)], ids=str)
+    def test_tents_match_pl(self, r):
+        m = maps.TentMap(r)
+        for k in range(1, 10):
+            assert_matches_pl(m, k, BANDS)
+
+    @pytest.mark.parametrize("r", [1, F(3, 4), F(1, 2)], ids=str)
+    def test_flat_tents_match_pl(self, r):
+        m = maps.FlatTentMap(r)
+        for k in range(1, 8):
+            assert_matches_pl(m, k, BANDS + [(F(0), r), (F(1, 5), r)])
+
+    def test_random_custom_maps_match_pl(self, rng):
+        checked = 0
+        while checked < 30:
+            try:
+                m = maps.CustomPLMap(random_unit_map(rng))
+            except ValueError:
+                continue
+            checked += 1
+            for k in range(1, 7):
+                a, b = sorted(rng.sample(range(17), 2))
+                assert_matches_pl(m, k, [(F(a, 16), F(b, 16))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.integers(0, 31),
+       st.integers(1, 32))
+def test_walk_matches_pl_on_random_maps(seed, k, num, width):
+    try:
+        m = maps.CustomPLMap(random_unit_map(random.Random(seed)))
+    except ValueError:
+        return
+    fk = pl.iterate(m.to_pl(), k)
+    if m.strictly_unimodal:
+        assert oscillation.count_monotone(m, k) == pl.monotone_pieces(fk)
+    a, b = F(num, 32), F(min(num + width, 32), 32)
+    if a < b:
+        assert oscillation.count_crossings_map(m, k, a, b) == pl.crossings(
+            fk, a, b)
 
 
 class TestCountMonotone:
@@ -109,7 +264,7 @@ class TestCountCrossings:
         assert oscillation.count_crossings_map(m, 1, 0.7, 0.9) == 0
 
     def test_smooth_agrees_with_rational_tent(self):
-        # same parameter exercised through both code paths
+        # the same parameter exercised on an exact and a float map
         exact = maps.TentMap(F(9, 10))
         smooth = maps.LogisticMap(0.9)
         for k in (2, 4, 6):
@@ -117,6 +272,35 @@ class TestCountCrossings:
             assert got == pl.crossings(
                 pl.iterate(exact.to_pl(), k), F(1, 8), F(5, 8))
             assert oscillation.count_crossings_map(smooth, k, 0.0, 0.5) > 0
+
+    def test_increasing_three_cycle_gaps_at_k30(self):
+        # each gap of the full tent's increasing 3-cycle is crossed 2^k times
+        m = maps.TentMap(1)
+        for a, b in ((F(2, 9), F(4, 9)), (F(4, 9), F(8, 9))):
+            assert oscillation.count_crossings_map(
+                m, 30, a, b, cap=2**31) == 2**30
+
+    def test_deep_walk_is_iterative(self):
+        m = maps.TentMap(1)
+        assert oscillation.count_crossings_map(
+            m, 3000, F(2, 9), F(4, 9), cap=10**1000) == 2**3000
+
+    def test_cap_boundary_is_turning_points(self):
+        # the same bound as count_monotone: M(f^10) - 1 = 1023
+        m = maps.TentMap(1)
+        assert oscillation.count_crossings_map(
+            m, 10, F(1, 3), F(2, 3), cap=1023) == 1024
+        with pytest.raises(ResourceLimitError):
+            oscillation.count_crossings_map(m, 10, F(1, 3), F(2, 3),
+                                            cap=1022)
+
+    def test_full_sine_takes_f1_as_zero(self):
+        # SineMap(1)(1.0) is about 1e-16, not 0; a band from 0 still sees
+        # every lap of f^k, as the preimage tree does
+        m = maps.SineMap(1.0)
+        for k in (2, 4, 8):
+            got = oscillation.count_crossings_map(m, k, 0.0, 0.5)
+            assert got == ref_float_crossings(m, k, 0.0, 0.5) == 2**k
 
     def test_growth_bound_vs_pieces(self):
         m = maps.LogisticMap(0.97)
@@ -173,8 +357,8 @@ class TestEntropy:
 
     def test_float_counts_match_exact_rational_recursion(self):
         # near the super-stable 123 parameter some distinct preimages of 1/2
-        # lie within PREIMAGE_DEDUP_TOL of each other, so a count of merged
-        # float preimages comes out low (1942); the same recursion in exact
+        # lie within 1e-10 of each other, so a count of merged float
+        # preimages comes out low (1942); the same recursion in exact
         # rationals at Fraction(r) is the oracle
         m = maps.LogisticMap(0.9579685138702394)
         want = _exact_logistic_laps(F(m.r), 13)

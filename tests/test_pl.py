@@ -238,7 +238,10 @@ class TestRawKnots:
     def test_level_set_plateau_gives_both_ends(self):
         f = pl.new([(0, 0), (F(2, 5), F(1, 2)), (F(3, 5), F(1, 2)), (1, 0)])
         assert pl.level_set(f.knots, F(1, 2)) == [F(2, 5), F(3, 5)]
-        assert maps.CustomPLMap(f).preimages(F(1, 2)) == (F(2, 5), F(3, 5))
+
+    def test_level_set_tent_half(self):
+        knots = maps.TentMap(1).to_pl().knots
+        assert pl.level_set(knots, F(1, 2)) == [F(1, 4), F(3, 4)]
 
 
 def ref_canon(pts):
