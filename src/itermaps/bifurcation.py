@@ -12,15 +12,11 @@ exact in binary and each doubling shifts one bit out of the mantissa, so the
 float orbit of 0.5001 reaches 0 within about 55 steps.  Those members are
 iterated exactly from the rational 5001/10000, whose denominators stay
 bounded under an integer slope, and each value is converted to float only
-when emitted.  Members never interact, so a process pool, when asked for,
-only splits the r grid into contiguous chunks and runs the same kernel on
-each; the merge keeps r order.  It pays only when a chunk's work outweighs
-starting a worker and pickling the chunk's tails back.
+when emitted.  A sweep is one kernel call over its whole grid.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -93,23 +89,16 @@ def orbit_tail(kind: str, r: float, burn: int = DEFAULT_BURN,
 
 
 def sweep(kind: str, r_lo: float, r_hi: float, steps: int = DEFAULT_STEPS,
-          burn: int = DEFAULT_BURN, keep: int = DEFAULT_KEEP,
-          jobs: int = 1) -> list[tuple[float, list[float]]]:
-    """(r, orbit tail) per grid value, merged in r order regardless of jobs.
+          burn: int = DEFAULT_BURN, keep: int = DEFAULT_KEEP
+          ) -> list[tuple[float, list[float]]]:
+    """(r, orbit tail) per grid value, in r order.
 
     Grid values outside (0, 1] are dropped.  All members advance together in
-    one vector; jobs > 1 splits the grid into min(jobs, len(grid))
-    contiguous chunks, one kernel call each, on a pool of as many processes.
+    one vector.
     """
     rs = [r_lo + (r_hi - r_lo) * i / max(steps - 1, 1) for i in range(steps)]
     rs = [r for r in rs if 0 < r <= 1]
-    n = min(jobs, len(rs))
-    if n <= 1:
-        return list(zip(rs, _tails(kind, rs, burn, keep)))
-    chunks = [rs[len(rs) * j // n:len(rs) * (j + 1) // n] for j in range(n)]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        parts = pool.map(_tails, [kind] * n, chunks, [burn] * n, [keep] * n)
-        return list(zip(rs, (tail for part in parts for tail in part)))
+    return list(zip(rs, _tails(kind, rs, burn, keep)))
 
 
 def cluster_count(values: list[float], tol: float = 1e-3) -> int:

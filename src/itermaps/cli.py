@@ -4,8 +4,8 @@ Every command prints its assertions machine-readably (`ASSERT PASS|FAIL name
 :: detail`) and the exit code reflects them: 0 ok, 1 assertion failure,
 2 usage error, 3 resource cap.  Output is deterministic for a fixed
 configuration; floats are printed at 12 significant digits and --seed only
-affects random candidate sweeps.  The shared options --out, --cap, --jobs
-and --seed may be given before or after the subcommand.
+affects random candidate sweeps.  The shared options --out, --cap and
+--seed may be given before or after the subcommand.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def cmd_bifurcation(args) -> int:
     rep = Reporter()
     kind = args.family
     data = bifurcation.sweep(kind, args.r_lo, args.r_hi, steps=args.steps,
-                             burn=args.burn, keep=args.keep, jobs=args.jobs)
+                             burn=args.burn, keep=args.keep)
     lines = ["r,x"]
     for r, tail in data:
         head = fmt(r) + ","
@@ -187,7 +187,7 @@ def cmd_certify(args) -> int:
     if not inc:
         print(f"no increasing {p}-cycle detected", file=sys.stderr)
         return 1
-    cert = hardness.increasing_certificate(m, inc[0], k)
+    cert = hardness.increasing_certificate(m, inc[0], k, cap=args.cap)
     rep.check("certificate_count", cert.count >= cert.required_count(),
               f"count={cert.count} need={cert.required_count():.2f}")
     rep.check("certificate_width", float(cert.width) >= 1 / 18,
@@ -343,7 +343,6 @@ SHARED_OPTIONS = (
     ("--out", {"default": None, "help": "output directory (default: stdout)"}),
     ("--cap", {"type": int, "default": pl.DEFAULT_KNOT_CAP,
                "help": "knot/node resource cap"}),
-    ("--jobs", {"type": int, "default": 1, "help": "parallel workers"}),
     ("--seed", {"type": int, "default": 0,
                 "help": "seed for random candidate sweeps"}),
 )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pl
 from .errors import NotPiecewiseLinear
-from .maps import LogisticMap, SineMap, UnimodalMap
+from .maps import LogisticMap, UnimodalMap
 
 FLOAT_MATCH_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
@@ -221,8 +221,7 @@ def _close(a, b, exact):
     return a == b if exact else abs(float(a) - float(b)) <= FLOAT_MATCH_TOL
 
 
-def find_cycles(m: UnimodalMap, p_max: int,
-                grid_per_period: int = GRID_PER_PERIOD) -> list[CycleRecord]:
+def find_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
     """All distinct cycles of minimal period <= p_max.
 
     PL kinds solve f^p(x) = x exactly piece by piece; smooth kinds bracket
@@ -247,7 +246,7 @@ def find_cycles(m: UnimodalMap, p_max: int,
             fp = pl.compose(fp, f1)
             roots = _pl_period_roots(fp)
         else:
-            roots = _smooth_period_roots(m, p, grid_per_period * p)
+            roots = _smooth_period_roots(m, p, GRID_PER_PERIOD * p)
         for x in roots:
             if x in on_orbit:
                 continue  # a kept orbit's period divides p: nothing new
@@ -354,37 +353,42 @@ FORCING_TABLE = (
 )
 
 
-def superstable_r(family, itin, bracket, tol: float = 1e-9,
-                  scan: int = 400) -> float:
-    """Parameter at which the family's critical orbit closes with itinerary
+def superstable_r(itin, bracket, tol: float = 1e-9, scan: int = 400) -> float:
+    """Logistic parameter at which the critical orbit closes with itinerary
     `itin` (the cycle contains the critical point).
 
-    `family` is a map constructor taking r (e.g. LogisticMap).  The residual
-    f_r^p(1/2) - 1/2 also vanishes at super-stable parameters of divisor
-    periods, so the bracket is grid-scanned, every sign change is bisected,
-    and the root whose critical orbit has minimal period p and the target
-    itinerary is returned.
+    The residual f_r^p(1/2) - 1/2 also vanishes at super-stable parameters
+    of divisor periods, so the bracket is scanned on scan + 1 values of r in
+    one vector call of ``LogisticMap.float_step`` per step, every sign change
+    is bisected, and the root whose critical orbit has minimal period p and
+    the target itinerary is returned.  Bisection and the check run the same
+    step on floats; a scalar and a vector step do the same IEEE operations.
     """
     itin = parse_itinerary(itin) if isinstance(itin, str) else tuple(itin)
     p = len(itin)
+    step = LogisticMap.float_step
 
-    def g(r):
-        m = family(r)
-        x = 0.5
+    def critical_orbit(r):
+        orbit = [0.5]
         for _ in range(p):
-            x = m(x)
-        return x - 0.5
+            orbit.append(step(r, orbit[-1]))
+        return orbit
 
     lo, hi = max(bracket[0], 1e-9), min(bracket[1], 1.0)
+    if lo > hi:
+        raise ValueError(f"bracket {bracket} misses (0, 1]")
     rs = [lo + (hi - lo) * i / scan for i in range(scan + 1)]
-    gs = [g(r) for r in rs]
+    grid, x = np.array(rs), np.full(scan + 1, 0.5)
+    for _ in range(p):
+        x = step(grid, x)
+    gs = (x - 0.5).tolist()
     roots = [r for r, v in zip(rs, gs) if v == 0]
     for i in range(scan):
         if gs[i] * gs[i + 1] < 0:
             a, b, ga = rs[i], rs[i + 1], gs[i]
             while b - a > tol:
                 mid = (a + b) / 2
-                gm = g(mid)
+                gm = critical_orbit(mid)[-1] - 0.5
                 if gm == 0:
                     a = b = mid
                     break
@@ -396,8 +400,7 @@ def superstable_r(family, itin, bracket, tol: float = 1e-9,
 
     seen = []
     for root in sorted(roots):
-        m = family(root)
-        orbit = m.orbit(0.5, p)[:p]
+        orbit = critical_orbit(root)[:p]
         gaps = [abs(a - b) for i, a in enumerate(orbit)
                 for b in orbit[i + 1:]]
         if gaps and min(gaps) < 1e-7:
@@ -411,13 +414,13 @@ def superstable_r(family, itin, bracket, tol: float = 1e-9,
         f"roots found: {seen}")
 
 
-def solve_forcing_table(family=LogisticMap, pad: float = 0.01) -> list[dict]:
-    """Solve every forcing-table row for `family`; rows gain r_solved/delta."""
+def solve_forcing_table() -> list[dict]:
+    """Solve every forcing-table row in the logistic family within 0.01 of
+    its published r; rows gain r_solved/delta."""
     out = []
     for row in FORCING_TABLE:
         r0 = row["r"]
-        solved = superstable_r(family, row["itinerary"],
-                               (r0 - pad, r0 + pad))
+        solved = superstable_r(row["itinerary"], (r0 - 0.01, r0 + 0.01))
         rec = dict(row)
         rec["r_solved"] = solved
         rec["delta"] = abs(solved - r0)

@@ -68,12 +68,13 @@ class OscCertificate:
         })
 
 
-def increasing_certificate(m: UnimodalMap, c: CycleRecord, k: int
-                           ) -> OscCertificate:
+def increasing_certificate(m: UnimodalMap, c: CycleRecord, k: int,
+                           cap: int = pl.DEFAULT_KNOT_CAP) -> OscCertificate:
     """Certificate from an increasing p-cycle of a symmetric concave map.
 
     Scans the consecutive gaps of the sorted cycle for one of width >= 1/18
-    whose measured crossings reach half the spectral rate rho_inc(p)^k.
+    whose measured crossings reach half the spectral rate rho_inc(p)^k;
+    ``cap`` bounds the turning points of f^k, as in ``count_crossings_map``.
     """
     _require_symmetric_concave(m)
     if not c.increasing:
@@ -93,7 +94,7 @@ def increasing_certificate(m: UnimodalMap, c: CycleRecord, k: int
             "(a symmetry or concavity hypothesis is violated)")
     shortfall = []
     for a, b in wide:
-        count = oscillation.count_crossings_map(m, k, a, b)
+        count = oscillation.count_crossings_map(m, k, a, b, cap=cap)
         if count >= need:
             return OscCertificate(mode="increasing", p=p, k=k, a=a, b=b,
                                   count=count, rate=rho)

@@ -165,8 +165,7 @@ class LogisticMap(UnimodalMap):
         _audit_unimodal(self)
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            x = float(x)
+        # a Fraction operand of a float product is converted to float first
         return self.float_step(self.r, x)
 
     @staticmethod
@@ -203,14 +202,9 @@ class CustomPLMap(UnimodalMap):
 
     kind = "custom_pl"
 
-    def __init__(self, f: pl.PiecewiseLinear, scale=1):
-        scale = pl.rat(scale)
-        if not (0 < scale <= 1):
-            raise ValueError("scale must lie in (0,1]")
-        if scale != 1:
-            f = pl.new([(x, scale * y) for x, y in f.knots])
+    def __init__(self, f: pl.PiecewiseLinear):
         self.f = f
-        self.r = scale
+        self.r = Fraction(1)
         self._float_xs, self._float_ys = np.array(f.knots, dtype=float).T
         ys = [y for _, y in f.knots]
         if ys[0] != 0 or ys[-1] != 0:
@@ -226,10 +220,6 @@ class CustomPLMap(UnimodalMap):
             (1 - x, y) in set(f.knots) for x, y in f.knots)
         self.concave = all(a >= b for a, b in zip(slopes, slopes[1:]))
         _audit_unimodal(self)
-
-    @property
-    def is_exact(self):
-        return True
 
     @property
     def apex_x(self):

@@ -16,9 +16,9 @@ have the same level.  On a plateau map f is monotone, though not strictly,
 on each side of c, and a monotone surjection keeps the crossings.
 
 On float maps an orbit value within ``maps.SMOOTH_TOL`` of c is snapped to
-c; that is the walk's only float decision.  ``cap`` bounds M(f^k) - 1, the
-turning points of f^k (the nodes of the critical preimage tree, never
-built); ``ResourceLimitError`` is raised at the first k where it is
+c; that is the walk's only float decision.  ``cap`` (by default
+``pl.DEFAULT_KNOT_CAP``, the CLI's ``--cap``) bounds M(f^n) - 1, the turning
+points of f^n; ``ResourceLimitError`` is raised at the first n where it is
 exceeded.
 """
 
@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from . import pl
 from .errors import ResourceLimitError
 from .maps import SMOOTH_TOL, UnimodalMap
-
-DEFAULT_NODE_CAP = 10**7
 
 
 def _walk(m: UnimodalMap, k: int, cap: int) -> tuple[list[int], Counter]:
@@ -63,7 +61,8 @@ def _walk(m: UnimodalMap, k: int, cap: int) -> tuple[list[int], Counter]:
         laps = nxt
         counts.append(sum(laps.values()))
         if counts[-1] - 1 > cap:
-            raise ResourceLimitError(f"preimage tree exceeds {cap} nodes")
+            raise ResourceLimitError(
+                f"f^{len(counts)} has more than {cap} turning points")
     return counts, laps
 
 
@@ -73,7 +72,8 @@ def _lap_counts(m: UnimodalMap, k: int, cap: int) -> list[int]:
     return _walk(m, k, cap)[0]
 
 
-def count_monotone(m: UnimodalMap, k: int, cap: int = DEFAULT_NODE_CAP) -> int:
+def count_monotone(m: UnimodalMap, k: int,
+                   cap: int = pl.DEFAULT_KNOT_CAP) -> int:
     """M(f^k) by the lap walk: exact on exact maps, ``SMOOTH_TOL`` snap on
     float maps; raises ``ResourceLimitError`` once M(f^k) - 1 > cap."""
     if k < 1:
@@ -82,7 +82,7 @@ def count_monotone(m: UnimodalMap, k: int, cap: int = DEFAULT_NODE_CAP) -> int:
 
 
 def count_crossings_map(m: UnimodalMap, k: int, a, b,
-                        cap: int = DEFAULT_NODE_CAP) -> int:
+                        cap: int = pl.DEFAULT_KNOT_CAP) -> int:
     """Crossings of [a,b] by f^k: the laps of f^k whose image covers [a,b]
     (module docstring), with the snap and cap of ``count_monotone``."""
     if k < 1:
@@ -137,7 +137,7 @@ class GrowthSeries:
 
 
 def entropy_estimate(m: UnimodalMap, k_max: int,
-                     cap: int = DEFAULT_NODE_CAP) -> GrowthSeries:
+                     cap: int = pl.DEFAULT_KNOT_CAP) -> GrowthSeries:
     """Counts and rates up to k_max; the last rate estimates h_top.
 
     Counts come from the lap walk of ``count_monotone`` (same snap and

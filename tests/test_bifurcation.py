@@ -1,5 +1,5 @@
-"""Bifurcation sweeps: attractor cluster counts, the vector kernel against
-the scalar per-r loop it replaced, and the process pool."""
+"""Bifurcation sweeps: attractor cluster counts, and the vector kernel
+against the scalar per-r loop it replaced."""
 
 from fractions import Fraction
 
@@ -77,45 +77,6 @@ class TestSweep:
         assert all(len(tail) == 20 for _, tail in data)
         rs = [r for r, _ in data]
         assert rs == sorted(rs)
-
-    @pytest.mark.parametrize("kind", FAMILIES)
-    def test_parallel_matches_serial(self, kind):
-        serial = bifurcation.sweep(kind, 0.8, 0.95, steps=6, burn=50,
-                                   keep=10, jobs=1)
-        parallel = bifurcation.sweep(kind, 0.8, 0.95, steps=6, burn=50,
-                                     keep=10, jobs=2)
-        assert serial == parallel
-
-    def test_parallel_matches_serial_through_exact_tent(self):
-        serial = bifurcation.sweep("tent", 0.9, 1.0, steps=3, jobs=1)
-        parallel = bifurcation.sweep("tent", 0.9, 1.0, steps=3, jobs=2)
-        assert serial[-1][0] == 1.0
-        assert serial == parallel
-
-    def test_pool_splits_grid_into_at_most_one_chunk_per_value(
-            self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *args):
-                return map(fn, *args)
-
-        monkeypatch.setattr(bifurcation, "ProcessPoolExecutor", InlinePool)
-        for steps in (1, 3, 7):
-            serial = bifurcation.sweep("tent", 0.9, 1.0, steps=steps,
-                                       burn=40, keep=5)
-            assert bifurcation.sweep("tent", 0.9, 1.0, steps=steps, burn=40,
-                                     keep=5, jobs=64) == serial
-        assert sizes == [3, 7]
 
     def test_out_of_range_parameters_dropped(self):
         data = bifurcation.sweep("logistic", 0.9, 1.2, steps=7, burn=10,

@@ -98,14 +98,6 @@ class TestBifurcation:
         meta = json.loads((tmp_path / "bifurcation_logistic.json").read_text())
         assert meta["x0"] == 0.5001
 
-    def test_jobs_flag_deterministic(self, tmp_path, capsys):
-        args = ["bifurcation", "--family", "tent", "--r-lo", "0.8",
-                "--r-hi", "0.9", "--steps", "5", "--burn", "30",
-                "--keep", "5"]
-        _, out1 = run(args + ["--jobs", "1"], capsys)
-        _, out2 = run(["--jobs", "2"] + args, capsys)
-        assert out1.splitlines()[-10:] == out2.splitlines()[-10:]
-
 
 class TestCertify:
     def test_tent_pipeline(self, tmp_path, capsys):
@@ -120,6 +112,17 @@ class TestCertify:
     def test_missing_cycle_is_failure(self, capsys):
         code = main(["certify", "--map", "tent:51/100", "--p", "3", "--k", "4"])
         assert code == 1
+
+    def test_cap_bounds_certificate_stage(self, capsys):
+        # M(f^10) - 1 = 1023 turning points for the full tent: the lap walk
+        # of the certificate stops at f^9, before any assertion is printed
+        code = main(["--cap", "500", "certify", "--map", "tent:1",
+                     "--k", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "ASSERT" not in captured.out
+        assert captured.err == ("resource cap exceeded: "
+                                "f^9 has more than 500 turning points\n")
 
 
 class TestPhase:
@@ -178,7 +181,6 @@ class TestSharedOptions:
     @pytest.mark.parametrize("flag, given, value, default", [
         ("--out", "results", "results", None),
         ("--cap", "77", 77, pl.DEFAULT_KNOT_CAP),
-        ("--jobs", "3", 3, 1),
         ("--seed", "42", 42, 0),
     ])
     def test_either_position_and_default(self, flag, given, value, default):
@@ -194,6 +196,12 @@ class TestSharedOptions:
     def test_format_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
             main(["--format", "csv", "rho-table"])
+        assert exc.value.code == 2
+
+    def test_jobs_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2", "bifurcation", "--family", "tent",
+                  "--steps", "5"])
         assert exc.value.code == 2
 
 

@@ -271,8 +271,7 @@ class TestSuperstable:
         ("123456", 0.9994, 0.999396),
     ])
     def test_solver_finds_verified_parameter(self, itin, seed, r_true):
-        solved = cycles.superstable_r(maps.LogisticMap, itin,
-                                      (seed - 0.01, seed + 0.01))
+        solved = cycles.superstable_r(itin, (seed - 0.01, seed + 0.01))
         assert abs(solved - r_true) <= 5e-4
         # independent confirmation: critical orbit closes with the itinerary
         m = maps.LogisticMap(solved)
@@ -283,7 +282,11 @@ class TestSuperstable:
 
     def test_itinerary_mismatch_raises(self):
         with pytest.raises(ValueError):
-            cycles.superstable_r(maps.LogisticMap, "1234", (0.955, 0.961))
+            cycles.superstable_r("1234", (0.955, 0.961))
+
+    def test_bracket_outside_parameter_range_raises(self):
+        with pytest.raises(ValueError, match="misses"):
+            cycles.superstable_r("12", (1.2, 1.3))
 
     def test_full_table_solves(self):
         rows = cycles.solve_forcing_table()
@@ -313,3 +316,61 @@ class TestRecordFlags:
         assert payload["period"] == 2
         assert payload["orbit"] == ["40/89", "64/89"]
         assert payload["flags"]["primary"] is True
+
+
+def ref_superstable_r(itin, bracket, tol=1e-9, scan=400):
+    """The per-map residual solver that the vector scan replaced: every
+    residual evaluation builds (and audits) a LogisticMap and calls it."""
+    itin = cycles.parse_itinerary(itin)
+    p = len(itin)
+
+    def g(r):
+        m = maps.LogisticMap(r)
+        x = 0.5
+        for _ in range(p):
+            x = m(x)
+        return x - 0.5
+
+    lo, hi = max(bracket[0], 1e-9), min(bracket[1], 1.0)
+    rs = [lo + (hi - lo) * i / scan for i in range(scan + 1)]
+    gs = [g(r) for r in rs]
+    roots = [r for r, v in zip(rs, gs) if v == 0]
+    for i in range(scan):
+        if gs[i] * gs[i + 1] < 0:
+            a, b, ga = rs[i], rs[i + 1], gs[i]
+            while b - a > tol:
+                mid = (a + b) / 2
+                gm = g(mid)
+                if gm == 0:
+                    a = b = mid
+                    break
+                if ga * gm < 0:
+                    b = mid
+                else:
+                    a, ga = mid, gm
+            roots.append((a + b) / 2)
+    for root in sorted(roots):
+        orbit = maps.LogisticMap(root).orbit(0.5, p)[:p]
+        gaps = [abs(a - b) for i, a in enumerate(orbit)
+                for b in orbit[i + 1:]]
+        if gaps and min(gaps) < 1e-7:
+            continue
+        if cycles.itinerary_of_points(orbit) == itin:
+            return root
+    raise ValueError(f"no super-stable {itin} parameter in {bracket}")
+
+
+class TestSuperstableOracle:
+    """The vector scan against the per-map solver it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("row", cycles.FORCING_TABLE,
+                             ids=lambda row: row["itinerary"])
+    def test_equals_per_map_solver(self, row):
+        bracket = (row["r"] - 0.01, row["r"] + 0.01)
+        assert cycles.superstable_r(row["itinerary"], bracket) == \
+            ref_superstable_r(row["itinerary"], bracket)
+
+    def test_both_reject_the_same_mismatch(self):
+        for solve in (cycles.superstable_r, ref_superstable_r):
+            with pytest.raises(ValueError, match="no super-stable"):
+                solve("1234", (0.955, 0.961))

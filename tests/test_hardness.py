@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from itermaps import cycles, hardness, maps, pl, relunet, spectra
-from itermaps.errors import CertificateError
+from itermaps.errors import CertificateError, ResourceLimitError
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -38,6 +38,16 @@ class TestIncreasingCertificate:
         # soundness: re-measure from scratch
         fk = pl.iterate(m.to_pl(), 8)
         assert pl.crossings(fk, pl.rat(cert.a), pl.rat(cert.b)) == cert.count
+
+    def test_cap_reaches_crossing_count(self):
+        # M(f^24) - 1 = 2^24 - 1 turning points: within 2^24, above the
+        # default cap of 10^7
+        m = maps.TentMap(1)
+        cycle = increasing_cycle(m, 3)
+        cert = hardness.increasing_certificate(m, cycle, 24, cap=2**24)
+        assert cert.count == 2**24
+        with pytest.raises(ResourceLimitError):
+            hardness.increasing_certificate(m, cycle, 24)
 
     def test_logistic_superstable_123(self):
         m = maps.LogisticMap(0.9580)

@@ -24,6 +24,16 @@ class TestEval:
         assert m(0.5) == pytest.approx(0.809017, abs=1e-6)
         assert m(m(0.5)) == pytest.approx(0.5, abs=1e-12)
 
+    def test_logistic_fraction_input_equals_float_input(self):
+        # float operands convert a Fraction to float before multiplying
+        rng = random.Random(5)
+        m = maps.LogisticMap(0.958)
+        for _ in range(2000):
+            q = rng.randrange(1, 10**9)
+            x = F(rng.randrange(q + 1), q)
+            y = m(x)
+            assert type(y) is float and y == m(float(x))
+
     def test_flat_tent_plateau(self):
         m = maps.FlatTentMap(F(1, 2))
         assert m(F(1, 2)) == F(1, 2)

@@ -240,7 +240,8 @@ class TestCountMonotone:
             oscillation.count_monotone(maps.FlatTentMap(F(1, 2)), 3)
 
     def test_node_cap(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^f\^9 has more than 500 turning points$"):
             oscillation.count_monotone(maps.TentMap(1), 14, cap=500)
 
     def test_cap_boundary_is_turning_points(self):
