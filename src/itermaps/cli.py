@@ -6,13 +6,16 @@ Every command prints its assertions machine-readably (`ASSERT PASS|FAIL name
 configuration; floats are printed at 12 significant digits and --seed only
 affects random candidate sweeps.  The shared options --out, --cap and
 --seed may be given before or after the subcommand.
+
+certify takes the first increasing p-cycle, or failing that the first Stefan
+p-cycle, and the cycle's kind picks the certificate rule, its width floor and
+its width threshold; --cap bounds the certificate stage for both kinds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -182,17 +185,21 @@ def cmd_certify(args) -> int:
     rep = Reporter()
     m = args.map
     p, k, depth = args.p, args.k, args.depth
-    found = cycles.find_cycles(m, p)
-    inc = [c for c in found if c.period == p and c.increasing]
-    if not inc:
-        print(f"no increasing {p}-cycle detected", file=sys.stderr)
+    found = [c for c in cycles.find_cycles(m, p) if c.period == p]
+    # 123 is both increasing and Stefan: it takes the increasing rule
+    usable = ([c for c in found if c.increasing]
+              + [c for c in found if c.stefan])
+    if not usable:
+        print(f"no increasing or Stefan {p}-cycle detected", file=sys.stderr)
         return 1
-    cert = hardness.increasing_certificate(m, inc[0], k, cap=args.cap)
+    cert = hardness.certificate(m, usable[0], k, cap=args.cap)
     rep.check("certificate_count", cert.count >= cert.required_count(),
               f"count={cert.count} need={cert.required_count():.2f}")
-    rep.check("certificate_width", float(cert.width) >= 1 / 18,
+    rep.check("certificate_width",
+              float(cert.width) >= float(cert.width_floor),
               f"width={float(cert.width):.4f}")
-    threshold = hardness.width_threshold(p, k, depth, "linf")
+    threshold = hardness.width_threshold(
+        p, k, depth, "linf" if cert.mode == "increasing" else "odd_linf")
     payload = {"certificate": json.loads(cert.to_json()),
                "width_threshold": {"u_max": threshold.u_max,
                                    "vacuous": threshold.vacuous},
@@ -252,7 +259,7 @@ def cmd_phase(args) -> int:
         else:
             entry["witness"] = json.loads(report.witness.to_json())
             if isinstance(m, maps.TentMap) and m.r == 1:
-                witness = vcbounds.shatter(m, args.shatter_d)
+                witness = vcbounds.shatter(args.shatter_d)
                 entry["shatter"] = json.loads(witness.to_json())
         out.append(entry)
     _write(args.out, "phase.json",
@@ -295,7 +302,7 @@ def cmd_vc(args) -> int:
     rep.check("worked_example_bound", bound <= 4 if args.regex ==
               "1*0(01)^inf|10^inf" else True, f"bound={bound}")
     if args.shatter_d:
-        witness = vcbounds.shatter(maps.TentMap(1), args.shatter_d)
+        witness = vcbounds.shatter(args.shatter_d)
         payload["shatter"] = json.loads(witness.to_json())
         rep.check("shatter_complete",
                   len(witness.table) == 2**args.shatter_d,
@@ -314,8 +321,7 @@ def cmd_counterexample(args) -> int:
     for name, build in (("need_symmetry", hardness.build_need_symmetry),
                         ("need_concavity", hardness.build_need_concavity)):
         m = build(args.p, eps)
-        report = hardness.counterexample_report(m, args.p, eps,
-                                                k_max=args.k_max)
+        report = hardness.counterexample_report(m, eps, k_max=args.k_max)
         out[name] = {
             "symmetric": report["symmetric"], "concave": report["concave"],
             "max_linf_error": float(report["max_linf_error"]),

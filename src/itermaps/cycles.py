@@ -180,8 +180,8 @@ def _pl_period_roots(f_p: pl.PiecewiseLinear) -> list[Fraction]:
     return pl.level_set([(x, y - x) for x, y in f_p.knots], 0)
 
 
-def _smooth_period_roots(m: UnimodalMap, p: int, grid: int) -> list[float]:
-    xs = np.linspace(0.0, 1.0, grid + 1)
+def _smooth_period_roots(m: UnimodalMap, p: int) -> list[float]:
+    xs = np.linspace(0.0, 1.0, GRID_PER_PERIOD * p + 1)
     ys = xs.copy()
     for _ in range(p):
         ys = m(ys)
@@ -226,8 +226,8 @@ def find_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
 
     PL kinds solve f^p(x) = x exactly piece by piece; smooth kinds bracket
     sign changes of f^p(x) - x on a uniform grid (4096 cells per unit of
-    period) and bisect.  Roots whose minimal period divides p are assigned to
-    that period; orbits are deduplicated by rotation.
+    period) and bisect.  A root whose p-orbit repeats a point has a smaller
+    minimal period and is skipped; orbits are deduplicated by rotation.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -246,28 +246,14 @@ def find_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
             fp = pl.compose(fp, f1)
             roots = _pl_period_roots(fp)
         else:
-            roots = _smooth_period_roots(m, p, GRID_PER_PERIOD * p)
+            roots = _smooth_period_roots(m, p)
         for x in roots:
             if x in on_orbit:
                 continue  # a kept orbit's period divides p: nothing new
-            # minimal-period filter over proper divisors
-            minimal = True
-            for d in range(1, p):
-                if p % d == 0:
-                    y = x
-                    for _ in range(d):
-                        y = m(y)
-                    if _close(y, x, exact):
-                        minimal = False
-                        break
-            if not minimal:
-                continue
             orbit = _orbit_of(m, x, p)
-            if not exact and any(
-                    abs(a - b) <= FLOAT_MATCH_TOL
-                    for i, a in enumerate(orbit)
-                    for b in orbit[i + 1:]):
-                continue  # collapsed orbit: root of a lower period in disguise
+            if any(_close(a, b, exact)
+                   for i, a in enumerate(orbit) for b in orbit[i + 1:]):
+                continue  # collapsed orbit: its minimal period is below p
             canon = _canonical(orbit)
             if exact:
                 on_orbit.update(orbit)

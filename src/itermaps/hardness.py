@@ -11,7 +11,6 @@ genuinely need symmetry and concavity.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,14 +19,14 @@ from .cycles import CycleRecord
 from .errors import CertificateError
 from .maps import CustomPLMap, UnimodalMap
 
-INCREASING_WIDTH_FLOOR = Fraction(1, 18)
-STEFAN_WIDTH_FLOOR = Fraction(7, 100)
+#: least width of a certificate interval, per cycle kind
+WIDTH_FLOOR = {"increasing": Fraction(1, 18), "stefan": Fraction(7, 100)}
 
 
 def _require_symmetric_concave(m: UnimodalMap):
-    if not getattr(m, "symmetric", False):
+    if not m.symmetric:
         raise CertificateError(f"{m.kind} map is not symmetric")
-    if not getattr(m, "concave", False):
+    if not m.concave:
         raise CertificateError(f"{m.kind} map is not concave")
 
 
@@ -46,6 +45,10 @@ class OscCertificate:
     @property
     def width(self):
         return self.b - self.a
+
+    @property
+    def width_floor(self) -> Fraction:
+        return WIDTH_FLOOR[self.mode]
 
     def required_count(self) -> float:
         if self.mode == "increasing":
@@ -68,74 +71,54 @@ class OscCertificate:
         })
 
 
-def increasing_certificate(m: UnimodalMap, c: CycleRecord, k: int,
-                           cap: int = pl.DEFAULT_KNOT_CAP) -> OscCertificate:
-    """Certificate from an increasing p-cycle of a symmetric concave map.
+def certificate(m: UnimodalMap, c: CycleRecord, k: int,
+                cap: int = pl.DEFAULT_KNOT_CAP) -> OscCertificate:
+    """Certificate from an increasing or Stefan p-cycle of a symmetric
+    concave map; the cycle's kind picks the rule.
 
-    Scans the consecutive gaps of the sorted cycle for one of width >= 1/18
-    whose measured crossings reach half the spectral rate rho_inc(p)^k;
-    ``cap`` bounds the turning points of f^k, as in ``count_crossings_map``.
+    An increasing cycle offers its consecutive gaps and needs crossings
+    >= rho_inc(p)^k / 2.  A Stefan cycle (odd p, points nested and
+    alternating around the middle) offers its span [x_p, x_(p-1)] split at
+    the middle pair [x_1, x_2] and needs crossings >= rho_odd(p)^(k-p).
+    The cycle 123 is both and takes the increasing rule.  Candidates at
+    least ``WIDTH_FLOOR`` wide are counted widest first; ``cap`` bounds the
+    turning points of f^k, as in ``count_crossings_map``.
     """
     _require_symmetric_concave(m)
-    if not c.increasing:
-        raise CertificateError("cycle is not increasing")
     p = c.period
-    if p < 3:
-        raise CertificateError("need p >= 3")
-    rho = spectra.rho_inc(p)
-    need = rho**k / 2
     pts = sorted(c.orbit)
-    gaps = sorted(zip(pts, pts[1:]), key=lambda g: g[1] - g[0], reverse=True)
-    wide = [(a, b) for a, b in gaps
-            if float(b - a) >= float(INCREASING_WIDTH_FLOOR)]
+    if c.increasing:
+        if p < 3:
+            raise CertificateError("need p >= 3")
+        mode, rate = "increasing", spectra.rho_inc(p)
+        candidates = list(zip(pts, pts[1:]))
+    elif c.stefan:
+        if k <= p:
+            raise CertificateError("need k > p")
+        mode, rate = "stefan", spectra.rho_odd(p)
+        mid_lo, mid_hi = pts[(p - 1) // 2], pts[(p + 1) // 2]
+        candidates = [(pts[0], mid_lo), (mid_lo, mid_hi), (mid_hi, pts[-1])]
+    else:
+        raise CertificateError("cycle is neither increasing nor Stefan")
+    floor = WIDTH_FLOOR[mode]
+    wide = [(a, b) for a, b in sorted(candidates, key=lambda g: g[1] - g[0],
+                                      reverse=True)
+            if float(b - a) >= float(floor)]
     if not wide:
         raise CertificateError(
-            "no qualifying gap: every cycle gap is narrower than 1/18 "
-            "(a symmetry or concavity hypothesis is violated)")
+            f"no qualifying gap: every {mode} candidate is narrower than "
+            f"{floor} (a symmetry or concavity hypothesis is violated)")
     shortfall = []
     for a, b in wide:
-        count = oscillation.count_crossings_map(m, k, a, b, cap=cap)
-        if count >= need:
-            return OscCertificate(mode="increasing", p=p, k=k, a=a, b=b,
-                                  count=count, rate=rho)
-        shortfall.append(count)
+        cert = OscCertificate(
+            mode=mode, p=p, k=k, a=a, b=b, rate=rate,
+            count=oscillation.count_crossings_map(m, k, a, b, cap=cap))
+        if cert.count >= cert.required_count():
+            return cert
+        shortfall.append(cert.count)
     raise CertificateError(
-        f"count shortfall: need >= {need:.3f}, measured {max(shortfall)}")
-
-
-def stefan_certificate(m: UnimodalMap, c: CycleRecord, k: int
-                       ) -> OscCertificate:
-    """Certificate from a Stefan p-cycle (odd p): width >= 0.07 inside the
-    cycle's span, crossings >= rho_odd(p)^(k-p)."""
-    _require_symmetric_concave(m)
-    if not c.stefan:
-        raise CertificateError("cycle is not a Stefan cycle")
-    p = c.period
-    if p % 2 == 0:
-        raise CertificateError("Stefan cycles have odd period")
-    if k <= p:
-        raise CertificateError("need k > p")
-    rho = spectra.rho_odd(p)
-    need = rho ** (k - p)
-    pts = sorted(c.orbit)
-    # the span [x_p, x_(p-1)] splits at the middle pair [x_1, x_2]
-    mid_lo, mid_hi = pts[(p - 1) // 2], pts[(p + 1) // 2]
-    candidates = [(pts[0], mid_lo), (mid_lo, mid_hi), (mid_hi, pts[-1])]
-    shortfall = []
-    found_wide = False
-    for a, b in sorted(candidates, key=lambda g: g[1] - g[0], reverse=True):
-        if float(b - a) < float(STEFAN_WIDTH_FLOOR):
-            continue
-        found_wide = True
-        count = oscillation.count_crossings_map(m, k, a, b)
-        if count >= need:
-            return OscCertificate(mode="stefan", p=p, k=k, a=a, b=b,
-                                  count=count, rate=rho)
-        shortfall.append(count)
-    if not found_wide:
-        raise CertificateError("no qualifying gap: span pieces below 0.07")
-    raise CertificateError(
-        f"count shortfall: need >= {need:.3f}, measured {max(shortfall)}")
+        f"count shortfall: need >= {cert.required_count():.3f}, "
+        f"measured {max(shortfall)}")
 
 
 @dataclass(frozen=True)
@@ -172,15 +155,17 @@ def adversarial_sample(fk: pl.PiecewiseLinear, cert: OscCertificate
     """Alternating points where f^k attains the certificate's band edges.
 
     Sample size is min(measured crossings, floor(rate^k)/2): soundness only
-    needs alternation points that actually exist.
+    needs alternation points that actually exist.  f^k's label at a point is
+    its touch level: b lies at or above the threshold (a+b)/2, a below it.
     """
     if cert.count < 2:
         raise CertificateError("certificate must witness at least 2 crossings")
     a, b = pl.rat(cert.a), pl.rat(cert.b)
     touches = pl.crossing_points(fk, a, b)
     n = min(cert.count, int(cert.rate**cert.k) // 2)
-    pts = tuple(x for x, _ in touches[:n])
-    return pl.SampleSet(points=pts, threshold=(a + b) / 2)
+    return pl.SampleSet(points=tuple(x for x, _ in touches[:n]),
+                        threshold=(a + b) / 2,
+                        labels=tuple(level == b for _, level in touches[:n]))
 
 
 @dataclass(frozen=True)
@@ -235,7 +220,7 @@ def certify_against_candidate(fk: pl.PiecewiseLinear, g: pl.PiecewiseLinear,
     return CandidateReport(
         linf=pl.max_abs(diff),
         l1=pl.abs_integral(diff),
-        cls_error=pl.classification_error(fk, g, s),
+        cls_error=pl.classification_error(g, s),
         g_pieces=pl.monotone_pieces(g),
         sample_size=len(s),
         cert_count=cert.count,
@@ -363,8 +348,7 @@ def three_piece_band_approx(fk: pl.PiecewiseLinear, band_lo, band_hi
     return pl.new(pts)
 
 
-def counterexample_report(m: CustomPLMap, p: int, eps, k_max: int = 10
-                          ) -> dict:
+def counterexample_report(m: CustomPLMap, eps, k_max: int = 10) -> dict:
     """Audit a counterexample: structure flags, cycle, and per-k 3-piece
     approximation errors of the band approximant."""
     eps = pl.rat(eps)

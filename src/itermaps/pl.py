@@ -315,10 +315,12 @@ def l1_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Sample abscissae with a decision threshold, for classification error."""
+    """Sample abscissae with a decision threshold and the reference labels
+    (value >= threshold) there, for classification error."""
 
     points: tuple[Fraction, ...]
     threshold: Fraction
+    labels: tuple[bool, ...]
 
     def __post_init__(self):
         pts = tuple(rat(x) for x in self.points)
@@ -331,6 +333,8 @@ class SampleSet:
             raise ValueError("sample points must strictly increase")
         if not (0 < t < 1):
             raise ValueError("threshold must lie in (0,1)")
+        if len(self.labels) != len(pts):
+            raise ValueError("need one label per sample point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "threshold", t)
 
@@ -338,9 +342,10 @@ class SampleSet:
         return len(self.points)
 
 
-def classification_error(f: PiecewiseLinear, g: PiecewiseLinear,
-                         s: SampleSet) -> Fraction:
-    """Fraction of sample points where the threshold labels of f and g differ."""
+def classification_error(g: PiecewiseLinear, s: SampleSet) -> Fraction:
+    """Fraction of sample points where g's threshold label differs from the
+    sample's reference label."""
     t = s.threshold
-    wrong = sum(1 for x in s.points if (f(x) >= t) != (g(x) >= t))
+    wrong = sum(1 for x, label in zip(s.points, s.labels)
+                if (g(x) >= t) != label)
     return Fraction(wrong, len(s.points))

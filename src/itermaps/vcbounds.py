@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .maps import TentMap, UnimodalMap
+from .maps import TentMap
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def _increasing_cycle_point(p: int) -> Fraction:
     return Fraction(2 ** (p - 1), 1 + 2**p)
 
 
-def shatter(m_map: UnimodalMap, d: int) -> ShatterWitness:
+def shatter(d: int) -> ShatterWitness:
     """Exact shattering witness of size d for the full tent at t = 1/2.
 
     Points are chosen on increasing cycles of the d smallest primes above
@@ -221,17 +221,16 @@ def shatter(m_map: UnimodalMap, d: int) -> ShatterWitness:
     labeling is verified by exact rational iteration of the map itself, not
     by the modular shortcut that constructs it.
     """
-    if not (isinstance(m_map, TentMap) and m_map.r == 1):
-        raise ValueError("exact shattering is implemented for the full tent")
     if not 1 <= d <= 3:
         raise ValueError("desk-scale witness supports d <= 3")
+    tent = TentMap(1)
     base = 3  # smallest odd period of the full tent
     primes = primes_above(base, d)
     points = tuple(_increasing_cycle_point(p) for p in primes)
 
     # sanity: the defining property of each point
     for p, x in zip(primes, points):
-        assert x < Fraction(1, 2) <= m_map(x)
+        assert x < Fraction(1, 2) <= tent(x)
 
     table: dict[str, int] = {}
     for mask in range(2**d):
@@ -248,7 +247,7 @@ def shatter(m_map: UnimodalMap, d: int) -> ShatterWitness:
         for j, x in enumerate(points):
             y = x
             for _ in range(k):
-                y = m_map(y)
+                y = tent(y)
             got = 1 if y >= Fraction(1, 2) else 0
             if got != int(sigma[j]):
                 raise AssertionError(

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from itermaps.cli import build_parser, main, parse_map
-from itermaps import maps, pl
+from itermaps import maps, pl, spectra
 
 
 def run(argv, capsys):
@@ -112,6 +112,28 @@ class TestCertify:
     def test_missing_cycle_is_failure(self, capsys):
         code = main(["certify", "--map", "tent:51/100", "--p", "3", "--k", "4"])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "no increasing or Stefan 3-cycle detected\n")
+
+    def test_stefan_cycle_when_no_increasing_one(self, tmp_path, capsys):
+        code, out = run(["--out", str(tmp_path), "certify", "--map",
+                         "tent:9/10", "--p", "5", "--k", "12"], capsys)
+        assert code == 0
+        assert "ASSERT FAIL" not in out
+        payload = json.loads((tmp_path / "certify.json").read_text())
+        assert payload["certificate"]["mode"] == "stefan"
+        # odd_linf threshold at the default depth 2: rho_odd(5)^((12-5)/2)/8
+        assert payload["width_threshold"]["u_max"] == pytest.approx(
+            spectra.rho_odd(5) ** (7 / 2) / 8, rel=1e-12)
+
+    def test_cap_bounds_stefan_certificate_stage(self, capsys):
+        code = main(["--cap", "500", "certify", "--map", "tent:9/10",
+                     "--p", "5", "--k", "12"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "ASSERT" not in captured.out
+        assert captured.err == ("resource cap exceeded: "
+                                "f^10 has more than 500 turning points\n")
 
     def test_cap_bounds_certificate_stage(self, capsys):
         # M(f^10) - 1 = 1023 turning points for the full tent: the lap walk
@@ -222,7 +244,9 @@ class TestExactOutputsPinned:
     The digests were recorded before the PL kernel's sweep rewrite; a change
     that only makes the exact path faster must leave every byte in place.
     The flat-tent certificate was recorded while crossings were still counted
-    on the built f^k; it guards the plateau path of the lap walk.
+    on the built f^k; it guards the plateau path of the lap walk.  The
+    tent:9/10 5-cycle is Stefan and not increasing; its pin guards the
+    Stefan certificate rule.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -236,7 +260,10 @@ class TestExactOutputsPinned:
          "5d5b442fd2bcca69b7ec392a22ea9c8f1feb427d6f7e846294961eaf9d82c0be"),
         (["certify", "--map", "flat_tent:1", "--k", "8"],
          "6ee622915254b9e5a8f87ea43f8913391f2c80397a6ab5b6dfa5ef7ec86f9eb4"),
-    ], ids=["certify", "cycles", "counterexample", "synth", "certify_flat"])
+        (["certify", "--map", "tent:9/10", "--p", "5", "--k", "12"],
+         "f020314a47178d7400a0ffa73a8eee0d0debc0a0a5c43a032e9583381f07fd73"),
+    ], ids=["certify", "cycles", "counterexample", "synth", "certify_flat",
+            "certify_stefan"])
     def test_stdout_digest_and_exit_code(self, argv, digest, capsys):
         code, out = run(argv, capsys)
         assert code == 0

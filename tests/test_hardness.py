@@ -32,7 +32,7 @@ def stefan_cycle(m, p):
 class TestIncreasingCertificate:
     def test_golden_tent_k8(self):
         m = maps.tent_near(spectra.rho_inc(3) / 2)
-        cert = hardness.increasing_certificate(m, increasing_cycle(m, 3), 8)
+        cert = hardness.certificate(m, increasing_cycle(m, 3), 8)
         assert cert.count >= PHI**8 / 2  # >= 24
         assert float(cert.width) >= 1 / 18
         # soundness: re-measure from scratch
@@ -44,14 +44,14 @@ class TestIncreasingCertificate:
         # default cap of 10^7
         m = maps.TentMap(1)
         cycle = increasing_cycle(m, 3)
-        cert = hardness.increasing_certificate(m, cycle, 24, cap=2**24)
+        cert = hardness.certificate(m, cycle, 24, cap=2**24)
         assert cert.count == 2**24
         with pytest.raises(ResourceLimitError):
-            hardness.increasing_certificate(m, cycle, 24)
+            hardness.certificate(m, cycle, 24)
 
     def test_logistic_superstable_123(self):
         m = maps.LogisticMap(0.9580)
-        cert = hardness.increasing_certificate(m, increasing_cycle(m, 3), 8)
+        cert = hardness.certificate(m, increasing_cycle(m, 3), 8)
         assert float(cert.width) >= 1 / 18
         assert cert.count >= spectra.rho_inc(3) ** 8 / 2
 
@@ -64,20 +64,19 @@ class TestIncreasingCertificate:
                                  itinerary=(1, 3, 2, 4), exact=True,
                                  residual=0.0)
         with pytest.raises(CertificateError):
-            hardness.increasing_certificate(m, rec, 5)
+            hardness.certificate(m, rec, 5)
         del two
 
     def test_asymmetric_map_rejected(self):
         m = hardness.build_need_symmetry(3, F(1, 10))
         c = increasing_cycle(m, 3)
         with pytest.raises(CertificateError, match="symmetric"):
-            hardness.increasing_certificate(m, c, 4)
+            hardness.certificate(m, c, 4)
 
     def test_p4_and_p5_tents(self):
         for p in (4, 5):
             m = maps.tent_near(spectra.rho_inc(p) / 2)
-            cert = hardness.increasing_certificate(
-                m, increasing_cycle(m, p), 10)
+            cert = hardness.certificate(m, increasing_cycle(m, p), 10)
             assert cert.count >= spectra.rho_inc(p) ** 10 / 2
             assert float(cert.width) >= 1 / 18
 
@@ -85,14 +84,19 @@ class TestIncreasingCertificate:
 class TestStefanCertificate:
     def test_logistic_13425(self):
         m = maps.LogisticMap(0.9347)
-        cert = hardness.stefan_certificate(m, stefan_cycle(m, 5), 12)
+        cert = hardness.certificate(m, stefan_cycle(m, 5), 12)
         assert cert.count >= spectra.rho_odd(5) ** (12 - 5)  # about 18.2
         assert float(cert.width) >= 0.07
 
     def test_logistic_123_stefan(self):
+        # 123 is Stefan and increasing: the increasing rule, which needs
+        # more crossings (PHI^10 / 2 > PHI^(10 - 3)), decides
         m = maps.LogisticMap(0.9580)
-        cert = hardness.stefan_certificate(m, stefan_cycle(m, 3), 10)
-        assert cert.count >= PHI ** (10 - 3)
+        c = stefan_cycle(m, 3)
+        assert c.increasing
+        cert = hardness.certificate(m, c, 10)
+        assert cert.mode == "increasing"
+        assert cert.count >= PHI**10 / 2 > PHI ** (10 - 3)
         assert float(cert.width) >= 0.07
 
     def test_even_period_rejected(self):
@@ -101,13 +105,36 @@ class TestStefanCertificate:
                                  orbit=(F(1, 5), F(3, 5), F(2, 5), F(4, 5)),
                                  itinerary=(1, 3, 2, 4), exact=True,
                                  residual=0.0)
-        with pytest.raises(CertificateError):
-            hardness.stefan_certificate(m, rec, 10)
+        with pytest.raises(CertificateError,
+                           match="neither increasing nor Stefan"):
+            hardness.certificate(m, rec, 10)
 
     def test_k_must_exceed_p(self):
-        m = maps.LogisticMap(0.9580)
-        with pytest.raises(CertificateError):
-            hardness.stefan_certificate(m, stefan_cycle(m, 3), 3)
+        m = maps.LogisticMap(0.9347)
+        c = stefan_cycle(m, 5)
+        assert not c.increasing
+        with pytest.raises(CertificateError, match="need k > p"):
+            hardness.certificate(m, c, 5)
+
+    def test_tent_stefan_only_cycle(self):
+        m = maps.TentMap(F(9, 10))
+        c = stefan_cycle(m, 5)
+        assert not any(r.increasing for r in cycles.find_cycles(m, 5)
+                       if r.period == 5)
+        cert = hardness.certificate(m, c, 12)
+        assert (cert.mode, cert.count, cert.width) == ("stefan", 1546,
+                                                       F(8082, 31087))
+        assert cert.width_floor == F(7, 100)
+        # soundness: re-measure from scratch
+        fk = pl.iterate(m.to_pl(), 12)
+        assert pl.crossings(fk, cert.a, cert.b) == cert.count
+
+    def test_cap_bounds_stefan_count(self):
+        m = maps.TentMap(F(9, 10))
+        c = stefan_cycle(m, 5)
+        with pytest.raises(ResourceLimitError,
+                           match="more than 500 turning points"):
+            hardness.certificate(m, c, 12, cap=500)
 
 
 class TestWidthThreshold:
@@ -140,6 +167,15 @@ def full_band_certificate(k):
 
 
 class TestAdversarialSample:
+    @pytest.mark.parametrize("r", [F(1), F(9, 10)])
+    def test_labels_are_fk_at_threshold(self, r):
+        m = maps.TentMap(r)
+        cert = hardness.certificate(m, increasing_cycle(m, 3), 10)
+        fk = pl.iterate(m.to_pl(), 10)
+        s = hardness.adversarial_sample(fk, cert)
+        assert s.labels == tuple(fk(x) >= s.threshold for x in s.points)
+        assert len(set(s.labels)) == 2
+
     def test_tent_k6(self):
         fk, cert = full_band_certificate(6)
         s = hardness.adversarial_sample(fk, cert)
@@ -223,7 +259,7 @@ class TestCounterexamples:
         for build in (hardness.build_need_symmetry,
                       hardness.build_need_concavity):
             m = build(3, F(1, 10))
-            report = hardness.counterexample_report(m, 3, F(1, 10), k_max=10)
+            report = hardness.counterexample_report(m, F(1, 10), k_max=10)
             assert report["max_linf_error"] <= F(1, 10)
             assert report["net_width"] == 3
 
@@ -232,12 +268,12 @@ class TestCounterexamples:
         for build in (hardness.build_need_symmetry,
                       hardness.build_need_concavity):
             m = build(3, F(1, 100))
-            report = hardness.counterexample_report(m, 3, F(1, 100), k_max=10)
+            report = hardness.counterexample_report(m, F(1, 100), k_max=10)
             assert report["max_linf_error"] <= F(1, 100)
         # ... while the symmetric concave map's certificate forbids any
         # 8-piece candidate within 1/36 of f^10
         m = maps.LogisticMap(0.9580)
-        cert = hardness.increasing_certificate(m, increasing_cycle(m, 3), 10)
+        cert = hardness.certificate(m, increasing_cycle(m, 3), 10)
         assert float(cert.width) >= 1 / 18
         assert cert.count >= PHI**10 / 2 > 8
 

@@ -364,22 +364,31 @@ class TestKernelOracles:
             pl.iterate(TENT, 10, cap=1024)
 
 
+def tent_sample(points, t):
+    """Sample labelled by TENT, the reference function."""
+    return pl.SampleSet(points, t, tuple(TENT(x) >= t for x in points))
+
+
 class TestClassification:
     def test_equal_functions(self):
-        s = pl.SampleSet((F(1, 4), F(1, 2)), F(1, 2))
-        assert pl.classification_error(TENT, TENT, s) == 0
+        s = tent_sample((F(1, 4), F(1, 2)), F(1, 2))
+        assert pl.classification_error(TENT, s) == 0
 
     def test_apex_sample(self):
-        s = pl.SampleSet((F(1, 2),), F(1, 2))
-        assert pl.classification_error(TENT, pl.constant(0), s) == 1
+        s = tent_sample((F(1, 2),), F(1, 2))
+        assert pl.classification_error(pl.constant(0), s) == 1
 
     def test_half_wrong(self):
-        s = pl.SampleSet((F(0), F(1, 2)), F(1, 2))
-        assert pl.classification_error(TENT, pl.constant(0), s) == F(1, 2)
+        s = tent_sample((F(0), F(1, 2)), F(1, 2))
+        assert pl.classification_error(pl.constant(0), s) == F(1, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pl.SampleSet((), F(1, 2))
+            pl.SampleSet((), F(1, 2), ())
+
+    def test_one_label_per_point(self):
+        with pytest.raises(ValueError, match="one label per sample point"):
+            pl.SampleSet((F(1, 4), F(1, 2)), F(1, 2), (True,))
 
 
 class TestSerialization:

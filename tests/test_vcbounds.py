@@ -143,24 +143,24 @@ class TestShatter:
             assert y == x
 
     def test_d1_labels(self):
-        w = vcbounds.shatter(maps.TentMap(1), 1)
+        w = vcbounds.shatter(1)
         assert set(w.table) == {"0", "1"}
         assert w.table["1"] == 1
         assert w.table["0"] == 5
 
     def test_d2_all_labelings(self):
-        w = vcbounds.shatter(maps.TentMap(1), 2)
+        w = vcbounds.shatter(2)
         assert w.primes == (5, 7)
         assert set(w.table) == {"00", "01", "10", "11"}
         assert max(w.table.values()) <= 5 * 7 + 1
 
     def test_d3_all_labelings(self):
-        w = vcbounds.shatter(maps.TentMap(1), 3)
+        w = vcbounds.shatter(3)
         assert w.primes == (5, 7, 11)
         assert len(w.table) == 8
 
     def test_crt_residues(self):
-        w = vcbounds.shatter(maps.TentMap(1), 3)
+        w = vcbounds.shatter(3)
         for sigma, k in w.table.items():
             for p, s in zip(w.primes, sigma):
                 if s == "1":
@@ -168,15 +168,14 @@ class TestShatter:
                 else:
                     assert k % p != 1
 
-    def test_requires_full_tent(self):
-        with pytest.raises(ValueError):
-            vcbounds.shatter(maps.TentMap(F(4, 5)), 2)
-        with pytest.raises(ValueError):
-            vcbounds.shatter(maps.LogisticMap(1.0), 2)
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_rejects_d_outside_1_to_3(self, d):
+        with pytest.raises(ValueError, match="d <= 3"):
+            vcbounds.shatter(d)
 
     def test_witness_json(self):
         import json
-        w = vcbounds.shatter(maps.TentMap(1), 2)
+        w = vcbounds.shatter(2)
         payload = json.loads(w.to_json())
         assert payload["primes"] == [5, 7]
         assert payload["points"] == ["16/33", "64/129"]
