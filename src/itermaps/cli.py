@@ -441,7 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse would read the value of the removed global --jobs as the
+    # subcommand and report an invalid choice instead
+    if any(a == "--jobs" or a.startswith("--jobs=") for a in argv):
+        parser.error("--jobs was removed: sweeps run serially")
+    args = parser.parse_args(argv)
     try:
         code = args.fn(args)
     except ResourceLimitError as exc:

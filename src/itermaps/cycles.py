@@ -177,7 +177,8 @@ def sharkovsky_precedes(p: int, p2: int) -> bool:
 
 
 def _pl_period_roots(f_p: pl.PiecewiseLinear) -> list[Fraction]:
-    return pl.level_set([(x, y - x) for x, y in f_p.knots], 0)
+    g = pl.combine((f_p.raw, pl.identity().raw), (1, -1), 0)
+    return pl.level_set(g, 0)
 
 
 def _smooth_period_roots(m: UnimodalMap, p: int) -> list[float]:

@@ -216,7 +216,7 @@ def certify_against_candidate(fk: pl.PiecewiseLinear, g: pl.PiecewiseLinear,
                               cert: OscCertificate, s: pl.SampleSet
                               ) -> CandidateReport:
     """Measure all three errors exactly and check the counting inequality."""
-    diff = pl.combine((fk.knots, g.knots), (1, -1), 0)
+    diff = pl.combine((fk.raw, g.raw), (1, -1), 0)
     return CandidateReport(
         linf=pl.max_abs(diff),
         l1=pl.abs_integral(diff),
@@ -335,10 +335,12 @@ def three_piece_band_approx(fk: pl.PiecewiseLinear, band_lo, band_hi
     """
     band_lo, band_hi = pl.rat(band_lo), pl.rat(band_hi)
     mid = (band_lo + band_hi) / 2
-    above = [x for x, y in fk.knots if y >= band_lo]
+    xs, dx, ys, dy = fk.raw
+    lo_n, lo_d = band_lo.numerator, band_lo.denominator
+    above = [x for x, y in zip(xs, ys) if y * lo_d >= lo_n * dy]
     if not above:
         raise ValueError("f^k never reaches the band")
-    a, b = min(above), max(above)
+    a, b = Fraction(above[0], dx), Fraction(above[-1], dx)
     pts = [(Fraction(0), Fraction(0)), (a, mid), (b, mid),
            (Fraction(1), Fraction(0))]
     if a == 0:

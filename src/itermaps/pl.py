@@ -1,32 +1,46 @@
 """Exact continuous piecewise-linear functions on [0,1] over rational arithmetic.
 
-Everything in this module is exact: knots are pairs of ``fractions.Fraction``
-and no operation introduces rounding.  This is the carrier for iterated maps
-f^k, for functions computed by rational ReLU networks, and for all error
-measurements (sup norm, integral norm, classification error).
+Everything in this module is exact: no operation introduces rounding.  This
+is the carrier for iterated maps f^k, for functions computed by rational ReLU
+networks, and for all error measurements (sup norm, integral norm,
+classification error).
 
 Beneath ``PiecewiseLinear`` lies one layer of single sweeps over raw knots
-(sorted (x, y), y unclamped) that hash nothing: ``canon`` keeps a knot where
+held as integers: a ``Knots`` is a list of x numerators over one shared
+denominator and a list of y numerators (unclamped) over another.  Slopes and
+levels are compared by cross-multiplying, so a sweep makes no ``Fraction``
+per knot (each Fraction operation reduces by a gcd in Python code, which is
+where the exact engine used to spend its time): ``canon`` keeps a knot where
 the slope changes, ``combine`` sums slope changes, ``level_set``, the norms
-``max_abs`` and ``abs_integral``, and the segment solver ``_at``; no other
-module keeps a copy.  ``compose`` walks inner's pieces through outer's knots.
+``max_abs`` and ``abs_integral``, and ``compose``, which walks inner's pieces
+through outer's knots.  The segment solver ``_at`` finds where a segment
+meets a level and, with x and y swapped, evaluates it; point evaluation,
+``crossing_points`` and ``classification_error`` use it too.  No other module
+keeps a copy.
+
+Fractions are made only at the boundary.  A ``PiecewiseLinear`` keeps its
+knots both ways: ``knots``, pairs of ``Fraction`` (what callers read and what
+is serialised), and ``raw``, the same knots as ``Knots`` over least
+denominators.  Built from Fraction pairs it scales them once; built from
+``Knots`` (as ``compose``, ``relunet.net_to_pl`` and ``relunet.eps_approx``
+do) it runs the same checks and ``canon`` on the integers and makes one
+Fraction pair per knot it keeps.  ``scale`` and ``unscale`` are that
+conversion pair, and the sweeps return Fractions only for their results
+(roots, norms, touch points).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, Sequence
+from itertools import repeat
+from math import gcd, lcm
+from operator import itemgetter, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
-
-Rat = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 #: default ceiling on knot counts produced by compose/iterate
 DEFAULT_KNOT_CAP = 10**7
@@ -47,94 +61,202 @@ def rat(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-def canon(pts: Sequence) -> list:
-    """Raw knots kept only where the slope changes, one division a segment.
+class Knots(NamedTuple):
+    """Raw knots on integers: knot i is (xs[i] / dx, ys[i] / dy).
 
-    A segment as steep as the last kept one moves that knot forward.
+    The x's strictly increase; the y's are unclamped.  dx and dy are
+    positive and shared by the whole list.
     """
-    out = [pts[0]]
-    last = None  # slope of the segment ending at out[-1]
-    for (x0, y0), p in zip(pts, pts[1:]):
-        s = (p[1] - y0) / (p[0] - x0)
-        if s == last:
-            out[-1] = p
+
+    xs: list
+    dx: int
+    ys: list
+    dy: int
+
+
+def scale(pts: Sequence) -> Knots:
+    """Knots of (x, y) pairs of Fractions, over least common denominators."""
+    dx = lcm(*{x.denominator for x, _ in pts})
+    dy = lcm(*{y.denominator for _, y in pts})
+    return Knots([x.numerator * (dx // x.denominator) for x, _ in pts], dx,
+                 [y.numerator * (dy // y.denominator) for _, y in pts], dy)
+
+
+def unscale(k: Knots) -> list:
+    """(x, y) pairs of Fractions of raw knots; equal y's share one Fraction."""
+    xs, dx, ys, dy = k
+    fy = {y: Fraction(y, dy) for y in set(ys)}
+    return list(zip(map(Fraction, xs, repeat(dx)), map(fy.__getitem__, ys)))
+
+
+def _least(xs, dx, ys, dy) -> Knots:
+    """Knots with both denominators divided by what all numerators share."""
+    g = gcd(dx, *xs)
+    if g > 1:
+        xs, dx = [x // g for x in xs], dx // g
+    g = gcd(dy, *ys)
+    if g > 1:
+        ys, dy = [y // g for y in ys], dy // g
+    return Knots(xs, dx, ys, dy)
+
+
+def _common(nums: list, dens: list) -> tuple[list, int]:
+    """The rationals nums[i] / dens[i] (dens positive) as numerators over
+    their least common denominator, which is returned with them.  Both
+    lists are rewritten in place."""
+    for i, d in enumerate(dens):
+        if d != 1:
+            g = gcd(nums[i], d)
+            nums[i] //= g
+            dens[i] = d // g
+    m = lcm(*set(dens))
+    if m != 1:
+        for i, d in enumerate(dens):
+            nums[i] *= m // d
+    return nums, m
+
+
+def _kept(xs, ys) -> list:
+    """Indices canon keeps: one knot per slope change, slopes compared by
+    cross-multiplying.  A segment as steep as the last kept one moves that
+    knot forward."""
+    keep = [0]
+    w0, h0 = 0, 1  # matches no segment: the first one is always kept
+    x0, y0 = xs[0], ys[0]
+    for i in range(1, len(xs)):
+        x1, y1 = xs[i], ys[i]
+        w, h = x1 - x0, y1 - y0
+        if h * w0 == h0 * w:
+            keep[-1] = i
         else:
-            out.append(p)
-            last = s
-    return out
+            keep.append(i)
+            w0, h0 = w, h
+        x0, y0 = x1, y1
+    return keep
 
 
-def combine(inputs: Sequence[Sequence], coeffs: Sequence, bias) -> list:
+def canon(k: Knots) -> Knots:
+    """Raw knots kept only where the slope changes, over least denominators."""
+    xs, dx, ys, dy = k
+    keep = _kept(xs, ys)
+    return _least([xs[i] for i in keep], dx, [ys[i] for i in keep], dy)
+
+
+def combine(inputs: Sequence[Knots], coeffs: Sequence, bias) -> Knots:
     """Raw knots of sum(c * f_i) + bias at every merged abscissa.
 
-    The inputs share one domain.  One sort of their (x, slope change) events
-    and end abscissae merges the presorted runs; a sweep sums the changes at
-    equal x.  Nothing is hashed or evaluated, and nothing canonicalised.
+    The inputs share one domain.  Every slope is reduced and put over one
+    common denominator, so the sweep adds integers.  One sort of the (x,
+    slope change) events and end abscissae merges the presorted runs; a
+    sweep sums the changes at equal x.  Nothing is hashed or evaluated, and
+    nothing canonicalised.
     """
+    dx = lcm(*(k.dx for k in inputs))
+    dy = lcm(bias.denominator,
+             *(c.denominator * k.dy for c, k in zip(coeffs, inputs)))
+    y = bias.numerator * (dy // bias.denominator)
+    scaled = []  # each input on the common scales
+    for c, (xs, kdx, ys, kdy) in zip(coeffs, inputs):
+        mx = dx // kdx
+        my = c.numerator * (dy // (c.denominator * kdy))
+        if mx != 1:
+            xs = [x * mx for x in xs]
+        if my != 1:
+            ys = [v * my for v in ys]
+        y += ys[0]
+        scaled.append((xs, ys))
+    # every slope rise / run, reduced, has a run that divides q
+    q = lcm(*{w // gcd(h, w) for xs, ys in scaled
+              for w, h in zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))})
     events = []
-    y = bias
-    for c, knots in zip(coeffs, inputs):
-        y += c * knots[0][1]
+    for xs, ys in scaled:
         prev = 0
-        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-            s = c * (y1 - y0) / (x1 - x0)
-            events.append((x0, s - prev))
+        for i in range(len(xs) - 1):
+            s = (ys[i + 1] - ys[i]) * q // (xs[i + 1] - xs[i])  # exact
+            events.append((xs[i], s - prev))
             prev = s
-        events.append((knots[-1][0], 0))
+        events.append((xs[-1], 0))
     events.sort(key=itemgetter(0))
-    out = [(events[0][0], y)]
+    y *= q
+    last = events[0][0]
+    out_x, out_y = [last], [y]
     slope = 0
     for x, bend in events:
-        if x != out[-1][0]:
-            y += slope * (x - out[-1][0])
-            out.append((x, y))
+        if x != last:
+            y += slope * (x - last)
+            out_x.append(x)
+            out_y.append(y)
+            last = x
         slope += bend
-    return out
+    return Knots(out_x, dx, out_y, dy * q)
 
 
-def _at(p, q, level) -> Fraction:
-    """The x at which the non-flat segment from knot p to knot q is level."""
-    (x0, y0), (x1, y1) = p, q
-    return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+def _at(x0, y0, x1, y1, level) -> tuple[int, int]:
+    """Where the non-flat segment from (x0, y0) to (x1, y1) is level, as
+    (n, d) with d > 0 and x = n / d in x0's units; the y's and level share
+    one scale.  With the roles swapped it evaluates a segment."""
+    d = y1 - y0
+    n = x0 * d + (level - y0) * (x1 - x0)
+    return (n, d) if d > 0 else (-n, -d)
 
 
-def level_set(knots: Sequence, y) -> list:
+def _on_scale(ys, dy, *levels) -> tuple[list, list]:
+    """ys (over dy) and the Fraction levels as numerators over one scale."""
+    s = lcm(dy, *(v.denominator for v in levels))
+    if s != dy:
+        ys = [y * (s // dy) for y in ys]
+    return ys, [v.numerator * (s // v.denominator) for v in levels]
+
+
+def level_set(knots: Knots, y) -> list[Fraction]:
     """Sorted x with f(x) = y on raw knots; a flat piece at y gives both ends."""
+    xs, dx, ys, dy = knots
+    ys, (level,) = _on_scale(ys, dy, rat(y))
     hits = []
-    it = iter(knots)
-    p = next(it)
-    for q in it:
-        y0, y1 = p[1], q[1]
+    last = (-1, 1)  # the last hit x as (n, d): x = n / (d * dx)
+
+    def add(n, d):
+        nonlocal last
+        if last[0] * d != n * last[1]:
+            hits.append(Fraction(n, d * dx))
+            last = (n, d)
+
+    for i in range(len(xs) - 1):
+        y0, y1 = ys[i], ys[i + 1]
         if y0 == y1:
-            if y0 == y:
-                if not hits or hits[-1] != p[0]:
-                    hits.append(p[0])
-                hits.append(q[0])
-        elif y0 <= y <= y1 or y1 <= y <= y0:
-            x = _at(p, q, y)
-            if not hits or hits[-1] != x:
-                hits.append(x)
-        p = q
+            if y0 == level:
+                add(xs[i], 1)
+                add(xs[i + 1], 1)
+        elif y0 <= level <= y1 or y1 <= level <= y0:
+            add(*_at(xs[i], y0, xs[i + 1], y1, level))
     return hits
 
 
-def max_abs(knots: Sequence):
+def max_abs(knots: Knots) -> Fraction:
     """max |y| over raw knots: the sup norm of the function they define."""
-    return max(abs(y) for _, y in knots)
+    ys = knots.ys
+    return Fraction(max(max(ys), -min(ys)), knots.dy)
 
 
-def abs_integral(knots: Sequence) -> Fraction:
+def abs_integral(knots: Knots) -> Fraction:
     """Exact integral of |y| over raw knots, as twice the area halved once.
 
-    A sign change from d0 to d1 adds (d0^2 + d1^2)(x1 - x0) / (|d0| + |d1|).
+    A segment of width w adds (|d0| + |d1|) w, or (d0^2 + d1^2) w /
+    (|d0| + |d1|) where the sign changes from d0 to d1.  The integer terms
+    sum as integers; the divided ones are summed per divisor, of which there
+    are few, and divided once each.
     """
-    total = ZERO
-    for (x0, d0), (x1, d1) in zip(knots, knots[1:]):
+    xs, dx, ys, dy = knots
+    whole = 0
+    parts = {}  # |d0| + |d1| -> sum of (d0^2 + d1^2) w over sign changes
+    for x0, x1, d0, d1 in zip(xs, xs[1:], ys, ys[1:]):
         if d0 < 0 < d1 or d1 < 0 < d0:
-            total += (d0 * d0 + d1 * d1) * (x1 - x0) / (abs(d0) + abs(d1))
+            b = abs(d0) + abs(d1)
+            parts[b] = parts.get(b, 0) + (d0 * d0 + d1 * d1) * (x1 - x0)
         else:
-            total += (abs(d0) + abs(d1)) * (x1 - x0)
-    return total / 2
+            whole += (abs(d0) + abs(d1)) * (x1 - x0)
+    total = sum((Fraction(a, b) for b, a in parts.items()), Fraction(whole))
+    return total / (2 * dx * dy)
 
 
 @dataclass(frozen=True)
@@ -144,41 +266,48 @@ class PiecewiseLinear:
     Knot x's strictly increase from 0 to 1, values stay in [0,1], and no
     interior knot is collinear with its neighbours (construction removes
     redundant knots, so equality of functions is equality of knot tuples).
+    Built from (x, y) pairs of exact rationals or from ``Knots``; ``raw``
+    holds the kept knots as ``Knots`` over least denominators.
     """
 
     knots: tuple[tuple[Fraction, Fraction], ...]
+    raw: Knots = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = [(rat(x), rat(y)) for x, y in self.knots]
-        if not pts:
+        if isinstance(self.knots, Knots):
+            k, pts = self.knots, None
+        else:
+            pts = [(rat(x), rat(y)) for x, y in self.knots]
+            k = scale(pts)
+        xs, dx, ys, dy = k
+        if not xs:
             raise ValueError("empty knot list")
-        xs = [p[0] for p in pts]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("knot x-coordinates must strictly increase")
-        if xs[0] != 0 or xs[-1] != 1:
+        if xs[0] != 0 or xs[-1] != dx:
             raise ValueError("knots must span [0,1]")
-        if any(not (0 <= y <= 1) for _, y in pts):
+        if min(ys) < 0 or max(ys) > dy:
             raise ValueError("knot values must lie in [0,1]")
-        object.__setattr__(self, "knots", tuple(canon(pts)))
+        keep = _kept(xs, ys)
+        raw = _least([xs[i] for i in keep], dx, [ys[i] for i in keep], dy)
+        if pts is None:
+            knots = tuple(unscale(raw))
+        else:
+            knots = tuple(pts[i] for i in keep)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "raw", raw)
 
     def __call__(self, x) -> Fraction:
         x = rat(x)
         if not (0 <= x <= 1):
             raise ValueError(f"x={x} outside [0,1]")
-        ks = self.knots
-        lo, hi = 0, len(ks) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ks[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (x0, y0), (x1, y1) = ks[lo], ks[hi]
-        if x == x0:
-            return y0
-        if x == x1:
-            return y1
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        xs, dx, ys, dy = self.raw
+        u, q = x.numerator * dx, x.denominator  # x on the scale q * dx
+        j = bisect_right(xs, u // q) - 1  # the last knot at or left of x
+        if xs[j] * q == u:
+            return self.knots[j][1]
+        n, d = _at(ys[j], xs[j] * q, ys[j + 1], xs[j + 1] * q, u)
+        return Fraction(n, d * dy)
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:
@@ -219,17 +348,31 @@ def constant(c) -> PiecewiseLinear:
 
 def compose(inner: PiecewiseLinear, outer: PiecewiseLinear,
             cap: int = DEFAULT_KNOT_CAP) -> PiecewiseLinear:
-    """Exact outer(inner(x)), in one sweep over inner's segments.
+    """Exact outer(inner(x)), in one integer sweep over inner's segments.
 
     A non-flat piece gains the preimages of outer's interior knots, in order
     along the piece, at those knots' ordinates; inner's knots take outer(y).
     Raises ResourceLimitError once the knots would number more than `cap`.
     """
-    oxs = [x for x, _ in outer.knots]
-    room = cap - len(inner.knots)  # preimages the cap leaves room for
-    pts = [(ZERO, outer(inner.knots[0][1]))]
-    for p, q in zip(inner.knots, inner.knots[1:]):
-        y0, y1 = p[1], q[1]
+    ixs, idx, iys, idy = inner.raw
+    oxs, odx, oys, ody = outer.raw
+    s = lcm(idy, odx)  # one scale for inner's values and outer's abscissae
+    if s != idy:
+        iys = [y * (s // idy) for y in iys]
+    if s != odx:
+        oxs = [x * (s // odx) for x in oxs]
+
+    def outer_at(y):
+        j = bisect_left(oxs, y)
+        if oxs[j] == y:
+            return oys[j], 1
+        return _at(oys[j - 1], oxs[j - 1], oys[j], oxs[j], y)
+
+    room = cap - len(ixs)  # preimages the cap leaves room for
+    n, d = outer_at(iys[0])
+    xn, xd, yn, yd = [ixs[0]], [1], [n], [d]
+    for i in range(len(ixs) - 1):
+        x0, y0, x1, y1 = ixs[i], iys[i], ixs[i + 1], iys[i + 1]
         if y0 != y1:
             lo = bisect_right(oxs, min(y0, y1))
             hi = bisect_left(oxs, max(y0, y1))
@@ -237,9 +380,20 @@ def compose(inner: PiecewiseLinear, outer: PiecewiseLinear,
             room -= len(hit)
             if room < 0:
                 raise ResourceLimitError(f"composition exceeds {cap} knots")
-            pts.extend((_at(p, q, oxs[j]), outer.knots[j][1]) for j in hit)
-        pts.append((q[0], outer(y1)))
-    return PiecewiseLinear(tuple(pts))
+            for j in hit:
+                n, d = _at(x0, y0, x1, y1, oxs[j])
+                xn.append(n)
+                xd.append(d)
+                yn.append(oys[j])
+                yd.append(1)
+        xn.append(x1)
+        xd.append(1)
+        n, d = outer_at(y1)
+        yn.append(n)
+        yd.append(d)
+    xs, mx = _common(xn, xd)
+    ys, my = _common(yn, yd)
+    return PiecewiseLinear(Knots(xs, idx * mx, ys, ody * my))
 
 
 def iterate(f: PiecewiseLinear, k: int,
@@ -259,10 +413,11 @@ def monotone_pieces(f: PiecewiseLinear) -> int:
     Flat segments merge into the adjacent monotone piece, so only sign
     alternations of the nonzero slopes are counted.
     """
-    signs = [1 if s > 0 else -1 for s in f.slopes if s != 0]
-    if not signs:
+    ys = f.raw.ys
+    rising = [y1 > y0 for y0, y1 in zip(ys, ys[1:]) if y1 != y0]
+    if not rising:
         return 1
-    return 1 + sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return 1 + sum(1 for a, b in zip(rising, rising[1:]) if a != b)
 
 
 def crossing_points(f: PiecewiseLinear, a, b) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -276,25 +431,27 @@ def crossing_points(f: PiecewiseLinear, a, b) -> tuple[tuple[Fraction, Fraction]
     a, b = rat(a), rat(b)
     if not (0 <= a < b <= 1):
         raise ValueError("need 0 <= a < b <= 1")
-    events: list[tuple[Fraction, Fraction]] = []
-    for p, q in zip(f.knots, f.knots[1:]):
-        y0, y1 = p[1], q[1]
+    xs, dx, ys, dy = f.raw
+    ys, (la, lb) = _on_scale(ys, dy, a, b)
+    touches = []  # (x, level); a touch of the last touch's level is dropped
+    top = None  # whether the last touch is of b
+
+    def touch(n, d, at_b):
+        nonlocal top
+        if at_b is not top:
+            touches.append((Fraction(n, d * dx), b if at_b else a))
+            top = at_b
+
+    for i in range(len(xs) - 1):
+        y0, y1 = ys[i], ys[i + 1]
         if y0 == y1:
-            if y0 == a or y0 == b:
-                events.append(p)
+            if y0 == la or y0 == lb:
+                touch(xs[i], 1, y0 == lb)
             continue
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        hits = []
-        for level in (a, b):
-            if lo <= level <= hi:
-                hits.append((_at(p, q, level), level))
-        events.extend(sorted(hits))
-    collapsed: list[tuple[Fraction, Fraction]] = []
-    for ev in events:
-        if collapsed and collapsed[-1][1] == ev[1]:
-            continue
-        collapsed.append(ev)
-    return tuple(collapsed)
+        for level in ((la, lb) if y0 < y1 else (lb, la)):
+            if y0 <= level <= y1 or y1 <= level <= y0:
+                touch(*_at(xs[i], y0, xs[i + 1], y1, level), level == lb)
+    return tuple(touches)
 
 
 def crossings(f: PiecewiseLinear, a, b) -> int:
@@ -305,12 +462,7 @@ def crossings(f: PiecewiseLinear, a, b) -> int:
 
 def linf_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
     """Exact sup |f - g|; attained at a knot of the merged breakpoint set."""
-    return max_abs(combine((f.knots, g.knots), (1, -1), 0))
-
-
-def l1_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
-    """Exact integral of |f - g| over [0,1]."""
-    return abs_integral(combine((f.knots, g.knots), (1, -1), 0))
+    return max_abs(combine((f.raw, g.raw), (1, -1), 0))
 
 
 @dataclass(frozen=True)
@@ -344,8 +496,20 @@ class SampleSet:
 
 def classification_error(g: PiecewiseLinear, s: SampleSet) -> Fraction:
     """Fraction of sample points where g's threshold label differs from the
-    sample's reference label."""
-    t = s.threshold
-    wrong = sum(1 for x, label in zip(s.points, s.labels)
-                if (g(x) >= t) != label)
+    sample's reference label.
+
+    One merge sweep evaluates g at the sorted points on its integer knots.
+    """
+    xs, dx, ys, dy = g.raw
+    tn, td = s.threshold.numerator, s.threshold.denominator
+    wrong = 0
+    j = 0
+    for x, label in zip(s.points, s.labels):
+        p, q = x.numerator, x.denominator
+        u = p * dx  # x on the scale q * dx
+        while xs[j + 1] * q < u:
+            j += 1
+        n, d = _at(ys[j], xs[j] * q, ys[j + 1], xs[j + 1] * q, u)
+        if (n * td >= tn * d * dy) != label:
+            wrong += 1
     return Fraction(wrong, len(s.points))

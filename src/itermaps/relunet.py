@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import pl
 from .errors import ResourceLimitError
@@ -126,42 +127,61 @@ def stack(block: ReluNetwork, k: int) -> ReluNetwork:
     return ReluNetwork(layers=block.layers * k)
 
 
-def _raw_relu(knots):
+def _raw_relu(k: pl.Knots) -> pl.Knots:
     """ReLU of raw knots: zero crossings become knots, negatives clip to 0."""
-    pts = []
-    for p, q in zip(knots, knots[1:]):
-        pts.append(p)
-        if p[1] * q[1] < 0:
-            pts.append((pl._at(p, q, 0), Fraction(0)))
-    pts.append(knots[-1])
-    clipped = [(x, y if y > 0 else Fraction(0)) for x, y in pts]
-    return pl.canon(clipped)
+    xs, dx, ys, dy = k
+    xn, xd, out = [], [], []
+    for i in range(len(xs) - 1):
+        xn.append(xs[i])
+        xd.append(1)
+        out.append(max(ys[i], 0))
+        if ys[i] * ys[i + 1] < 0:
+            n, d = pl._at(xs[i], ys[i], xs[i + 1], ys[i + 1], 0)
+            xn.append(n)
+            xd.append(d)
+            out.append(0)
+    xn.append(xs[-1])
+    xd.append(1)
+    out.append(max(ys[-1], 0))
+    xs, m = pl._common(xn, xd)
+    return pl.canon(pl.Knots(xs, dx * m, out, dy))
+
+
+def _distinct_abscissae(state: list[pl.Knots]) -> int:
+    """Number of distinct knot abscissae over all of state's knot lists."""
+    dx = lcm(*(k.dx for k in state))
+    seen = set()
+    for k in state:
+        m = dx // k.dx
+        seen.update(x * m for x in k.xs)
+    return len(seen)
 
 
 def net_to_pl(n: ReluNetwork, cap: int = pl.DEFAULT_KNOT_CAP
               ) -> pl.PiecewiseLinear:
     """Exact PL computed by a rational-weight network on [0,1].
 
-    The output is audited against the [0,1] codomain; out-of-range values
-    are reported as an error, never clamped silently.
+    Every unit's function is propagated as integer ``pl.Knots``.  The output
+    is audited against the [0,1] codomain; out-of-range values are reported
+    as an error, never clamped silently.
     """
     if not n.rational:
         raise ValueError("exact PL propagation needs rational weights")
-    state = [[(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]]
+    state = [pl.identity().raw]
     last = len(n.layers) - 1
     for i, (w, b) in enumerate(n.layers):
-        if len({x for knots in state for x, _ in knots}) > cap:
+        if _distinct_abscissae(state) > cap:
             raise ResourceLimitError(f"network PL exceeds {cap} knots")
         state = [pl.canon(pl.combine(state, row, bias))
                  for row, bias in zip(w, b)]
         if i != last:
             state = [_raw_relu(k) for k in state]
-    out = state[0]
-    bad = [(x, y) for x, y in out if not (0 <= y <= 1)]
+    xs, dx, ys, dy = out = state[0]
+    bad = [i for i, y in enumerate(ys) if not (0 <= y <= dy)]
     if bad:
-        x, y = bad[0]
+        x, y = Fraction(xs[bad[0]], dx), Fraction(ys[bad[0]], dy)
         raise ValueError(f"network output leaves [0,1]: f({x}) = {y}")
-    return pl.new(out)
+    return pl.PiecewiseLinear(out)
 
 
 def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
@@ -177,38 +197,42 @@ def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
     if eps >= 1:
         return pl.constant(Fraction(1, 2))
 
-    # split knots into maximal monotone runs (flats merge rightward)
-    ks = f.knots
-    out = [ks[0]]
-    run_start = 0
-    i = 0
-    dirs = []
-    for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
-        s = y1 - y0
-        dirs.append(0 if s == 0 else (1 if s > 0 else -1))
+    # f's values and the levels, eps apart, as integers over one scale
+    xs, dx, ys, dy = f.raw
+    s = lcm(dy, eps.denominator)
+    if s != dy:
+        ys = [y * (s // dy) for y in ys]
+    step = eps.numerator * (s // eps.denominator)
+    xn, xd, out = [xs[0]], [1], [ys[0]]  # knot x = xn / (xd * dx)
+
+    def emit(n, d, y):
+        if n * xd[-1] > xn[-1] * d:  # only points right of the last one
+            xn.append(n)
+            xd.append(d)
+            out.append(y)
 
     def emit_run(lo: int, hi: int):
         """Approximate f on knots[lo..hi] (monotone) by eps-spaced levels."""
-        if hi == lo + 1:  # one segment: its level points are collinear
-            out.append(ks[hi])
-            return
-        y0, y1 = ks[lo][1], ks[hi][1]
-        sign = 1 if y1 >= y0 else -1
-        levels = [y0]
-        while abs(y1 - levels[-1]) > eps:
-            levels.append(levels[-1] + sign * eps)
-        levels.append(y1)
-        j = lo
-        for level in levels[1:-1]:
-            while not _level_in(ks[j], ks[j + 1], level):
-                j += 1
-            out.append((pl._at(ks[j], ks[j + 1], level), level))
-        out.append(ks[hi])
+        if hi > lo + 1:  # on one segment the level points are collinear
+            y0, y1 = ys[lo], ys[hi]
+            sign = 1 if y1 >= y0 else -1
+            level = y0
+            j = lo
+            while abs(y1 - level) > step:
+                level += sign * step
+                while not _level_in(j, level):
+                    j += 1
+                emit(*pl._at(xs[j], ys[j], xs[j + 1], ys[j + 1], level),
+                     level)
+        emit(xs[hi], 1, ys[hi])
 
-    def _level_in(a, b, level):
-        lo_v, hi_v = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-        return lo_v <= level <= hi_v and a[1] != b[1]
+    def _level_in(j, level):
+        a, b = ys[j], ys[j + 1]
+        return a != b and min(a, b) <= level <= max(a, b)
 
+    # split knots into maximal monotone runs (flats merge rightward)
+    dirs = [(y1 > y0) - (y1 < y0) for y0, y1 in zip(ys, ys[1:])]
+    run_start = 0
     cur = dirs[0]
     for idx in range(1, len(dirs)):
         if dirs[idx] != 0 and cur != 0 and dirs[idx] != cur:
@@ -217,10 +241,7 @@ def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
             cur = dirs[idx]
         elif cur == 0:
             cur = dirs[idx]
-    emit_run(run_start, len(ks) - 1)
+    emit_run(run_start, len(ys) - 1)
 
-    dedup = [out[0]]
-    for p in out[1:]:
-        if p[0] > dedup[-1][0]:
-            dedup.append(p)
-    return pl.new(dedup)
+    xs, m = pl._common(xn, xd)
+    return pl.PiecewiseLinear(pl.Knots(xs, dx * m, out, s))

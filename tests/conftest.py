@@ -31,6 +31,22 @@ def random_unit_map(rng, max_interior=4):
     return pl.new(knots)
 
 
+def pointwise_l1(f, g):
+    """Integral of |f - g| from f and g evaluated at each merged knot."""
+    xs = sorted({x for x, _ in f.knots} | {x for x, _ in g.knots})
+    total = Fraction(0)
+    for x0, x1 in zip(xs, xs[1:]):
+        d0 = f(x0) - g(x0)
+        d1 = f(x1) - g(x1)
+        w = x1 - x0
+        if d0 * d1 < 0:
+            z = x0 + d0 * w / (d0 - d1)
+            total += abs(d0) * (z - x0) / 2 + abs(d1) * (x1 - z) / 2
+        else:
+            total += (abs(d0) + abs(d1)) * w / 2
+    return total
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

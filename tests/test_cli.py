@@ -220,11 +220,15 @@ class TestSharedOptions:
             main(["--format", "csv", "rho-table"])
         assert exc.value.code == 2
 
-    def test_jobs_flag_removed(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--jobs", "2", "bifurcation", "--family", "tent",
-                  "--steps", "5"])
-        assert exc.value.code == 2
+    def test_jobs_flag_removed(self, capsys):
+        for argv in (["--jobs", "2", "bifurcation", "--steps", "5"],
+                     ["bifurcation", "--jobs", "2", "--steps", "5"],
+                     ["--jobs=2", "vc"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--jobs was removed" in err
 
 
 class TestUsage:

@@ -191,8 +191,8 @@ class TestCycleCountOracles:
             found = cycles.find_cycles(m, 6)
             iterates = [pl.iterate(f, p) for p in range(7)]
             for p in range(1, 7):
-                roots = pl.level_set(
-                    [(x, y - x) for x, y in iterates[p].knots], 0)
+                roots = pl.level_set(pl.scale(
+                    [(x, y - x) for x, y in iterates[p].knots]), 0)
                 minimal = [x for x in roots
                            if all(iterates[d](x) != x
                                   for d in range(1, p) if p % d == 0)]

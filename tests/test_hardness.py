@@ -10,6 +10,8 @@ import pytest
 from itermaps import cycles, hardness, maps, pl, relunet, spectra
 from itermaps.errors import CertificateError, ResourceLimitError
 
+from conftest import pointwise_l1
+
 PHI = (1 + math.sqrt(5)) / 2
 
 
@@ -219,6 +221,26 @@ class TestCandidateSweep:
             if report.counting_applies:
                 assert report.cls_error >= F(1, 4)
                 assert report.linf >= F(1, 4)
+
+    def test_norms_match_pointwise_references_tent_k8(self):
+        # the 13 candidates certify builds at its defaults, for tent:9/10
+        m = maps.TentMap(F(9, 10))
+        cert = hardness.certificate(m, increasing_cycle(m, 3), 8)
+        fk = pl.iterate(m.to_pl(), 8)
+        s = hardness.adversarial_sample(fk, cert)
+        rng = random.Random(7)
+        candidates = [hardness.decimated_candidate(fk, 8),
+                      hardness.least_squares_candidate(fk, 8),
+                      relunet.eps_approx(fk, F(1, 8))]
+        candidates += [hardness.random_candidate(rng, 8) for _ in range(10)]
+        for g in candidates:
+            report = hardness.certify_against_candidate(fk, g, cert, s)
+            xs = {x for x, _ in fk.knots} | {x for x, _ in g.knots}
+            assert report.linf == max(abs(fk(x) - g(x)) for x in xs)
+            assert report.l1 == pointwise_l1(fk, g)
+            wrong = sum((g(x) >= s.threshold) != label
+                        for x, label in zip(s.points, s.labels))
+            assert report.cls_error == F(wrong, len(s))
 
     def test_generators_respect_budget(self, rng):
         fk, _ = full_band_certificate(7)

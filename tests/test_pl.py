@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 from itermaps import maps, pl
 from itermaps.errors import ResourceLimitError
 
-from conftest import random_pl, random_rational, random_unit_map
+from conftest import pointwise_l1, random_pl, random_rational, random_unit_map
 
 TENT = pl.new([(0, 0), (F(1, 2), 1), (1, 0)])
+
+
+def l1_diff(f, g):
+    """Exact integral of |f - g| over [0,1], through the raw-knot layer."""
+    return pl.abs_integral(pl.combine((f.raw, g.raw), (1, -1), 0))
 
 
 def tent(r):
@@ -177,34 +182,18 @@ class TestErrors:
         assert pl.linf_diff(TENT, pl.identity()) == 1
 
     def test_l1_self(self):
-        assert pl.l1_diff(TENT, TENT) == 0
+        assert l1_diff(TENT, TENT) == 0
 
     def test_l1_tent_triangle_area(self):
-        assert pl.l1_diff(TENT, pl.constant(0)) == F(1, 2)
+        assert l1_diff(TENT, pl.constant(0)) == F(1, 2)
 
     def test_l1_identity_vs_half(self):
         # two triangles of area 1/8 each
-        assert pl.l1_diff(pl.identity(), pl.constant(F(1, 2))) == F(1, 4)
+        assert l1_diff(pl.identity(), pl.constant(F(1, 2))) == F(1, 4)
 
     def test_l1_sign_change_split(self):
         # f - g changes sign at x = 1/2; integral of |x - 1/2| = 1/4
-        assert pl.l1_diff(pl.identity(), pl.constant(F(1, 2))) == F(1, 4)
-
-
-def pointwise_l1(f, g):
-    """Integral of |f - g| from f and g evaluated at each merged knot."""
-    xs = sorted({x for x, _ in f.knots} | {x for x, _ in g.knots})
-    total = F(0)
-    for x0, x1 in zip(xs, xs[1:]):
-        d0 = f(x0) - g(x0)
-        d1 = f(x1) - g(x1)
-        w = x1 - x0
-        if d0 * d1 < 0:
-            z = x0 + d0 * w / (d0 - d1)
-            total += abs(d0) * (z - x0) / 2 + abs(d1) * (x1 - z) / 2
-        else:
-            total += (abs(d0) + abs(d1)) * w / 2
-    return total
+        assert l1_diff(pl.identity(), pl.constant(F(1, 2))) == F(1, 4)
 
 
 class TestRawKnots:
@@ -213,14 +202,14 @@ class TestRawKnots:
             f, g = random_pl(rng), random_pl(rng)
             xs = {x for x, _ in f.knots} | {x for x, _ in g.knots}
             assert pl.linf_diff(f, g) == max(abs(f(x) - g(x)) for x in xs)
-            assert pl.l1_diff(f, g) == pointwise_l1(f, g)
+            assert l1_diff(f, g) == pointwise_l1(f, g)
 
     def test_combine_is_pointwise_sum(self, rng):
         for _ in range(50):
             fs = [random_pl(rng) for _ in range(rng.randint(1, 4))]
             cs = [random_rational(rng) - random_rational(rng) for _ in fs]
             bias = random_rational(rng) - random_rational(rng)
-            out = pl.combine([f.knots for f in fs], cs, bias)
+            out = pl.unscale(pl.combine([f.raw for f in fs], cs, bias))
             assert [x for x, _ in out] == sorted(
                 {x for f in fs for x, _ in f.knots})
             for x, y in out:
@@ -230,18 +219,28 @@ class TestRawKnots:
         for _ in range(100):
             f = random_pl(rng)
             y = random_rational(rng, den_max=4)
-            xs = pl.level_set(f.knots, y)
+            xs = pl.level_set(f.raw, y)
             assert xs == sorted(set(xs))
             assert all(f(x) == y for x in xs)
             assert {x for x, v in f.knots if v == y} <= set(xs)
 
     def test_level_set_plateau_gives_both_ends(self):
         f = pl.new([(0, 0), (F(2, 5), F(1, 2)), (F(3, 5), F(1, 2)), (1, 0)])
-        assert pl.level_set(f.knots, F(1, 2)) == [F(2, 5), F(3, 5)]
+        assert pl.level_set(f.raw, F(1, 2)) == [F(2, 5), F(3, 5)]
 
     def test_level_set_tent_half(self):
-        knots = maps.TentMap(1).to_pl().knots
+        knots = pl.scale(maps.TentMap(1).to_pl().knots)
         assert pl.level_set(knots, F(1, 2)) == [F(1, 4), F(3, 4)]
+
+
+def canon(pts):
+    """pl.canon of Fraction knots, through the boundary pair."""
+    return pl.unscale(pl.canon(pl.scale(pts)))
+
+
+def combine(inputs, coeffs, bias):
+    """pl.combine of Fraction knot lists, through the boundary pair."""
+    return pl.unscale(pl.combine([pl.scale(k) for k in inputs], coeffs, bias))
 
 
 def ref_canon(pts):
@@ -314,17 +313,17 @@ class TestKernelOracles:
     def test_canon_matches_stack_reference(self, rng):
         for _ in range(100):
             pts = subdivided(rng, random_pl(rng), extra=rng.randint(0, 20))
-            assert pl.canon(pts) == ref_canon(pts)
+            assert canon(pts) == ref_canon(pts)
             raw = [(x, y - F(1, 2)) for x, y in pts]  # unclamped ordinates
-            assert pl.canon(raw) == ref_canon(raw)
+            assert canon(raw) == ref_canon(raw)
 
     def test_canon_long_collinear_runs(self):
         line = [(F(i, 64), F(3 * i, 64) - 1) for i in range(65)]
-        assert pl.canon(line) == [line[0], line[-1]]
+        assert canon(line) == [line[0], line[-1]]
         zigzag = [(F(i, 16), F(i % 2)) for i in range(17)]
-        assert pl.canon(zigzag) == zigzag
+        assert canon(zigzag) == zigzag
         flat = [(F(i, 16), F(1, 3)) for i in range(17)]
-        assert pl.canon(flat) == [flat[0], flat[-1]]
+        assert canon(flat) == [flat[0], flat[-1]]
 
     def test_combine_matches_dict_reference(self, rng):
         for _ in range(100):
@@ -332,7 +331,7 @@ class TestKernelOracles:
                   for _ in range(rng.randint(1, 5))]
             cs = [random_rational(rng) - random_rational(rng) for _ in fs]
             bias = random_rational(rng) - random_rational(rng)
-            assert pl.combine(fs, cs, bias) == ref_combine(fs, cs, bias)
+            assert combine(fs, cs, bias) == ref_combine(fs, cs, bias)
 
     def test_compose_matches_evaluating_reference(self, rng):
         for _ in range(60):
@@ -362,6 +361,78 @@ class TestKernelOracles:
         with pytest.raises(ResourceLimitError,
                            match="^composition exceeds 1024 knots$"):
             pl.iterate(TENT, 10, cap=1024)
+
+
+#: denominators of the large-denominator property: any up to 2^64, 2^64
+#: itself, and the 10^6 that least_squares_candidate rounds its knots to
+BIG_DENS = st.one_of(st.integers(1, 2**64), st.just(2**64), st.just(10**6))
+
+
+@st.composite
+def big_fraction(draw):
+    """A rational in [0,1] with a large denominator."""
+    den = draw(BIG_DENS)
+    return F(draw(st.integers(0, den)), den)
+
+
+@st.composite
+def big_pl(draw, max_interior=5):
+    """Random PL whose knots have large denominators."""
+    n = draw(st.integers(0, max_interior))
+    xs = sorted({draw(big_fraction()) for _ in range(n)} - {F(0), F(1)})
+    ys = [draw(big_fraction()) for _ in range(len(xs) + 2)]
+    return pl.new(zip([F(0)] + xs + [F(1)], ys))
+
+
+def ref_level_set(pts, y):
+    """Knots at level y plus the interior crossings, in Fractions."""
+    xs = {x for x, v in pts if v == y}
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if min(y0, y1) < y < max(y0, y1):
+            xs.add(x0 + (y - y0) * (x1 - x0) / (y1 - y0))
+    return sorted(xs)
+
+
+class TestIntegerKernelLargeDenominators:
+    """The integer sweeps against the Fraction references when the shared
+    denominators are products of many unrelated large denominators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_pl(), big_pl(), big_fraction(), big_fraction(), big_fraction())
+    def test_kernel_matches_fraction_references(self, f, g, c, bias, y):
+        assert pl.compose(f, g).knots == tuple(ref_canon(ref_compose(f, g)))
+        ff = pl.compose(f, f)
+        assert pl.compose(ff, f).knots == tuple(ref_canon(ref_compose(ff, f)))
+
+        mids = [((x0 + x1) / 2, (y0 + y1) / 2)
+                for (x0, y0), (x1, y1) in zip(f.knots, f.knots[1:])]
+        pts = sorted(list(f.knots) + mids)
+        assert canon(pts) == list(f.knots)
+        raw = [(x, v - y) for x, v in pts]  # unclamped ordinates
+        assert canon(raw) == ref_canon(raw)
+
+        cs = (c - F(1, 2), F(1, 3) - bias)
+        assert (combine((pts, g.knots), cs, bias)
+                == ref_combine((pts, g.knots), cs, bias))
+
+        for level in (y, g.knots[len(g.knots) // 2][1], f.knots[-1][1]):
+            assert pl.level_set(f.raw, level) == ref_level_set(f.knots, level)
+
+        diff = pl.combine((f.raw, g.raw), (1, -1), 0)
+        xs = {x for x, _ in f.knots} | {x for x, _ in g.knots}
+        assert pl.max_abs(diff) == max(abs(f(x) - g(x)) for x in xs)
+        assert pl.abs_integral(diff) == pointwise_l1(f, g)
+
+    def test_raw_knots_use_least_denominators(self):
+        f = pl.new([(0, 0), (F(1, 2**64), F(1, 10**6)), (F(1, 3), F(1, 2)),
+                    (1, 0)])
+        assert f.raw == pl.Knots([0, 3, 2**64, 3 * 2**64], 3 * 2**64,
+                                 [0, 1, 500000, 0], 10**6)
+        assert pl.unscale(f.raw) == list(f.knots)
+        assert pl.PiecewiseLinear(f.raw).knots == f.knots
+        # a dropped collinear knot takes its denominators with it
+        g = pl.new([(0, 0), (F(1, 6), F(1, 6)), (F(1, 2), F(1, 2)), (1, 0)])
+        assert g.raw == pl.Knots([0, 1, 2], 2, [0, 1, 0], 2)
 
 
 def tent_sample(points, t):
