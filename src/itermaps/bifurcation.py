@@ -12,7 +12,9 @@ exact in binary and each doubling shifts one bit out of the mantissa, so the
 float orbit of 0.5001 reaches 0 within about 55 steps.  Those members are
 iterated exactly from the rational 5001/10000, whose denominators stay
 bounded under an integer slope, and each value is converted to float only
-when emitted.  A sweep is one kernel call over its whole grid.
+when emitted.  A sweep is one kernel call over its whole grid.  The
+``bifurcation`` command emits the CSV one r-slice at a time, with a single
+``%`` format of the row "r,%.12g" repeated once per tail value.
 """
 
 from __future__ import annotations
@@ -77,17 +79,6 @@ def _tails(kind: str, rs: list[float], burn: int,
             for m, e in zip(members, exact)]
 
 
-def orbit_tail(kind: str, r: float, burn: int = DEFAULT_BURN,
-               keep: int = DEFAULT_KEEP) -> list[float]:
-    """Post-transient orbit values of the family member at r.
-
-    A one-member sweep: floats from X0, except a tent member with 2r an
-    integer, which is iterated exactly from X0_EXACT (float doubling loses a
-    bit per step and would end the orbit at 0).
-    """
-    return _tails(kind, [r], burn, keep)[0]
-
-
 def sweep(kind: str, r_lo: float, r_hi: float, steps: int = DEFAULT_STEPS,
           burn: int = DEFAULT_BURN, keep: int = DEFAULT_KEEP
           ) -> list[tuple[float, list[float]]]:
@@ -99,13 +90,3 @@ def sweep(kind: str, r_lo: float, r_hi: float, steps: int = DEFAULT_STEPS,
     rs = [r_lo + (r_hi - r_lo) * i / max(steps - 1, 1) for i in range(steps)]
     rs = [r for r in rs if 0 < r <= 1]
     return list(zip(rs, _tails(kind, rs, burn, keep)))
-
-
-def cluster_count(values: list[float], tol: float = 1e-3) -> int:
-    """Number of tol-separated clusters among orbit values (attractor size)."""
-    pts = sorted(values)
-    clusters = 1
-    for a, b in zip(pts, pts[1:]):
-        if b - a > tol:
-            clusters += 1
-    return clusters

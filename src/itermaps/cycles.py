@@ -23,7 +23,6 @@ from .maps import LogisticMap, UnimodalMap
 
 FLOAT_MATCH_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
-BISECT_TOL = 1e-12
 
 #: root-bracketing cells per unit period for smooth maps
 GRID_PER_PERIOD = 4096
@@ -159,51 +158,53 @@ def is_primary_power_of_two(itin) -> bool:
     return True
 
 
-def sharkovsky_precedes(p: int, p2: int) -> bool:
-    """True iff p forces p2 (strictly) in the Sharkovsky total order."""
-    if p < 1 or p2 < 1:
-        raise ValueError("periods must be positive")
-
-    def key(n):
-        a = 0
-        while n % 2 == 0:
-            n //= 2
-            a += 1
-        if n > 1:
-            return (0, a, n)
-        return (1, -a)
-
-    return key(p) < key(p2)
-
-
 def _pl_period_roots(f_p: pl.PiecewiseLinear) -> list[Fraction]:
     g = pl.combine((f_p.raw, pl.identity().raw), (1, -1), 0)
     return pl.level_set(g, 0)
 
 
-def _smooth_period_roots(m: UnimodalMap, p: int) -> list[float]:
-    xs = np.linspace(0.0, 1.0, GRID_PER_PERIOD * p + 1)
-    ys = xs.copy()
-    for _ in range(p):
-        ys = m(ys)
-    gs = ys - xs
-    roots = [0.0]  # the origin is always fixed
-    sign = np.sign(gs)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    los, his = xs[idx].copy(), xs[idx + 1].copy()
-    for _ in range(60):
-        mids = (los + his) / 2
-        ym = mids.copy()
+def _smooth_period_roots(m: UnimodalMap, p_max: int) -> list[list[float]]:
+    """Roots of f^p(x) = x for p = 1..p_max, one sorted list per period.
+
+    Each period's sign changes are bracketed on its own grid; then every
+    bracket of every period is bisected in one vector.  A round applies
+    p_max masked steps, so each bracket takes exactly its own p steps, and
+    the rounds stop after 60 or as soon as one moves no bracket: such a
+    round is a fixed point, so later ones would change nothing.
+    """
+    fixed, ps, los, his, g_lo = [], [], [], [], []
+    for p in range(1, p_max + 1):
+        xs = np.linspace(0.0, 1.0, GRID_PER_PERIOD * p + 1)
+        ys = xs.copy()
         for _ in range(p):
-            ym = m(ym)
-        gm = ym - mids
-        left = gs[idx] * gm < 0
-        his[left] = mids[left]
-        los[~left] = mids[~left]
-    roots.extend(((los + his) / 2).tolist())
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(xs[i]))
-    return sorted(set(roots))
+            ys = m(ys)
+        gs = ys - xs
+        sign = np.sign(gs)
+        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        # the origin is always fixed
+        fixed.append([0.0] + xs[sign == 0].tolist())
+        ps.append(np.full(idx.size, p))
+        los.append(xs[idx])
+        his.append(xs[idx + 1])
+        g_lo.append(gs[idx])
+    sizes = [a.size for a in ps]
+    ps, lo, hi, g_lo = map(np.concatenate, (ps, los, his, g_lo))
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        y = mid
+        for s in range(p_max):
+            y = np.where(ps > s, m(y), y)
+        left = g_lo * (y - mid) < 0
+        lo2, hi2 = np.where(left, lo, mid), np.where(left, mid, hi)
+        if np.array_equal(lo2, lo) and np.array_equal(hi2, hi):
+            break
+        lo, hi = lo2, hi2
+    mids = ((lo + hi) / 2).tolist()
+    out, i = [], 0
+    for roots, n in zip(fixed, sizes):
+        out.append(sorted(set(roots + mids[i:i + n])))
+        i += n
+    return out
 
 
 def _orbit_of(m: UnimodalMap, x, p: int):
@@ -225,10 +226,12 @@ def _close(a, b, exact):
 def find_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
     """All distinct cycles of minimal period <= p_max.
 
-    PL kinds solve f^p(x) = x exactly piece by piece; smooth kinds bracket
-    sign changes of f^p(x) - x on a uniform grid (4096 cells per unit of
-    period) and bisect.  A root whose p-orbit repeats a point has a smaller
-    minimal period and is skipped; orbits are deduplicated by rotation.
+    PL kinds solve f^p(x) = x exactly piece by piece.  Smooth kinds bracket
+    the sign changes of f^p(x) - x for every p on a uniform grid (4096 cells
+    per unit of period), then bisect the brackets of all periods together,
+    stopping when a round moves no bracket.  A root whose p-orbit repeats a
+    point has a smaller minimal period and is skipped; orbits are
+    deduplicated by rotation.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -242,12 +245,14 @@ def find_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
     seen: list[tuple] = []  # smooth kinds only
     on_orbit: set = set()  # PL kinds: every point of every orbit kept
     fp = pl.identity()
+    if not exact:
+        smooth_roots = _smooth_period_roots(m, p_max)
     for p in range(1, p_max + 1):
         if exact:
             fp = pl.compose(fp, f1)
             roots = _pl_period_roots(fp)
         else:
-            roots = _smooth_period_roots(m, p)
+            roots = smooth_roots[p - 1]
         for x in roots:
             if x in on_orbit:
                 continue  # a kept orbit's period divides p: nothing new

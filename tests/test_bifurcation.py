@@ -33,6 +33,23 @@ def reference_tail(kind, r, burn, keep):
     return out
 
 
+def orbit_tail(kind, r, burn=bifurcation.DEFAULT_BURN,
+               keep=bifurcation.DEFAULT_KEEP):
+    """Post-transient orbit values of the family member at r: a one-member
+    sweep of the vector kernel."""
+    return bifurcation._tails(kind, [r], burn, keep)[0]
+
+
+def cluster_count(values, tol=1e-3):
+    """Number of tol-separated clusters among orbit values (attractor size)."""
+    pts = sorted(values)
+    clusters = 1
+    for a, b in zip(pts, pts[1:]):
+        if b - a > tol:
+            clusters += 1
+    return clusters
+
+
 def reference_sweep(kind, r_lo, r_hi, steps, burn, keep):
     rs = [r_lo + (r_hi - r_lo) * i / max(steps - 1, 1) for i in range(steps)]
     return [(r, reference_tail(kind, r, burn, keep))
@@ -41,16 +58,16 @@ def reference_sweep(kind, r_lo, r_hi, steps, burn, keep):
 
 class TestClusters:
     def test_superstable_two_cycle(self):
-        tail = bifurcation.orbit_tail("logistic", 0.8090)
-        assert bifurcation.cluster_count(tail) == 2
+        tail = orbit_tail("logistic", 0.8090)
+        assert cluster_count(tail) == 2
 
     def test_stable_four_cycle(self):
-        tail = bifurcation.orbit_tail("logistic", 0.8671)
-        assert bifurcation.cluster_count(tail) == 4
+        tail = orbit_tail("logistic", 0.8671)
+        assert cluster_count(tail) == 4
 
     def test_superstable_three_cycle(self):
-        tail = bifurcation.orbit_tail("logistic", 0.9580)
-        assert bifurcation.cluster_count(tail) == 3
+        tail = orbit_tail("logistic", 0.9580)
+        assert cluster_count(tail) == 3
 
     def test_full_tent_follows_exact_orbit(self):
         m, x = TentMap(1), Fraction(5001, 10000)
@@ -60,13 +77,13 @@ class TestClusters:
         for _ in range(bifurcation.DEFAULT_KEEP):
             x = m(x)
             expected.append(float(x))
-        tail = bifurcation.orbit_tail("tent", 1.0)
+        tail = orbit_tail("tent", 1.0)
         assert tail == expected
         assert len(set(tail)) == bifurcation.DEFAULT_KEEP
 
     def test_low_parameter_fixed_point(self):
-        tail = bifurcation.orbit_tail("logistic", 0.6)
-        assert bifurcation.cluster_count(tail) == 1
+        tail = orbit_tail("logistic", 0.6)
+        assert cluster_count(tail) == 1
 
 
 class TestSweep:
@@ -85,7 +102,7 @@ class TestSweep:
 
     def test_sine_and_flat_tent_run(self):
         for fam in ("sine", "flat_tent"):
-            tail = bifurcation.orbit_tail(fam, 0.9, burn=100, keep=30)
+            tail = orbit_tail(fam, 0.9, burn=100, keep=30)
             assert all(0 <= x <= 1 for x in tail)
 
 
@@ -109,5 +126,5 @@ class TestKernelOracle:
         want = reference_sweep(kind, r_lo, r_hi, steps, burn, keep)
         assert bifurcation.sweep(kind, r_lo, r_hi, steps=steps, burn=burn,
                                  keep=keep) == want
-        assert [bifurcation.orbit_tail(kind, r, burn, keep)
+        assert [orbit_tail(kind, r, burn, keep)
                 for r, _ in want] == [tail for _, tail in want]

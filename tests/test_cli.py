@@ -6,8 +6,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from itermaps.cli import build_parser, main, parse_map
-from itermaps import maps, pl, spectra
+from itermaps.cli import build_parser, fmt, main, parse_map
+from itermaps import bifurcation, maps, pl, spectra
 
 
 def run(argv, capsys):
@@ -97,6 +97,50 @@ class TestBifurcation:
         assert len(lines) == 1 + 4 * 10
         meta = json.loads((tmp_path / "bifurcation_logistic.json").read_text())
         assert meta["x0"] == 0.5001
+
+
+def ref_bifurcation_stdout(kind, r_lo, r_hi, steps, burn, keep):
+    """bifurcation's stdout as the per-point formatter wrote it: one
+    fmt(r) + "," + fmt(x) string per point, joined once."""
+    data = bifurcation.sweep(kind, r_lo, r_hi, steps=steps, burn=burn,
+                             keep=keep)
+    lines = ["r,x"]
+    for r, tail in data:
+        lines.extend([fmt(r) + "," + fmt(x) for x in tail])
+    meta = {"family": kind, "x0": bifurcation.X0, "burn": burn,
+            "keep": keep, "steps": steps}
+    tag = "PASS" if data else "FAIL"
+    return ("\n".join(lines) + "\n" + json.dumps(meta, sort_keys=True)
+            + f"\nASSERT {tag} sweep_nonempty :: {len(data)} slices\n")
+
+
+class TestBifurcationCsvOracle:
+    """The slice-at-a-time CSV against the per-point formatter.
+
+    half_to_one holds r = 1/2 and r = 1, whose tent tails are the exact
+    Fraction orbits; the empty grid lies above r = 1 and prints the header
+    only.
+    """
+
+    @pytest.mark.parametrize("kind", ["logistic", "sine", "tent",
+                                      "flat_tent"])
+    @pytest.mark.parametrize("r_lo, r_hi, steps, burn, keep", [
+        (0.5, 1.0, 11, 100, 20),
+        (0.3, 0.95, 17, 60, 7),
+        (0.0, 1.0, 9, 40, 0),
+        (1.5, 2.0, 5, 10, 5),
+    ], ids=["half_to_one", "odd_grid", "keep_0", "empty_grid"])
+    def test_stdout_equals_per_point_formatter(self, kind, r_lo, r_hi,
+                                               steps, burn, keep, capsys):
+        code, out = run(["bifurcation", "--family", kind, "--r-lo",
+                         str(r_lo), "--r-hi", str(r_hi), "--steps",
+                         str(steps), "--burn", str(burn), "--keep",
+                         str(keep)], capsys)
+        assert out == ref_bifurcation_stdout(kind, r_lo, r_hi, steps, burn,
+                                             keep)
+        assert code == (1 if r_lo > 1 else 0)
+        if r_lo > 1:
+            assert out.startswith("r,x\n{")
 
 
 class TestCertify:

@@ -7,9 +7,11 @@ Closed-form cycle coordinates used as oracles:
   normalization (16r^2+1) is checked dynamically instead of trusted.
 """
 
+import hashlib
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from itermaps import cycles, maps, pl
@@ -19,6 +21,23 @@ from conftest import random_unit_map
 
 def tent(r):
     return maps.TentMap(r)
+
+
+def sharkovsky_precedes(p: int, p2: int) -> bool:
+    """True iff p forces p2 (strictly) in the Sharkovsky total order."""
+    if p < 1 or p2 < 1:
+        raise ValueError("periods must be positive")
+
+    def key(n):
+        a = 0
+        while n % 2 == 0:
+            n //= 2
+            a += 1
+        if n > 1:
+            return (0, a, n)
+        return (1, -a)
+
+    return key(p) < key(p2)
 
 
 class TestItinerary:
@@ -76,23 +95,23 @@ class TestExtensions:
 
 class TestSharkovsky:
     def test_head_of_order(self):
-        assert cycles.sharkovsky_precedes(3, 5)
-        assert cycles.sharkovsky_precedes(5, 7)
-        assert cycles.sharkovsky_precedes(3, 4)
+        assert sharkovsky_precedes(3, 5)
+        assert sharkovsky_precedes(5, 7)
+        assert sharkovsky_precedes(3, 4)
 
     def test_tail_of_order(self):
-        assert cycles.sharkovsky_precedes(6, 4)
-        assert cycles.sharkovsky_precedes(8, 4)
-        assert cycles.sharkovsky_precedes(4, 2)
-        assert cycles.sharkovsky_precedes(2, 1)
+        assert sharkovsky_precedes(6, 4)
+        assert sharkovsky_precedes(8, 4)
+        assert sharkovsky_precedes(4, 2)
+        assert sharkovsky_precedes(2, 1)
 
     def test_irreflexive(self):
-        assert not cycles.sharkovsky_precedes(1, 1)
-        assert not cycles.sharkovsky_precedes(6, 6)
+        assert not sharkovsky_precedes(1, 1)
+        assert not sharkovsky_precedes(6, 6)
 
     def test_total_order_sorts(self):
         order = sorted(range(1, 17),
-                       key=lambda p: [cycles.sharkovsky_precedes(q, p)
+                       key=lambda p: [sharkovsky_precedes(q, p)
                                       for q in range(1, 17)].count(True))
         assert order[:4] == [3, 5, 7, 9]
         assert order[-4:] == [8, 4, 2, 1]
@@ -135,7 +154,7 @@ class TestFindCyclesExact:
         periods = {c.period for c in found}
         for p in periods:
             for p2 in range(1, 9):
-                if cycles.sharkovsky_precedes(p, p2):
+                if sharkovsky_precedes(p, p2):
                     assert p2 in periods
 
     def test_minimal_period(self):
@@ -235,6 +254,80 @@ class TestFindCyclesSmooth:
     def test_residuals_small(self):
         for c in cycles.find_cycles(maps.LogisticMap(0.95), 5):
             assert c.residual <= 1e-9
+
+
+def ref_smooth_period_roots(m, p):
+    """The per-period bisection that the batched one replaced: one period's
+    brackets, 60 rounds of p steps each, no early stop."""
+    xs = np.linspace(0.0, 1.0, cycles.GRID_PER_PERIOD * p + 1)
+    ys = xs.copy()
+    for _ in range(p):
+        ys = m(ys)
+    gs = ys - xs
+    roots = [0.0]
+    sign = np.sign(gs)
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    los, his = xs[idx].copy(), xs[idx + 1].copy()
+    for _ in range(60):
+        mids = (los + his) / 2
+        ym = mids.copy()
+        for _ in range(p):
+            ym = m(ym)
+        gm = ym - mids
+        left = gs[idx] * gm < 0
+        his[left] = mids[left]
+        los[~left] = mids[~left]
+    roots.extend(((los + his) / 2).tolist())
+    for i in np.nonzero(sign == 0)[0]:
+        roots.append(float(xs[i]))
+    return sorted(set(roots))
+
+
+SMOOTH_MAPS = [
+    (maps.LogisticMap, 0.99,
+     "7be5997960f7e9164394f653d0685b91c549bee9e9a9e39f4e4f129961f68b33"),
+    (maps.LogisticMap, 0.958,
+     "f648d1f06c90ff4fb8d59b6ad8baa9c326ad9042fb7d6b912d9ab4350cb75880"),
+    (maps.LogisticMap, 0.9347,
+     "284380d78d92764aa4fbec258dfca025cf265521b2c6caec55fbdbcba227afd3"),
+    (maps.LogisticMap, 0.8671,
+     "2808a42815b095ed6912136d3b02eeb4828145cb0eebc418a99fcb07d4c95452"),
+    (maps.SineMap, 0.97,
+     "a792081ac5d756f5eefcf2e8e1451d50937c39eb5b5941297a02dd46491c9206"),
+    (maps.SineMap, 0.99,
+     "2404b33e7389f657313603e78ec0c17b514d6fcbf194ce7025d1a14c4910e525"),
+]
+
+
+class TestSmoothRootsOracle:
+    """The batched bisection against the per-period one, float for float.
+
+    The sine rows check that np.sin over the longer concatenated vector of
+    all periods gives each element the bits it gets in its own period's
+    vector.  The record digests (one to_json line per record, p_max = 8)
+    were recorded with the per-period bisection.
+    """
+
+    @pytest.mark.parametrize("cls, r, digest", SMOOTH_MAPS,
+                             ids=[f"{c.kind}:{r}" for c, r, _ in SMOOTH_MAPS])
+    def test_roots_and_records_unchanged(self, cls, r, digest):
+        m = cls(r)
+        got = cycles._smooth_period_roots(m, 8)
+        assert len(got) == 8
+        for p, roots in enumerate(got, 1):
+            want = ref_smooth_period_roots(m, p)
+            # float for float: equal values and equal bits
+            assert np.array(roots).tobytes() == np.array(want).tobytes()
+        text = "\n".join(c.to_json() for c in cycles.find_cycles(m, 8))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_each_period_matches_its_own_call(self):
+        # the roots of period p do not depend on which longer periods share
+        # the vector
+        m = maps.SineMap(0.97)
+        full = cycles._smooth_period_roots(m, 8)
+        for p_max in range(1, 8):
+            assert cycles._smooth_period_roots(m, p_max) == full[:p_max]
 
 
 class TestRegime:
