@@ -71,8 +71,7 @@ class OscCertificate:
         })
 
 
-def certificate(m: UnimodalMap, c: CycleRecord, k: int,
-                cap: int = pl.DEFAULT_KNOT_CAP) -> OscCertificate:
+def certificate(m: UnimodalMap, c: CycleRecord, k: int) -> OscCertificate:
     """Certificate from an increasing or Stefan p-cycle of a symmetric
     concave map; the cycle's kind picks the rule.
 
@@ -81,8 +80,8 @@ def certificate(m: UnimodalMap, c: CycleRecord, k: int,
     alternating around the middle) offers its span [x_p, x_(p-1)] split at
     the middle pair [x_1, x_2] and needs crossings >= rho_odd(p)^(k-p).
     The cycle 123 is both and takes the increasing rule.  Candidates at
-    least ``WIDTH_FLOOR`` wide are counted widest first; ``cap`` bounds the
-    turning points of f^k, as in ``count_crossings_map``.
+    least ``WIDTH_FLOOR`` wide are counted widest first by the lap walk of
+    ``count_crossings_map``, which builds no f^k and so takes no cap.
     """
     _require_symmetric_concave(m)
     p = c.period
@@ -112,7 +111,7 @@ def certificate(m: UnimodalMap, c: CycleRecord, k: int,
     for a, b in wide:
         cert = OscCertificate(
             mode=mode, p=p, k=k, a=a, b=b, rate=rate,
-            count=oscillation.count_crossings_map(m, k, a, b, cap=cap))
+            count=oscillation.count_crossings_map(m, k, a, b))
         if cert.count >= cert.required_count():
             return cert
         shortfall.append(cert.count)

@@ -16,10 +16,10 @@ have the same level.  On a plateau map f is monotone, though not strictly,
 on each side of c, and a monotone surjection keeps the crossings.
 
 On float maps an orbit value within ``maps.SMOOTH_TOL`` of c is snapped to
-c; that is the walk's only float decision.  ``cap`` (by default
-``pl.DEFAULT_KNOT_CAP``, the CLI's ``--cap``) bounds M(f^n) - 1, the turning
-points of f^n; ``ResourceLimitError`` is raised at the first n where it is
-exceeded.
+c; that is the walk's only float decision.  The walk takes no cap: level n
+holds at most n lap images (tested on random PL maps), however large M(f^n)
+grows, so only the knot-by-knot builders of f^k (``pl.compose``,
+``relunet.net_to_pl``) are bounded.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import pl
-from .errors import ResourceLimitError
 from .maps import SMOOTH_TOL, UnimodalMap
 
 
-def _walk(m: UnimodalMap, k: int, cap: int) -> tuple[list[int], Counter]:
+def _walk(m: UnimodalMap, k: int) -> tuple[list[int], Counter]:
     """M(f^n) for n = 1..k, and the lap images of f^k with multiplicities."""
     c = m.apex_x
     zero = c - c
@@ -60,37 +59,32 @@ def _walk(m: UnimodalMap, k: int, cap: int) -> tuple[list[int], Counter]:
                 nxt[min(flo, fhi), max(flo, fhi)] += mult
         laps = nxt
         counts.append(sum(laps.values()))
-        if counts[-1] - 1 > cap:
-            raise ResourceLimitError(
-                f"f^{len(counts)} has more than {cap} turning points")
     return counts, laps
 
 
-def _lap_counts(m: UnimodalMap, k: int, cap: int) -> list[int]:
+def _lap_counts(m: UnimodalMap, k: int) -> list[int]:
     if not m.strictly_unimodal:
         raise ValueError(f"{m.kind} map has no unique maximizer")
-    return _walk(m, k, cap)[0]
+    return _walk(m, k)[0]
 
 
-def count_monotone(m: UnimodalMap, k: int,
-                   cap: int = pl.DEFAULT_KNOT_CAP) -> int:
+def count_monotone(m: UnimodalMap, k: int) -> int:
     """M(f^k) by the lap walk: exact on exact maps, ``SMOOTH_TOL`` snap on
-    float maps; raises ``ResourceLimitError`` once M(f^k) - 1 > cap."""
+    float maps; uncapped, since the walk stores k lap images at most."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _lap_counts(m, k, cap)[-1]
+    return _lap_counts(m, k)[-1]
 
 
-def count_crossings_map(m: UnimodalMap, k: int, a, b,
-                        cap: int = pl.DEFAULT_KNOT_CAP) -> int:
+def count_crossings_map(m: UnimodalMap, k: int, a, b) -> int:
     """Crossings of [a,b] by f^k: the laps of f^k whose image covers [a,b]
-    (module docstring), with the snap and cap of ``count_monotone``."""
+    (module docstring), with the snap of ``count_monotone`` and no cap."""
     if k < 1:
         raise ValueError("k must be >= 1")
     a, b = (pl.rat(a), pl.rat(b)) if m.is_exact else (float(a), float(b))
     if not (0 <= a < b <= 1):
         raise ValueError("need 0 <= a < b <= 1")
-    laps = _walk(m, k, cap)[1]
+    laps = _walk(m, k)[1]
     return sum(mult for (lo, hi), mult in laps.items() if lo <= a and b <= hi)
 
 
@@ -129,24 +123,17 @@ class GrowthSeries:
             raise ValueError(f"need 1 <= k_lo < k_hi <= {len(c)}")
         return (c[k_hi - 1] / c[k_lo - 1]) ** (1.0 / (k_hi - k_lo))
 
-    def to_csv(self) -> str:
-        lines = ["k,count,rate"]
-        for i, (c, r) in enumerate(zip(self.counts, self.rates), start=1):
-            lines.append(f"{i},{c},{r:.12g}")
-        return "\n".join(lines) + "\n"
 
-
-def entropy_estimate(m: UnimodalMap, k_max: int,
-                     cap: int = pl.DEFAULT_KNOT_CAP) -> GrowthSeries:
+def entropy_estimate(m: UnimodalMap, k_max: int) -> GrowthSeries:
     """Counts and rates up to k_max; the last rate estimates h_top.
 
-    Counts come from the lap walk of ``count_monotone`` (same snap and
+    Counts come from the lap walk of ``count_monotone`` (same snap, no
     cap).  The estimate is heuristic (finite k); decision rules for
     zero-vs-positive entropy live with the callers; the growth factor rho =
     exp(rate) is reported separately to avoid conflating the two units.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    counts = tuple(_lap_counts(m, k_max, cap))
+    counts = tuple(_lap_counts(m, k_max))
     rates = tuple(math.log(c) / k for k, c in enumerate(counts, start=1))
     return GrowthSeries(counts=counts, rates=rates)

@@ -84,19 +84,6 @@ class ReluNetwork:
         return cls(layers)
 
 
-def net_eval(n: ReluNetwork, x):
-    """Forward pass; exact when weights and x are rational."""
-    vec = [x]
-    last = len(n.layers) - 1
-    for i, (w, b) in enumerate(n.layers):
-        vec = [sum(wij * vj for wij, vj in zip(row, vec)) + bi
-               for row, bi in zip(w, b)]
-        if i != last:
-            zero = 0 if isinstance(vec[0], (Fraction, int)) else 0.0
-            vec = [v if v > zero else zero for v in vec]
-    return vec[0]
-
-
 def synth_from_pl(f: pl.PiecewiseLinear) -> ReluNetwork:
     """Depth-2 net computing f exactly on [0,1].
 

@@ -31,6 +31,29 @@ def random_unit_map(rng, max_interior=4):
     return pl.new(knots)
 
 
+def kneading_laps(m, n_max: int) -> list[int]:
+    """M(f^n), n = 1..n_max, in closed form from the kneading signs.
+
+    theta_j = prod_{i<=j} sigma(c_i) over the critical orbit c_i = f^i(c),
+    with sigma -1 right of c, +1 left of it and 0 at c; with
+    D(t) = 1 + sum_j theta_j t^j, M(f^n) = 1 + [t^(n-1)] 1/((1-t)^2 D(t))
+    (Milnor & Thurston).  Only the signs of the orbit enter: no lap is
+    followed.
+    """
+    c = m.apex_x
+    x, theta, d = c, 1, [1]
+    for _ in range(n_max - 1):
+        x = m(x)
+        theta *= (x < c) - (x > c)
+        d.append(theta)
+    inv = [1]  # 1/D(t): integer coefficients, since D(0) = 1
+    for n in range(1, n_max):
+        inv.append(-sum(d[j] * inv[n - j] for j in range(1, n + 1)))
+    # [t^(n-1)] of inv(t) / (1-t)^2, whose t^i coefficient is i + 1
+    return [1 + sum((n - i) * inv[i] for i in range(n))
+            for n in range(1, n_max + 1)]
+
+
 def pointwise_l1(f, g):
     """Integral of |f - g| from f and g evaluated at each merged knot."""
     xs = sorted({x for x, _ in f.knots} | {x for x, _ in g.knots})

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from fractions import Fraction as F
 
 import pytest
 
 from itermaps.cli import build_parser, fmt, main, parse_map
-from itermaps import bifurcation, maps, pl, spectra
+from itermaps import bifurcation, maps, pl, relunet, spectra
+
+from conftest import kneading_laps
 
 
 def run(argv, capsys):
@@ -170,25 +173,38 @@ class TestCertify:
         assert payload["width_threshold"]["u_max"] == pytest.approx(
             spectra.rho_odd(5) ** (7 / 2) / 8, rel=1e-12)
 
+    # the certificate is counted uncapped; --cap stops the candidate stage,
+    # whose pl.iterate would build f^k with more knots than the cap, before
+    # anything is printed
+
     def test_cap_bounds_stefan_certificate_stage(self, capsys):
+        # f^10 of tent:9/10 has 629 knots
         code = main(["--cap", "500", "certify", "--map", "tent:9/10",
                      "--p", "5", "--k", "12"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "ASSERT" not in captured.out
+        assert captured.out == ""
         assert captured.err == ("resource cap exceeded: "
-                                "f^10 has more than 500 turning points\n")
+                                "composition exceeds 500 knots\n")
 
     def test_cap_bounds_certificate_stage(self, capsys):
-        # M(f^10) - 1 = 1023 turning points for the full tent: the lap walk
-        # of the certificate stops at f^9, before any assertion is printed
+        # f^9 of the full tent has 513 knots
         code = main(["--cap", "500", "certify", "--map", "tent:1",
                      "--k", "10"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "ASSERT" not in captured.out
+        assert captured.out == ""
         assert captured.err == ("resource cap exceeded: "
-                                "f^9 has more than 500 turning points\n")
+                                "composition exceeds 500 knots\n")
+
+    def test_cap_bounds_deep_certificate_candidates(self, capsys):
+        code = main(["--cap", "500", "certify", "--map", "tent:1",
+                     "--k", "60"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("resource cap exceeded: "
+                                "composition exceeds 500 knots\n")
 
 
 class TestPhase:
@@ -205,6 +221,16 @@ class TestPhase:
         assert regimes["logistic:0.9901"] == "chaotic"
         tent_entry = next(e for e in entries if e["map"]["kind"] == "tent")
         assert len(tent_entry["shatter"]["table"]) == 4
+
+    def test_counts_at_depth_40(self, tmp_path, capsys):
+        # M(f^40) of tent:9/10 is about 2.9 * 10^10, far above the default
+        # cap, which bounds only built knots
+        code, _ = run(["--out", str(tmp_path), "phase", "--maps",
+                       "tent:9/10", "--k-max", "40"], capsys)
+        assert code == 0
+        entry = json.loads((tmp_path / "phase.json").read_text())[0]
+        assert entry["counts"][39] == kneading_laps(
+            maps.TentMap(F(9, 10)), 40)[39]
 
     def test_vc_bound_in_doubling_entry(self, tmp_path, capsys):
         code, _ = run(["--out", str(tmp_path), "phase", "--maps",
@@ -223,6 +249,20 @@ class TestSynthVcCounterexample:
         payload = json.loads((tmp_path / "synth.json").read_text())
         assert payload["shallow"]["width"] == 32
         assert payload["deep"] == {"width": 2, "depth": 10}
+
+    def test_synth_caps_network_propagation(self, monkeypatch, capsys):
+        caps = []
+        net_to_pl = relunet.net_to_pl
+
+        def spy(net, cap=pl.DEFAULT_KNOT_CAP):
+            caps.append(cap)
+            return net_to_pl(net, cap=cap)
+
+        monkeypatch.setattr(relunet, "net_to_pl", spy)
+        code, _ = run(["--cap", "4321", "synth", "--map", "tent:1",
+                       "--k", "5"], capsys)
+        assert code == 0
+        assert caps == [4321, 4321]
 
     def test_vc_worked_example(self, tmp_path, capsys):
         code, _ = run(["--out", str(tmp_path), "vc", "--shatter-d", "2"],
@@ -294,12 +334,15 @@ class TestExactOutputsPinned:
     The flat-tent certificate was recorded while crossings were still counted
     on the built f^k; it guards the plateau path of the lap walk.  The
     tent:9/10 5-cycle is Stefan and not increasing; its pin guards the
-    Stefan certificate rule.
+    Stefan certificate rule.  The three certify digests were re-recorded
+    when the certificate_count and certificate_width lines, which restated
+    ``hardness.certificate``'s postcondition, left the output; nothing else
+    in their stdout changed.
     """
 
     @pytest.mark.parametrize("argv, digest", [
         (["--seed", "7", "certify", "--map", "tent:9/10", "--k", "8"],
-         "c579f5fd8bfe423fee6d4ff4793ae8e3de874db91f4d18aa3ca37c77acfa9026"),
+         "25893ff3c19e215d22b230f2ce8f08ffb4ddcc6560c7c5c09c2de8420133e8eb"),
         (["cycles", "--map", "tent:1", "--p-max", "8"],
          "20a2a493b501d8d18558fb0436fb41babe2c7978817f5298d78d6d2714ab4121"),
         (["counterexample", "--k-max", "8"],
@@ -307,9 +350,9 @@ class TestExactOutputsPinned:
         (["synth", "--map", "tent:9/10", "--k", "6"],
          "5d5b442fd2bcca69b7ec392a22ea9c8f1feb427d6f7e846294961eaf9d82c0be"),
         (["certify", "--map", "flat_tent:1", "--k", "8"],
-         "6ee622915254b9e5a8f87ea43f8913391f2c80397a6ab5b6dfa5ef7ec86f9eb4"),
+         "10de51dbe579937be09a0f234836880e8527e7252cceee487a0b7dde7ba1cf90"),
         (["certify", "--map", "tent:9/10", "--p", "5", "--k", "12"],
-         "f020314a47178d7400a0ffa73a8eee0d0debc0a0a5c43a032e9583381f07fd73"),
+         "6f49d2dabd9606122e34668cb9976a9b2643dd490fe6af3359a1b409fbf39a51"),
     ], ids=["certify", "cycles", "counterexample", "synth", "certify_flat",
             "certify_stefan"])
     def test_stdout_digest_and_exit_code(self, argv, digest, capsys):
@@ -330,7 +373,8 @@ class TestFloatOutputsPinned:
     vector kernel.  The sine pin also guards np.sin against math.sin, which
     the kernel and the scalar map call respectively.  superstable exits 1:
     its 1324 row misses the doubling parameter.  The two certificates were
-    recorded while float crossings came from preimage trees.
+    recorded while float crossings came from preimage trees, and re-recorded
+    only to drop the certificate_count and certificate_width lines.
     """
 
     @pytest.mark.parametrize("argv, exit_code, digest", [
@@ -345,9 +389,9 @@ class TestFloatOutputsPinned:
         (["superstable"], 1,
          "6a4baac453d7a247261afefabb01517540c5aa9eacd2dac958ff7988806c0447"),
         (["certify", "--map", "logistic:0.958", "--k", "12"], 0,
-         "cc34bbc4cf18fd3f472a4891fb54078333481f738960a13cf19f88906144e786"),
+         "74cb5bd182d73ac35de9920320de3b4dabd4ea2c3b0d0c397ee366850120a983"),
         (["certify", "--map", "sine:0.99", "--k", "12"], 0,
-         "41849d2fb8c914160484a6f37d16235ab85172dc22f19aa52dc2115b42b4f930"),
+         "adb0d2a1523c25ba52ac453533a79a0136366ab8fa573ff8404f060b74adde82"),
     ], ids=["logistic", "sine", "tent", "flat_tent", "superstable",
             "certify_logistic", "certify_sine"])
     def test_stdout_digest_and_exit_code(self, argv, exit_code, digest,

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from itermaps import cycles, hardness, maps, pl, relunet, spectra
-from itermaps.errors import CertificateError, ResourceLimitError
+from itermaps.errors import CertificateError
 
 from conftest import pointwise_l1
 
@@ -31,29 +31,39 @@ def stefan_cycle(m, p):
     raise AssertionError(f"no Stefan {p}-cycle detected")
 
 
+def meets_floors(cert):
+    """The certificate's postcondition: the count reaches
+    ``required_count()`` and the width its floor."""
+    assert cert.count >= cert.required_count()
+    assert float(cert.width) >= float(cert.width_floor)
+    return cert
+
+
+def certificate(m, c, k):
+    """``hardness.certificate`` with its postcondition checked."""
+    return meets_floors(hardness.certificate(m, c, k))
+
+
 class TestIncreasingCertificate:
     def test_golden_tent_k8(self):
         m = maps.tent_near(spectra.rho_inc(3) / 2)
-        cert = hardness.certificate(m, increasing_cycle(m, 3), 8)
+        cert = certificate(m, increasing_cycle(m, 3), 8)
         assert cert.count >= PHI**8 / 2  # >= 24
         assert float(cert.width) >= 1 / 18
         # soundness: re-measure from scratch
         fk = pl.iterate(m.to_pl(), 8)
         assert pl.crossings(fk, pl.rat(cert.a), pl.rat(cert.b)) == cert.count
 
-    def test_cap_reaches_crossing_count(self):
-        # M(f^24) - 1 = 2^24 - 1 turning points: within 2^24, above the
-        # default cap of 10^7
+    def test_full_tent_k60(self):
+        # 2^60 crossings, far beyond any knot cap: the lap walk of the full
+        # tent stores one lap image per level
         m = maps.TentMap(1)
-        cycle = increasing_cycle(m, 3)
-        cert = hardness.certificate(m, cycle, 24, cap=2**24)
-        assert cert.count == 2**24
-        with pytest.raises(ResourceLimitError):
-            hardness.certificate(m, cycle, 24)
+        cert = certificate(m, increasing_cycle(m, 3), 60)
+        assert cert.count == 2**60
 
     def test_logistic_superstable_123(self):
         m = maps.LogisticMap(0.9580)
-        cert = hardness.certificate(m, increasing_cycle(m, 3), 8)
+        cert = certificate(m, increasing_cycle(m, 3), 8)
         assert float(cert.width) >= 1 / 18
         assert cert.count >= spectra.rho_inc(3) ** 8 / 2
 
@@ -78,7 +88,7 @@ class TestIncreasingCertificate:
     def test_p4_and_p5_tents(self):
         for p in (4, 5):
             m = maps.tent_near(spectra.rho_inc(p) / 2)
-            cert = hardness.certificate(m, increasing_cycle(m, p), 10)
+            cert = certificate(m, increasing_cycle(m, p), 10)
             assert cert.count >= spectra.rho_inc(p) ** 10 / 2
             assert float(cert.width) >= 1 / 18
 
@@ -86,7 +96,7 @@ class TestIncreasingCertificate:
 class TestStefanCertificate:
     def test_logistic_13425(self):
         m = maps.LogisticMap(0.9347)
-        cert = hardness.certificate(m, stefan_cycle(m, 5), 12)
+        cert = certificate(m, stefan_cycle(m, 5), 12)
         assert cert.count >= spectra.rho_odd(5) ** (12 - 5)  # about 18.2
         assert float(cert.width) >= 0.07
 
@@ -96,7 +106,7 @@ class TestStefanCertificate:
         m = maps.LogisticMap(0.9580)
         c = stefan_cycle(m, 3)
         assert c.increasing
-        cert = hardness.certificate(m, c, 10)
+        cert = certificate(m, c, 10)
         assert cert.mode == "increasing"
         assert cert.count >= PHI**10 / 2 > PHI ** (10 - 3)
         assert float(cert.width) >= 0.07
@@ -123,7 +133,7 @@ class TestStefanCertificate:
         c = stefan_cycle(m, 5)
         assert not any(r.increasing for r in cycles.find_cycles(m, 5)
                        if r.period == 5)
-        cert = hardness.certificate(m, c, 12)
+        cert = certificate(m, c, 12)
         assert (cert.mode, cert.count, cert.width) == ("stefan", 1546,
                                                        F(8082, 31087))
         assert cert.width_floor == F(7, 100)
@@ -131,12 +141,10 @@ class TestStefanCertificate:
         fk = pl.iterate(m.to_pl(), 12)
         assert pl.crossings(fk, cert.a, cert.b) == cert.count
 
-    def test_cap_bounds_stefan_count(self):
+    def test_tent_stefan_k60(self):
         m = maps.TentMap(F(9, 10))
-        c = stefan_cycle(m, 5)
-        with pytest.raises(ResourceLimitError,
-                           match="more than 500 turning points"):
-            hardness.certificate(m, c, 12, cap=500)
+        cert = certificate(m, stefan_cycle(m, 5), 60)
+        assert (cert.mode, cert.count) == ("stefan", 2764928047141460)
 
 
 class TestWidthThreshold:
@@ -164,15 +172,15 @@ def full_band_certificate(k):
     m = maps.TentMap(1)
     fk = pl.iterate(m.to_pl(), k)
     count = pl.crossings(fk, 0, 1)
-    return fk, hardness.OscCertificate(mode="increasing", p=3, k=k,
-                                       a=F(0), b=F(1), count=count, rate=2.0)
+    return fk, meets_floors(hardness.OscCertificate(
+        mode="increasing", p=3, k=k, a=F(0), b=F(1), count=count, rate=2.0))
 
 
 class TestAdversarialSample:
     @pytest.mark.parametrize("r", [F(1), F(9, 10)])
     def test_labels_are_fk_at_threshold(self, r):
         m = maps.TentMap(r)
-        cert = hardness.certificate(m, increasing_cycle(m, 3), 10)
+        cert = certificate(m, increasing_cycle(m, 3), 10)
         fk = pl.iterate(m.to_pl(), 10)
         s = hardness.adversarial_sample(fk, cert)
         assert s.labels == tuple(fk(x) >= s.threshold for x in s.points)
@@ -225,7 +233,7 @@ class TestCandidateSweep:
     def test_norms_match_pointwise_references_tent_k8(self):
         # the 13 candidates certify builds at its defaults, for tent:9/10
         m = maps.TentMap(F(9, 10))
-        cert = hardness.certificate(m, increasing_cycle(m, 3), 8)
+        cert = certificate(m, increasing_cycle(m, 3), 8)
         fk = pl.iterate(m.to_pl(), 8)
         s = hardness.adversarial_sample(fk, cert)
         rng = random.Random(7)
@@ -295,7 +303,7 @@ class TestCounterexamples:
         # ... while the symmetric concave map's certificate forbids any
         # 8-piece candidate within 1/36 of f^10
         m = maps.LogisticMap(0.9580)
-        cert = hardness.certificate(m, increasing_cycle(m, 3), 10)
+        cert = certificate(m, increasing_cycle(m, 3), 10)
         assert float(cert.width) >= 1 / 18
         assert cert.count >= PHI**10 / 2 > 8
 

@@ -7,12 +7,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import random_unit_map
+from conftest import kneading_laps, random_unit_map
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itermaps import cycles, maps, oscillation, pl
-from itermaps.errors import ResourceLimitError
+from itermaps import cycles, maps, oscillation, pl, warmup
 
 SS_12 = 0.8090169943749474  # logistic two-cycle through the critical point
 SS_1324 = 0.8671
@@ -202,6 +201,45 @@ def test_walk_matches_pl_on_random_maps(seed, k, num, width):
             fk, a, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_walk_holds_at_most_n_lap_images(seed):
+    # the reason the walk takes no cap: M(f^n) grows exponentially, the
+    # lap images the walk stores at level n number n at most
+    try:
+        m = maps.CustomPLMap(random_unit_map(random.Random(seed)))
+    except ValueError:
+        return
+    for n in range(1, 13):
+        assert len(oscillation._walk(m, n)[1]) <= n
+
+
+KNEADING_MAPS = [maps.TentMap(r) for r in (F(9, 10), F(4, 5), F(3, 4), 1)]
+KNEADING_MAPS += [maps.LogisticMap(0.99), maps.LogisticMap(0.958),
+                  maps.SineMap(0.97)]
+
+
+class TestKneadingOracle:
+    """The walk's counts against the closed form of ``kneading_laps``, at
+    depths whose counts far exceed any knot cap."""
+
+    @pytest.mark.parametrize("m", KNEADING_MAPS, ids=repr)
+    def test_counts_match_closed_form_to_60(self, m):
+        assert list(oscillation.entropy_estimate(m, 60).counts) == (
+            kneading_laps(m, 60))
+
+    def test_toy_maps_match_closed_form_to_60(self):
+        for name in ("123", "1234", "1324"):
+            m = warmup.toy_map(name)
+            assert list(oscillation.entropy_estimate(m, 60).counts) == (
+                kneading_laps(m, 60)), name
+
+    def test_closed_form_values(self):
+        assert kneading_laps(maps.TentMap(1), 60)[-1] == 2**60
+        assert oscillation.entropy_estimate(
+            maps.TentMap(F(9, 10)), 60).counts[-1] == 3684663081488486
+
+
 class TestCountMonotone:
     @pytest.mark.parametrize("k,expect", [(1, 2), (5, 32), (10, 1024)])
     def test_full_tent_powers_of_two(self, k, expect):
@@ -239,18 +277,6 @@ class TestCountMonotone:
         with pytest.raises(ValueError):
             oscillation.count_monotone(maps.FlatTentMap(F(1, 2)), 3)
 
-    def test_node_cap(self):
-        with pytest.raises(ResourceLimitError,
-                           match=r"^f\^9 has more than 500 turning points$"):
-            oscillation.count_monotone(maps.TentMap(1), 14, cap=500)
-
-    def test_cap_boundary_is_turning_points(self):
-        # cap bounds M(f^k) - 1; the full tent has M(f^10) = 1024
-        m = maps.TentMap(1)
-        assert oscillation.count_monotone(m, 10, cap=1023) == 1024
-        with pytest.raises(ResourceLimitError):
-            oscillation.count_monotone(m, 10, cap=1022)
-
 
 class TestCountCrossings:
     def test_full_tent_full_band(self):
@@ -278,22 +304,12 @@ class TestCountCrossings:
         # each gap of the full tent's increasing 3-cycle is crossed 2^k times
         m = maps.TentMap(1)
         for a, b in ((F(2, 9), F(4, 9)), (F(4, 9), F(8, 9))):
-            assert oscillation.count_crossings_map(
-                m, 30, a, b, cap=2**31) == 2**30
+            assert oscillation.count_crossings_map(m, 30, a, b) == 2**30
 
     def test_deep_walk_is_iterative(self):
         m = maps.TentMap(1)
         assert oscillation.count_crossings_map(
-            m, 3000, F(2, 9), F(4, 9), cap=10**1000) == 2**3000
-
-    def test_cap_boundary_is_turning_points(self):
-        # the same bound as count_monotone: M(f^10) - 1 = 1023
-        m = maps.TentMap(1)
-        assert oscillation.count_crossings_map(
-            m, 10, F(1, 3), F(2, 3), cap=1023) == 1024
-        with pytest.raises(ResourceLimitError):
-            oscillation.count_crossings_map(m, 10, F(1, 3), F(2, 3),
-                                            cap=1022)
+            m, 3000, F(2, 9), F(4, 9)) == 2**3000
 
     def test_full_sine_takes_f1_as_zero(self):
         # SineMap(1)(1.0) is about 1e-16, not 0; a band from 0 still sees
@@ -369,13 +385,6 @@ class TestEntropy:
     def test_counts_never_decrease(self):
         series = oscillation.entropy_estimate(maps.LogisticMap(0.93), 12)
         assert all(b >= a for a, b in zip(series.counts, series.counts[1:]))
-
-    def test_csv_shape(self):
-        series = oscillation.entropy_estimate(maps.TentMap(1), 4)
-        lines = series.to_csv().strip().splitlines()
-        assert lines[0] == "k,count,rate"
-        assert lines[1].startswith("1,2,")
-        assert len(lines) == 5
 
     def test_geometric_rate(self):
         series = oscillation.entropy_estimate(maps.TentMap(1), 10)
