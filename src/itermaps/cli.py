@@ -11,7 +11,9 @@ certify takes the first increasing p-cycle, or failing that the first Stefan
 p-cycle, and the cycle's kind picks the certificate rule, its width floor and
 its width threshold.  --cap bounds only what builds f^k knot by knot
 (``pl.iterate`` and ``relunet.net_to_pl``); lap and crossing counts take no
-cap, so certificates and phase counts reach any depth.
+cap, so certificates and phase counts reach any depth.  When the cap stops
+certify's candidate stage, the certificate is written with no candidates
+before the command exits 3.
 """
 
 from __future__ import annotations
@@ -202,8 +204,16 @@ def cmd_certify(args) -> int:
                                    "vacuous": threshold.vacuous},
                "candidates": []}
 
+    def write():
+        _write(args.out, "certify.json",
+               json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
     if m.is_exact:
-        fk = pl.iterate(m.to_pl(), k, cap=args.cap)
+        try:
+            fk = pl.iterate(m.to_pl(), k, cap=args.cap)
+        except ResourceLimitError:
+            write()  # keep the proved certificate, then exit 3
+            raise
         sample = hardness.adversarial_sample(fk, cert)
         rng = random.Random(args.seed)
         cands = [("decimated_8", hardness.decimated_candidate(fk, 8)),
@@ -218,8 +228,7 @@ def cmd_certify(args) -> int:
             rep.check(f"counting_floor_{name}", report.ok,
                       f"cls={float(report.cls_error):.4f} "
                       f"pieces={report.g_pieces}")
-    _write(args.out, "certify.json",
-           json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write()
     return rep.exit_code
 
 
@@ -273,12 +282,12 @@ def cmd_synth(args) -> int:
     fk = pl.iterate(m.to_pl(), args.k, cap=args.cap)
     net = relunet.synth_from_pl(fk)
     back = relunet.net_to_pl(net, cap=args.cap)
-    rep.check("round_trip", back.knots == fk.knots,
+    rep.check("round_trip", back == fk,
               f"width={net.width} depth={net.depth}")
     block = relunet.synth_from_pl(m.to_pl())
     deep = relunet.stack(block, args.k)
     rep.check("stack_equals_iterate",
-              relunet.net_to_pl(deep, cap=args.cap).knots == fk.knots,
+              relunet.net_to_pl(deep, cap=args.cap) == fk,
               f"deep: width={deep.width} depth={deep.depth}")
     payload = {"k": args.k, "shallow": {"width": net.width,
                                         "depth": net.depth},

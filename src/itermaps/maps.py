@@ -71,13 +71,6 @@ class UnimodalMap:
     def to_pl(self) -> pl.PiecewiseLinear:
         raise NotPiecewiseLinear(f"{self.kind} map is not piecewise linear")
 
-    def orbit(self, x0, n: int) -> list:
-        """Forward orbit x0, f(x0), ..., f^n(x0); dtype follows x0."""
-        out = [x0]
-        for _ in range(n):
-            out.append(self(out[-1]))
-        return out
-
     def to_json(self) -> str:
         r = self.r
         payload = {"kind": self.kind,

@@ -18,23 +18,26 @@ meets a level and, with x and y swapped, evaluates it; point evaluation,
 ``crossing_points`` and ``classification_error`` use it too.  No other module
 keeps a copy.
 
-Fractions are made only at the boundary.  A ``PiecewiseLinear`` keeps its
-knots both ways: ``knots``, pairs of ``Fraction`` (what callers read and what
-is serialised), and ``raw``, the same knots as ``Knots`` over least
-denominators.  Built from Fraction pairs it scales them once; built from
-``Knots`` (as ``compose``, ``relunet.net_to_pl`` and ``relunet.eps_approx``
-do) it runs the same checks and ``canon`` on the integers and makes one
-Fraction pair per knot it keeps.  ``scale`` and ``unscale`` are that
-conversion pair, and the sweeps return Fractions only for their results
-(roots, norms, touch points).
+Fractions are made only at the boundary.  A ``PiecewiseLinear`` stores its
+knots once, as ``raw``: ``Knots`` over least denominators, kept only where
+the slope changes, so each function has exactly one ``raw`` and equality
+compares it.  Built from (x, y) pairs of Fractions it scales them first;
+pairs and ``Knots`` (as ``compose``, ``relunet.net_to_pl`` and
+``relunet.eps_approx`` build it) then share the same checks and one
+``canon``.  ``knots``, the pairs of ``Fraction`` that boundary code reads and
+serialises, is built from ``raw`` on first read, so an intermediate iterate
+that only the next ``compose`` reads never makes one.  ``scale`` and
+``unscale`` are that conversion pair, and the sweeps return Fractions only
+for their results (roots, norms, touch points).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter, sub
@@ -42,7 +45,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 
-#: default ceiling on knot counts produced by compose/iterate
+#: default ceiling on knot counts produced by compose/iterate.  It bounds
+#: knots, not memory: an iterate keeps about 49 bytes per knot (tracemalloc,
+#: f^16 and f^18 of tent:1), so f^23 of tent:1, the largest within this
+#: cap, would keep about 0.4 GB (extrapolated, not run)
 DEFAULT_KNOT_CAP = 10**7
 
 
@@ -89,17 +95,6 @@ def unscale(k: Knots) -> list:
     return list(zip(map(Fraction, xs, repeat(dx)), map(fy.__getitem__, ys)))
 
 
-def _least(xs, dx, ys, dy) -> Knots:
-    """Knots with both denominators divided by what all numerators share."""
-    g = gcd(dx, *xs)
-    if g > 1:
-        xs, dx = [x // g for x in xs], dx // g
-    g = gcd(dy, *ys)
-    if g > 1:
-        ys, dy = [y // g for y in ys], dy // g
-    return Knots(xs, dx, ys, dy)
-
-
 def _common(nums: list, dens: list) -> tuple[list, int]:
     """The rationals nums[i] / dens[i] (dens positive) as numerators over
     their least common denominator, which is returned with them.  Both
@@ -116,10 +111,14 @@ def _common(nums: list, dens: list) -> tuple[list, int]:
     return nums, m
 
 
-def _kept(xs, ys) -> list:
-    """Indices canon keeps: one knot per slope change, slopes compared by
-    cross-multiplying.  A segment as steep as the last kept one moves that
-    knot forward."""
+def canon(k: Knots) -> Knots:
+    """Raw knots kept only where the slope changes, over least denominators.
+
+    Slopes are compared by cross-multiplying; a segment as steep as the last
+    kept one moves that knot forward.  Both denominators are then divided by
+    what all kept numerators share.
+    """
+    xs, dx, ys, dy = k
     keep = [0]
     w0, h0 = 0, 1  # matches no segment: the first one is always kept
     x0, y0 = xs[0], ys[0]
@@ -132,14 +131,14 @@ def _kept(xs, ys) -> list:
             keep.append(i)
             w0, h0 = w, h
         x0, y0 = x1, y1
-    return keep
-
-
-def canon(k: Knots) -> Knots:
-    """Raw knots kept only where the slope changes, over least denominators."""
-    xs, dx, ys, dy = k
-    keep = _kept(xs, ys)
-    return _least([xs[i] for i in keep], dx, [ys[i] for i in keep], dy)
+    xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
+    g = gcd(dx, *xs)
+    if g > 1:
+        xs, dx = [x // g for x in xs], dx // g
+    g = gcd(dy, *ys)
+    if g > 1:
+        ys, dy = [y // g for y in ys], dy // g
+    return Knots(xs, dx, ys, dy)
 
 
 def combine(inputs: Sequence[Knots], coeffs: Sequence, bias) -> Knots:
@@ -265,20 +264,19 @@ class PiecewiseLinear:
 
     Knot x's strictly increase from 0 to 1, values stay in [0,1], and no
     interior knot is collinear with its neighbours (construction removes
-    redundant knots, so equality of functions is equality of knot tuples).
-    Built from (x, y) pairs of exact rationals or from ``Knots``; ``raw``
-    holds the kept knots as ``Knots`` over least denominators.
+    redundant knots, so equality of functions is equality of ``raw``).
+    Built from (x, y) pairs of exact rationals or from ``Knots``; ``raw`` is
+    the one stored field, the kept knots as ``Knots`` over least
+    denominators.  ``knots``, the same knots as pairs of ``Fraction``, is
+    built on first read.  The lists in ``raw`` make it unhashable.
     """
 
-    knots: tuple[tuple[Fraction, Fraction], ...]
-    raw: Knots = field(init=False, repr=False, compare=False)
+    raw: Knots
 
     def __post_init__(self):
-        if isinstance(self.knots, Knots):
-            k, pts = self.knots, None
-        else:
-            pts = [(rat(x), rat(y)) for x, y in self.knots]
-            k = scale(pts)
+        k = self.raw
+        if not isinstance(k, Knots):
+            k = scale([(rat(x), rat(y)) for x, y in k])
         xs, dx, ys, dy = k
         if not xs:
             raise ValueError("empty knot list")
@@ -288,14 +286,11 @@ class PiecewiseLinear:
             raise ValueError("knots must span [0,1]")
         if min(ys) < 0 or max(ys) > dy:
             raise ValueError("knot values must lie in [0,1]")
-        keep = _kept(xs, ys)
-        raw = _least([xs[i] for i in keep], dx, [ys[i] for i in keep], dy)
-        if pts is None:
-            knots = tuple(unscale(raw))
-        else:
-            knots = tuple(pts[i] for i in keep)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "raw", canon(k))
+
+    @cached_property
+    def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(unscale(self.raw))
 
     def __call__(self, x) -> Fraction:
         x = rat(x)
@@ -305,7 +300,7 @@ class PiecewiseLinear:
         u, q = x.numerator * dx, x.denominator  # x on the scale q * dx
         j = bisect_right(xs, u // q) - 1  # the last knot at or left of x
         if xs[j] * q == u:
-            return self.knots[j][1]
+            return Fraction(ys[j], dy)
         n, d = _at(ys[j], xs[j] * q, ys[j + 1], xs[j + 1] * q, u)
         return Fraction(n, d * dy)
 
@@ -335,7 +330,7 @@ class PiecewiseLinear:
 
 def new(knots: Iterable) -> PiecewiseLinear:
     """Build a canonical PL from (x, y) pairs (exact rationals)."""
-    return PiecewiseLinear(tuple((rat(x), rat(y)) for x, y in knots))
+    return PiecewiseLinear(knots)
 
 
 def identity() -> PiecewiseLinear:
@@ -452,12 +447,6 @@ def crossing_points(f: PiecewiseLinear, a, b) -> tuple[tuple[Fraction, Fraction]
             if y0 <= level <= y1 or y1 <= level <= y0:
                 touch(*_at(xs[i], y0, xs[i + 1], y1, level), level == lb)
     return tuple(touches)
-
-
-def crossings(f: PiecewiseLinear, a, b) -> int:
-    """Number of full traversals of [a,b] by f (exact knot sweep)."""
-    pts = crossing_points(f, a, b)
-    return max(0, len(pts) - 1)
 
 
 def linf_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:

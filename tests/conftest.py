@@ -31,6 +31,20 @@ def random_unit_map(rng, max_interior=4):
     return pl.new(knots)
 
 
+def crossings(f, a, b) -> int:
+    """Number of full traversals of [a,b] by the PL f: one fewer than its
+    alternating touch sequence, or none."""
+    return max(0, len(pl.crossing_points(f, a, b)) - 1)
+
+
+def orbit(m, x0, n: int) -> list:
+    """Forward orbit x0, m(x0), ..., m^n(x0); dtype follows x0."""
+    out = [x0]
+    for _ in range(n):
+        out.append(m(out[-1]))
+    return out
+
+
 def kneading_laps(m, n_max: int) -> list[int]:
     """M(f^n), n = 1..n_max, in closed form from the kneading signs.
 

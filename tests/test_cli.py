@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from itermaps.cli import build_parser, fmt, main, parse_map
-from itermaps import bifurcation, maps, pl, relunet, spectra
+from itermaps import (bifurcation, cycles, hardness, maps, pl, relunet,
+                      spectra)
 
 from conftest import kneading_laps
 
@@ -174,37 +175,56 @@ class TestCertify:
             spectra.rho_odd(5) ** (7 / 2) / 8, rel=1e-12)
 
     # the certificate is counted uncapped; --cap stops the candidate stage,
-    # whose pl.iterate would build f^k with more knots than the cap, before
-    # anything is printed
+    # whose pl.iterate would build f^k with more knots than the cap, after
+    # the certificate and its width threshold are written
 
-    def test_cap_bounds_stefan_certificate_stage(self, capsys):
+    @staticmethod
+    def capped(argv, capsys):
+        code = main(["--cap", "500", *argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("resource cap exceeded: "
+                                "composition exceeds 500 knots\n")
+        payload = json.loads(captured.out)
+        assert payload["candidates"] == []
+        return payload
+
+    @staticmethod
+    def uncapped(argv, tmp_path, capsys):
+        code, _ = run(["--out", str(tmp_path), *argv], capsys)
+        assert code == 0
+        return json.loads((tmp_path / "certify.json").read_text())
+
+    def test_cap_bounds_stefan_certificate_stage(self, tmp_path, capsys):
         # f^10 of tent:9/10 has 629 knots
-        code = main(["--cap", "500", "certify", "--map", "tent:9/10",
-                     "--p", "5", "--k", "12"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == ("resource cap exceeded: "
-                                "composition exceeds 500 knots\n")
+        argv = ["certify", "--map", "tent:9/10", "--p", "5", "--k", "12"]
+        got = self.capped(argv, capsys)
+        want = self.uncapped(argv, tmp_path, capsys)
+        assert got["certificate"]["mode"] == "stefan"
+        assert got["certificate"] == want["certificate"]
+        assert got["width_threshold"] == want["width_threshold"]
 
-    def test_cap_bounds_certificate_stage(self, capsys):
+    def test_cap_bounds_certificate_stage(self, tmp_path, capsys):
         # f^9 of the full tent has 513 knots
-        code = main(["--cap", "500", "certify", "--map", "tent:1",
-                     "--k", "10"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == ("resource cap exceeded: "
-                                "composition exceeds 500 knots\n")
+        argv = ["certify", "--map", "tent:1", "--k", "10"]
+        got = self.capped(argv, capsys)
+        want = self.uncapped(argv, tmp_path, capsys)
+        assert got["certificate"] == want["certificate"]
+        assert got["width_threshold"] == want["width_threshold"]
 
     def test_cap_bounds_deep_certificate_candidates(self, capsys):
-        code = main(["--cap", "500", "certify", "--map", "tent:1",
-                     "--k", "60"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == ("resource cap exceeded: "
-                                "composition exceeds 500 knots\n")
+        # uncapped, the candidate stage would build f^60; what the command
+        # prints before it comes from the library calls it makes
+        got = self.capped(["certify", "--map", "tent:1", "--k", "60"], capsys)
+        m = maps.TentMap(1)
+        cycle = next(c for c in cycles.find_cycles(m, 3)
+                     if c.period == 3 and c.increasing)
+        cert = hardness.certificate(m, cycle, 60)
+        threshold = hardness.width_threshold(3, 60, 2, "linf")
+        assert got["certificate"]["count"] == 2**60
+        assert got["certificate"] == json.loads(cert.to_json())
+        assert got["width_threshold"] == {"u_max": threshold.u_max,
+                                          "vacuous": threshold.vacuous}
 
 
 class TestPhase:
@@ -337,7 +357,8 @@ class TestExactOutputsPinned:
     Stefan certificate rule.  The three certify digests were re-recorded
     when the certificate_count and certificate_width lines, which restated
     ``hardness.certificate``'s postcondition, left the output; nothing else
-    in their stdout changed.
+    in their stdout changed.  The ``bench_`` cases are the exact commands of
+    the benchmark's workloads, so each gated command is byte-checked here.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -353,8 +374,22 @@ class TestExactOutputsPinned:
          "10de51dbe579937be09a0f234836880e8527e7252cceee487a0b7dde7ba1cf90"),
         (["certify", "--map", "tent:9/10", "--p", "5", "--k", "12"],
          "6f49d2dabd9606122e34668cb9976a9b2643dd490fe6af3359a1b409fbf39a51"),
+        (["--seed", "7", "certify", "--map", "tent:1", "--k", "10"],
+         "fd7f84df078ff077e1913893548590a211ab3fd88c3165ec68656e4cadbc7f78"),
+        (["--seed", "7", "certify", "--map", "tent:9/10", "--k", "10"],
+         "8ca492347a018e994aa527a2bda5acd011f2c1594390d51fdc90441e7f955660"),
+        (["cycles", "--map", "tent:1", "--p-max", "10"],
+         "4e57aa2fd375427bbacca459a03886087cc58777f566b32c406ac8db0d048d7f"),
+        (["counterexample", "--k-max", "12"],
+         "aea0ddbf5b3e70cec12bf3a26b33f555523e2b4328133d3712c820eebfa6af56"),
+        (["synth", "--map", "tent:1", "--k", "9"],
+         "5487beeec86e5a03de9516d4a30213468a0d6bdcc321ca00629a6cc8c99671b9"),
+        (["synth", "--map", "tent:9/10", "--k", "8"],
+         "86cd77d768cccee02fecf6ce8094d89395621c076dc533dca65ac5eccba04146"),
     ], ids=["certify", "cycles", "counterexample", "synth", "certify_flat",
-            "certify_stefan"])
+            "certify_stefan", "bench_certify", "bench_certify_9_10",
+            "bench_cycles", "bench_counterexample", "bench_synth",
+            "bench_synth_9_10"])
     def test_stdout_digest_and_exit_code(self, argv, digest, capsys):
         code, out = run(argv, capsys)
         assert code == 0
@@ -374,7 +409,8 @@ class TestFloatOutputsPinned:
     the kernel and the scalar map call respectively.  superstable exits 1:
     its 1324 row misses the doubling parameter.  The two certificates were
     recorded while float crossings came from preimage trees, and re-recorded
-    only to drop the certificate_count and certificate_width lines.
+    only to drop the certificate_count and certificate_width lines.  The
+    ``bench_`` cases are benchmark workload commands, as in the exact pins.
     """
 
     @pytest.mark.parametrize("argv, exit_code, digest", [
@@ -392,8 +428,14 @@ class TestFloatOutputsPinned:
          "74cb5bd182d73ac35de9920320de3b4dabd4ea2c3b0d0c397ee366850120a983"),
         (["certify", "--map", "sine:0.99", "--k", "12"], 0,
          "adb0d2a1523c25ba52ac453533a79a0136366ab8fa573ff8404f060b74adde82"),
+        (["warmup", "--k-max", "16"], 0,
+         "eb2373338d2c49834154f46bb1bee2f2c46cf592aff49c36e82f9d372c7c3a5c"),
+        (["phase", "--maps",
+          "tent:1,tent:9/10,logistic:0.99,logistic:0.8671,sine:0.97",
+          "--k-max", "16"], 0,
+         "067eb25e5a6ad4e0c15b6987bc720e464a315ca504d9f25ef625747a58b056c6"),
     ], ids=["logistic", "sine", "tent", "flat_tent", "superstable",
-            "certify_logistic", "certify_sine"])
+            "certify_logistic", "certify_sine", "bench_warmup", "bench_phase"])
     def test_stdout_digest_and_exit_code(self, argv, exit_code, digest,
                                          capsys):
         code, out = run(argv, capsys)

@@ -16,7 +16,7 @@ import pytest
 
 from itermaps import cycles, maps, pl
 
-from conftest import random_unit_map
+from conftest import orbit, random_unit_map
 
 
 def tent(r):
@@ -368,9 +368,9 @@ class TestSuperstable:
         assert abs(solved - r_true) <= 5e-4
         # independent confirmation: critical orbit closes with the itinerary
         m = maps.LogisticMap(solved)
-        orbit = m.orbit(0.5, len(itin))
-        assert abs(orbit[-1] - 0.5) <= 1e-7
-        assert cycles.itinerary_of_points(orbit[:len(itin)]) == \
+        pts = orbit(m, 0.5, len(itin))
+        assert abs(pts[-1] - 0.5) <= 1e-7
+        assert cycles.itinerary_of_points(pts[:len(itin)]) == \
             cycles.parse_itinerary(itin)
 
     def test_itinerary_mismatch_raises(self):
@@ -443,12 +443,12 @@ def ref_superstable_r(itin, bracket, tol=1e-9, scan=400):
                     a, ga = mid, gm
             roots.append((a + b) / 2)
     for root in sorted(roots):
-        orbit = maps.LogisticMap(root).orbit(0.5, p)[:p]
-        gaps = [abs(a - b) for i, a in enumerate(orbit)
-                for b in orbit[i + 1:]]
+        pts = orbit(maps.LogisticMap(root), 0.5, p)[:p]
+        gaps = [abs(a - b) for i, a in enumerate(pts)
+                for b in pts[i + 1:]]
         if gaps and min(gaps) < 1e-7:
             continue
-        if cycles.itinerary_of_points(orbit) == itin:
+        if cycles.itinerary_of_points(pts) == itin:
             return root
     raise ValueError(f"no super-stable {itin} parameter in {bracket}")
 

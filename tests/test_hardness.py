@@ -10,7 +10,7 @@ import pytest
 from itermaps import cycles, hardness, maps, pl, relunet, spectra
 from itermaps.errors import CertificateError
 
-from conftest import pointwise_l1
+from conftest import crossings, orbit, pointwise_l1
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -52,7 +52,7 @@ class TestIncreasingCertificate:
         assert float(cert.width) >= 1 / 18
         # soundness: re-measure from scratch
         fk = pl.iterate(m.to_pl(), 8)
-        assert pl.crossings(fk, pl.rat(cert.a), pl.rat(cert.b)) == cert.count
+        assert crossings(fk, pl.rat(cert.a), pl.rat(cert.b)) == cert.count
 
     def test_full_tent_k60(self):
         # 2^60 crossings, far beyond any knot cap: the lap walk of the full
@@ -139,7 +139,7 @@ class TestStefanCertificate:
         assert cert.width_floor == F(7, 100)
         # soundness: re-measure from scratch
         fk = pl.iterate(m.to_pl(), 12)
-        assert pl.crossings(fk, cert.a, cert.b) == cert.count
+        assert crossings(fk, cert.a, cert.b) == cert.count
 
     def test_tent_stefan_k60(self):
         m = maps.TentMap(F(9, 10))
@@ -171,7 +171,7 @@ def full_band_certificate(k):
     """Hand certificate on [0,1] for the full tent: 2^k crossings, rate 2."""
     m = maps.TentMap(1)
     fk = pl.iterate(m.to_pl(), k)
-    count = pl.crossings(fk, 0, 1)
+    count = crossings(fk, 0, 1)
     return fk, meets_floors(hardness.OscCertificate(
         mode="increasing", p=3, k=k, a=F(0), b=F(1), count=count, rate=2.0))
 
@@ -312,6 +312,6 @@ class TestTentCorollary:
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_half_orbit_is_increasing_cycle(self, p):
         m = maps.tent_near(spectra.rho_inc(p) / 2)
-        orbit = m.orbit(F(1, 2), p)
-        assert abs(float(orbit[-1]) - 0.5) <= 1e-9
-        assert cycles.itinerary_of_points(orbit[:p]) == tuple(range(1, p + 1))
+        pts = orbit(m, F(1, 2), p)
+        assert abs(float(pts[-1]) - 0.5) <= 1e-9
+        assert cycles.itinerary_of_points(pts[:p]) == tuple(range(1, p + 1))

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import kneading_laps, random_unit_map
+from conftest import crossings, kneading_laps, random_unit_map
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,7 +102,7 @@ def assert_matches_pl(m, k, bands):
     """The walk's crossings against the exact crossings of the built f^k."""
     fk = pl.iterate(m.to_pl(), k)
     for a, b in bands:
-        assert oscillation.count_crossings_map(m, k, a, b) == pl.crossings(
+        assert oscillation.count_crossings_map(m, k, a, b) == crossings(
             fk, a, b), (m, k, a, b)
 
 
@@ -197,7 +197,7 @@ def test_walk_matches_pl_on_random_maps(seed, k, num, width):
         assert oscillation.count_monotone(m, k) == pl.monotone_pieces(fk)
     a, b = F(num, 32), F(min(num + width, 32), 32)
     if a < b:
-        assert oscillation.count_crossings_map(m, k, a, b) == pl.crossings(
+        assert oscillation.count_crossings_map(m, k, a, b) == crossings(
             fk, a, b)
 
 
@@ -296,7 +296,7 @@ class TestCountCrossings:
         smooth = maps.LogisticMap(0.9)
         for k in (2, 4, 6):
             got = oscillation.count_crossings_map(exact, k, F(1, 8), F(5, 8))
-            assert got == pl.crossings(
+            assert got == crossings(
                 pl.iterate(exact.to_pl(), k), F(1, 8), F(5, 8))
             assert oscillation.count_crossings_map(smooth, k, 0.0, 0.5) > 0
 

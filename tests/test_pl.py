@@ -4,6 +4,8 @@ Expected values marked by hand were derived independently (closed forms,
 hand iteration of the tent map, or trapezoid geometry) before being frozen.
 """
 
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from itermaps import maps, pl
 from itermaps.errors import ResourceLimitError
 
-from conftest import pointwise_l1, random_pl, random_rational, random_unit_map
+from conftest import (crossings, pointwise_l1, random_pl, random_rational,
+                      random_unit_map)
 
 TENT = pl.new([(0, 0), (F(1, 2), 1), (1, 0)])
 
@@ -56,6 +59,50 @@ class TestConstruction:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             pl.new([(0, 0), (0.5, 1.0), (1, 0)])
+
+
+class TestStorage:
+    """Only ``raw`` is stored; the Fraction pairs are built on first read."""
+
+    def test_iterate_and_evaluation_build_no_fraction_pairs(self,
+                                                            monkeypatch):
+        calls = []
+        unscale = pl.unscale
+        monkeypatch.setattr(pl, "unscale",
+                            lambda k: calls.append(k) or unscale(k))
+        fk = pl.iterate(TENT, 12)
+        assert calls == []
+        assert fk(F(1, 3)) == F(2, 3)  # between knots: a fixed point
+        assert fk(F(1, 2)) == 0  # at a knot
+        assert "knots" not in vars(fk)
+        assert calls == []
+        assert len(fk.knots) == 2**12 + 1
+        assert len(calls) == 1 and "knots" in vars(fk)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_pairs_and_scaled_pairs_build_one_function(self, seed):
+        f = random_pl(random.Random(seed))
+        # midpoints make collinear knots for construction to drop
+        pts = sorted(list(f.knots) + [
+            ((x0 + x1) / 2, (y0 + y1) / 2)
+            for (x0, y0), (x1, y1) in zip(f.knots, f.knots[1:])])
+        g, h = pl.new(pts), pl.PiecewiseLinear(pl.scale(pts))
+        assert list(vars(g)) == list(vars(h)) == ["raw"]
+        assert g == h == f
+        assert g.knots == h.knots == f.knots
+
+    def test_iterate_retains_under_100_bytes_per_knot(self):
+        f = maps.TentMap(1).to_pl()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f16 = pl.iterate(f, 16)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(f16.raw.xs) == 2**16 + 1
+        assert retained / len(f16.raw.xs) < 100
 
 
 class TestEval:
@@ -138,36 +185,36 @@ class TestIterate:
 
 class TestCrossings:
     def test_full_tent(self):
-        assert pl.crossings(TENT, 0, 1) == 2
+        assert crossings(TENT, 0, 1) == 2
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_iterated_tent(self, k):
-        assert pl.crossings(pl.iterate(TENT, k), 0, 1) == 2**k
+        assert crossings(pl.iterate(TENT, k), 0, 1) == 2**k
 
     def test_identity_segment(self):
-        assert pl.crossings(pl.identity(), F(1, 4), F(1, 2)) == 1
+        assert crossings(pl.identity(), F(1, 4), F(1, 2)) == 1
 
     def test_band_above_range_is_zero(self):
-        assert pl.crossings(tent(F(2, 5)), F(1, 2), F(3, 4)) == 0
+        assert crossings(tent(F(2, 5)), F(1, 2), F(3, 4)) == 0
 
     def test_tent_squared_inner_band(self):
-        assert pl.crossings(pl.iterate(TENT, 2), F(1, 4), F(3, 4)) == 4
+        assert crossings(pl.iterate(TENT, 2), F(1, 4), F(3, 4)) == 4
 
     def test_grazing_touch_not_counted(self):
         # apex exactly at the lower band edge: touches a without traversing
         f = tent(F(1, 2))
-        assert pl.crossings(f, F(1, 2), 1) == 0
+        assert crossings(f, F(1, 2), 1) == 0
 
     def test_invalid_band(self):
         with pytest.raises(ValueError):
-            pl.crossings(TENT, F(1, 2), F(1, 2))
+            crossings(TENT, F(1, 2), F(1, 2))
 
     def test_bounded_by_monotone_pieces(self, rng):
         for _ in range(30):
             f = random_pl(rng)
             a = F(rng.randint(0, 63), 128)
             b = a + F(rng.randint(1, 64), 128)
-            assert pl.crossings(f, a, b) <= pl.monotone_pieces(f)
+            assert crossings(f, a, b) <= pl.monotone_pieces(f)
 
 
 class TestErrors:
