@@ -9,9 +9,11 @@ affects random candidate sweeps.  The shared options --out, --cap and
 
 certify takes the first increasing p-cycle, or failing that the first Stefan
 p-cycle, and the cycle's kind picks the certificate rule, its width floor and
-its width threshold.  --cap bounds only what builds f^k knot by knot
-(``pl.iterate`` and ``relunet.net_to_pl``); lap and crossing counts take no
-cap, so certificates and phase counts reach any depth.  When the cap stops
+its width threshold.  --cap bounds what certify, cycles, phase, synth and
+counterexample build knot by knot: f^k in ``pl.iterate``, in
+``cycles.find_cycles`` on PL maps and in ``hardness.counterexample_report``,
+and ``relunet.net_to_pl``.  Lap and crossing counts take no cap, so
+certificates and phase counts reach any depth.  When the cap stops
 certify's candidate stage, the certificate is written with no candidates
 before the command exits 3.
 """
@@ -189,7 +191,8 @@ def cmd_certify(args) -> int:
     rep = Reporter()
     m = args.map
     p, k, depth = args.p, args.k, args.depth
-    found = [c for c in cycles.find_cycles(m, p) if c.period == p]
+    found = [c for c in cycles.find_cycles(m, p, cap=args.cap)
+             if c.period == p]
     # 123 is both increasing and Stefan: it takes the increasing rule
     usable = ([c for c in found if c.increasing]
               + [c for c in found if c.stefan])
@@ -233,7 +236,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    found = cycles.find_cycles(args.map, args.p_max)
+    found = cycles.find_cycles(args.map, args.p_max, cap=args.cap)
     payload = [json.loads(c.to_json()) for c in found]
     _write(args.out, "cycles.json",
            json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -244,7 +247,7 @@ def cmd_phase(args) -> int:
     rep = Reporter()
     out = []
     for m in args.maps:
-        found = cycles.find_cycles(m, args.p_max)
+        found = cycles.find_cycles(m, args.p_max, cap=args.cap)
         report = cycles.classify_regime(found, p_max=args.p_max)
         series = oscillation.entropy_estimate(m, args.k_max)
         entry = {
@@ -327,7 +330,8 @@ def cmd_counterexample(args) -> int:
     for name, build in (("need_symmetry", hardness.build_need_symmetry),
                         ("need_concavity", hardness.build_need_concavity)):
         m = build(args.p, eps)
-        report = hardness.counterexample_report(m, eps, k_max=args.k_max)
+        report = hardness.counterexample_report(m, eps, k_max=args.k_max,
+                                                cap=args.cap)
         out[name] = {
             "symmetric": report["symmetric"], "concave": report["concave"],
             "max_linf_error": float(report["max_linf_error"]),
@@ -354,7 +358,8 @@ def cmd_counterexample(args) -> int:
 SHARED_OPTIONS = (
     ("--out", {"default": None, "help": "output directory (default: stdout)"}),
     ("--cap", {"type": int, "default": pl.DEFAULT_KNOT_CAP,
-               "help": "most knots a built f^k or network PL may hold "
+               "help": "most knots a PL f^k or network built by certify, "
+                       "cycles, phase, synth or counterexample may hold "
                        "(exit 3 beyond it)"}),
     ("--seed", {"type": int, "default": 0,
                 "help": "seed for random candidate sweeps"}),

@@ -5,12 +5,23 @@ smallest point and recording each point's rank in the sorted order; the
 itinerary "12...p" (an increasing cycle) marks the chaotic regime, and a
 power-of-two cycle keeps the doubling regime only while its itinerary is an
 iterated 2-extension of the fixed point.
+
+Cycles of a PL map come from the exact roots of f^p(x) = x.  f maps those
+roots onto themselves, and the ends of a flat piece of f^p - id onto ends,
+so the p-cycles are the cycles of length p of the permutation f makes of
+the roots.  A smooth map's roots are bisected from grid brackets, and the
+grid need not bracket every point of a cycle, so each root's orbit is
+stepped out from the root itself.  A root within FLOAT_MATCH_TOL of a point
+of an orbit already taken is skipped; an orbit is dropped when two of its
+points meet within FLOAT_MATCH_TOL (its minimal period is smaller) or when
+it misses closing by more than RESIDUAL_TOL (a spurious bracket).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -18,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from . import pl
-from .errors import NotPiecewiseLinear
 from .maps import LogisticMap, UnimodalMap
 
 FLOAT_MATCH_TOL = 1e-8
@@ -83,7 +93,6 @@ class CycleRecord:
     period: int
     orbit: tuple
     itinerary: tuple[int, ...]
-    exact: bool
     residual: float
 
     @property
@@ -158,11 +167,6 @@ def is_primary_power_of_two(itin) -> bool:
     return True
 
 
-def _pl_period_roots(f_p: pl.PiecewiseLinear) -> list[Fraction]:
-    g = pl.combine((f_p.raw, pl.identity().raw), (1, -1), 0)
-    return pl.level_set(g, 0)
-
-
 def _smooth_period_roots(m: UnimodalMap, p_max: int) -> list[list[float]]:
     """Roots of f^p(x) = x for p = 1..p_max, one sorted list per period.
 
@@ -207,76 +211,67 @@ def _smooth_period_roots(m: UnimodalMap, p_max: int) -> list[list[float]]:
     return out
 
 
-def _orbit_of(m: UnimodalMap, x, p: int):
-    orbit = [x]
-    for _ in range(p - 1):
-        orbit.append(m(orbit[-1]))
-    return orbit
+def _pl_cycles(m: UnimodalMap, p_max: int, cap: int) -> list[CycleRecord]:
+    """The cycles of f on the roots of f^p(x) = x, of length p."""
+    f1 = m.to_pl()
+    fp, minus_id = pl.identity(), pl.identity().raw
+    records = []
+    for p in range(1, p_max + 1):
+        fp = pl.compose(fp, f1, cap=cap)
+        roots = pl.level_set(pl.combine((fp.raw, minus_id), (1, -1), 0), 0)
+        index = {x: i for i, x in enumerate(roots)}
+        succ = [index[f1(x)] for x in roots]
+        for i in range(len(roots)):
+            cyc = [i]
+            while (j := succ[cyc[-1]]) > i:
+                cyc.append(j)
+            if j == i and len(cyc) == p:  # i is the cycle's least root
+                order = sorted(cyc)
+                records.append(CycleRecord(
+                    period=p, orbit=tuple(roots[j] for j in cyc),
+                    itinerary=tuple(order.index(j) + 1 for j in cyc),
+                    residual=0.0))
+    return records
 
 
-def _canonical(orbit):
-    i = min(range(len(orbit)), key=lambda j: orbit[j])
-    return tuple(orbit[i:]) + tuple(orbit[:i])
+def _smooth_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
+    """The orbits of the bracketed roots of f^p(x) = x, deduplicated."""
+    records = []
+    taken: list[float] = []  # sorted points of the orbits taken
+    for p, roots in enumerate(_smooth_period_roots(m, p_max), 1):
+        for x in roots:
+            i = bisect_left(taken, x - FLOAT_MATCH_TOL)
+            if i < len(taken) and taken[i] <= x + FLOAT_MATCH_TOL:
+                continue  # on an orbit taken already
+            orbit = [x]
+            for _ in range(p - 1):
+                orbit.append(m(orbit[-1]))
+            pts = sorted(orbit)
+            if any(b - a <= FLOAT_MATCH_TOL for a, b in zip(pts, pts[1:])):
+                continue  # collapsed: adjacent points are the closest pairs
+            residual = abs(m(orbit[-1]) - x)
+            if residual > RESIDUAL_TOL:
+                continue  # spurious bracket, not a true orbit
+            for y in orbit:
+                insort(taken, y)
+            s = orbit.index(pts[0])
+            canon = tuple(orbit[s:] + orbit[:s])
+            records.append(CycleRecord(
+                period=p, orbit=canon, itinerary=itinerary_of_points(canon),
+                residual=residual))
+    return records
 
 
-def _close(a, b, exact):
-    return a == b if exact else abs(float(a) - float(b)) <= FLOAT_MATCH_TOL
-
-
-def find_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
-    """All distinct cycles of minimal period <= p_max.
-
-    PL kinds solve f^p(x) = x exactly piece by piece.  Smooth kinds bracket
-    the sign changes of f^p(x) - x for every p on a uniform grid (4096 cells
-    per unit of period), then bisect the brackets of all periods together,
-    stopping when a round moves no bracket.  A root whose p-orbit repeats a
-    point has a smaller minimal period and is skipped; orbits are
-    deduplicated by rotation.
-    """
+def find_cycles(m: UnimodalMap, p_max: int,
+                cap: int = pl.DEFAULT_KNOT_CAP) -> list[CycleRecord]:
+    """All distinct cycles of minimal period <= p_max, sorted by period and
+    least point; on PL maps (``m.is_exact``) f^p may hold `cap` knots."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    try:
-        f1 = m.to_pl()
-    except NotPiecewiseLinear:
-        f1 = None
-    exact = f1 is not None
-
-    records: list[CycleRecord] = []
-    seen: list[tuple] = []  # smooth kinds only
-    on_orbit: set = set()  # PL kinds: every point of every orbit kept
-    fp = pl.identity()
-    if not exact:
-        smooth_roots = _smooth_period_roots(m, p_max)
-    for p in range(1, p_max + 1):
-        if exact:
-            fp = pl.compose(fp, f1)
-            roots = _pl_period_roots(fp)
-        else:
-            roots = smooth_roots[p - 1]
-        for x in roots:
-            if x in on_orbit:
-                continue  # a kept orbit's period divides p: nothing new
-            orbit = _orbit_of(m, x, p)
-            if any(_close(a, b, exact)
-                   for i, a in enumerate(orbit) for b in orbit[i + 1:]):
-                continue  # collapsed orbit: its minimal period is below p
-            canon = _canonical(orbit)
-            if exact:
-                on_orbit.update(orbit)
-            elif any(len(c) == p and all(_close(a, b, exact)
-                                         for a, b in zip(c, canon))
-                     for c in seen):
-                continue
-            else:
-                seen.append(canon)
-            closure = m(orbit[-1])
-            residual = abs(float(closure) - float(orbit[0]))
-            if residual > (0 if exact else RESIDUAL_TOL):
-                continue  # spurious bracket, not a true orbit
-            records.append(CycleRecord(
-                period=p, orbit=canon,
-                itinerary=itinerary_of_points(canon),
-                exact=exact, residual=residual))
+    if m.is_exact:
+        records = _pl_cycles(m, p_max, cap)
+    else:
+        records = _smooth_cycles(m, p_max)
     records.sort(key=lambda c: (c.period, float(c.orbit[0])))
     return records
 
@@ -390,7 +385,7 @@ def superstable_r(itin, bracket, tol: float = 1e-9, scan: int = 400) -> float:
                     a, ga = mid, gm
             roots.append((a + b) / 2)
 
-    seen = []
+    tried = []
     for root in sorted(roots):
         orbit = critical_orbit(root)[:p]
         gaps = [abs(a - b) for i, a in enumerate(orbit)
@@ -400,10 +395,10 @@ def superstable_r(itin, bracket, tol: float = 1e-9, scan: int = 400) -> float:
         got = itinerary_of_points(orbit)
         if got == itin:
             return root
-        seen.append((root, itinerary_str(got)))
+        tried.append((root, itinerary_str(got)))
     raise ValueError(
         f"no super-stable {itinerary_str(itin)} parameter in {bracket}; "
-        f"roots found: {seen}")
+        f"roots found: {tried}")
 
 
 def solve_forcing_table() -> list[dict]:

@@ -349,9 +349,10 @@ def three_piece_band_approx(fk: pl.PiecewiseLinear, band_lo, band_hi
     return pl.new(pts)
 
 
-def counterexample_report(m: CustomPLMap, eps, k_max: int = 10) -> dict:
+def counterexample_report(m: CustomPLMap, eps, k_max: int = 10,
+                          cap: int = pl.DEFAULT_KNOT_CAP) -> dict:
     """Audit a counterexample: structure flags, cycle, and per-k 3-piece
-    approximation errors of the band approximant."""
+    approximation errors of the band approximant; f^k may hold `cap` knots."""
     eps = pl.rat(eps)
     f = m.to_pl()
     apex_val = m.max_value()
@@ -359,7 +360,7 @@ def counterexample_report(m: CustomPLMap, eps, k_max: int = 10) -> dict:
     errors = {}
     fk = pl.identity()
     for k in range(1, k_max + 1):
-        fk = pl.compose(fk, f)
+        fk = pl.compose(fk, f, cap=cap)
         g = three_piece_band_approx(fk, band_lo, apex_val)
         errors[k] = pl.linf_diff(fk, g)
     return {

@@ -346,6 +346,38 @@ class TestUsage:
         assert code == 3
 
 
+class TestCapBoundsCycleSearch:
+    """--cap bounds the f^p that find_cycles builds on a PL map and the f^k
+    of the counterexample audit, as it bounds every other built f^k."""
+
+    def test_cycles_boundary(self, capsys):
+        # f^10 of the full tent has 1025 knots; the digest is bench_cycles'
+        argv = ["cycles", "--map", "tent:1", "--p-max", "10"]
+        assert main(["--cap", "1024", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("resource cap exceeded: "
+                                "composition exceeds 1024 knots\n")
+        code, out = run(["--cap", "1025", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4e57aa2fd375427bbacca459a03886087cc58777f566b32c406ac8db0d048d7f")
+
+    # f^4 of the full tent has 17 knots; the counterexamples' f^12 have 755
+    # and 1221
+    @pytest.mark.parametrize("argv", [
+        ["counterexample", "--k-max", "12"],
+        ["phase", "--maps", "tent:1", "--p-max", "4"],
+        ["certify", "--map", "tent:1", "--p", "4", "--k", "5"],
+    ], ids=["counterexample", "phase", "certify"])
+    def test_small_cap_exits_3_before_output(self, argv, capsys):
+        assert main(["--cap", "10", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("resource cap exceeded: "
+                                "composition exceeds 10 knots\n")
+
+
 class TestExactOutputsPinned:
     """Stdout of small exact commands, byte for byte.
 

@@ -9,12 +9,14 @@ Closed-form cycle coordinates used as oracles:
 
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from itermaps import cycles, maps, pl
+from itermaps.errors import NotPiecewiseLinear
 
 from conftest import orbit, random_unit_map
 
@@ -177,6 +179,14 @@ class TestFindCyclesExact:
         found = cycles.find_cycles(maps.CustomPLMap(f), 1)
         assert [c.orbit for c in found] == [(0,), (F(2, 5),), (F(9, 14),)]
 
+    def test_interval_of_period_two_points(self):
+        # f(x) = 6/5 - x on [1/2, 7/10]: f^2 - id vanishes on the whole
+        # piece, and f swaps its ends, which alone are reported
+        f = pl.new([(0, 0), (F(1, 2), F(7, 10)), (F(7, 10), F(1, 2)), (1, 0)])
+        found = cycles.find_cycles(maps.CustomPLMap(f), 4)
+        assert [c.orbit for c in found] == [(0,), (F(3, 5),),
+                                            (F(1, 2), F(7, 10))]
+
     def test_to_pl_fault_propagates(self):
         class BrokenTent(maps.TentMap):
             def to_pl(self):
@@ -281,6 +291,92 @@ def ref_smooth_period_roots(m, p):
     for i in np.nonzero(sign == 0)[0]:
         roots.append(float(xs[i]))
     return sorted(set(roots))
+
+
+def ref_find_cycles(m, p_max):
+    """The one-loop search that the two paths of find_cycles replaced: an
+    ``exact`` flag picks the root solver, the dedup structure and the
+    point test, and every kept orbit is stepped out through m."""
+    try:
+        f1 = m.to_pl()
+    except NotPiecewiseLinear:
+        f1 = None
+    exact = f1 is not None
+
+    def close(a, b):
+        if exact:
+            return a == b
+        return abs(float(a) - float(b)) <= cycles.FLOAT_MATCH_TOL
+
+    records, seen, on_orbit = [], [], set()
+    fp = pl.identity()
+    if not exact:
+        smooth_roots = cycles._smooth_period_roots(m, p_max)
+    for p in range(1, p_max + 1):
+        if exact:
+            fp = pl.compose(fp, f1)
+            g = pl.combine((fp.raw, pl.identity().raw), (1, -1), 0)
+            roots = pl.level_set(g, 0)
+        else:
+            roots = smooth_roots[p - 1]
+        for x in roots:
+            if x in on_orbit:
+                continue
+            orbit = [x]
+            for _ in range(p - 1):
+                orbit.append(m(orbit[-1]))
+            if any(close(a, b)
+                   for i, a in enumerate(orbit) for b in orbit[i + 1:]):
+                continue
+            i = min(range(p), key=lambda j: orbit[j])
+            canon = tuple(orbit[i:]) + tuple(orbit[:i])
+            if exact:
+                on_orbit.update(orbit)
+            elif any(len(c) == p and all(close(a, b)
+                                         for a, b in zip(c, canon))
+                     for c in seen):
+                continue
+            else:
+                seen.append(canon)
+            residual = abs(float(m(orbit[-1])) - float(orbit[0]))
+            if residual > (0 if exact else cycles.RESIDUAL_TOL):
+                continue
+            records.append(cycles.CycleRecord(
+                period=p, orbit=canon,
+                itinerary=cycles.itinerary_of_points(canon),
+                residual=residual))
+    records.sort(key=lambda c: (c.period, float(c.orbit[0])))
+    return records
+
+
+def oracle_cases():
+    """(map, p_max) pairs: smooth maps over r in [0.7, 1], the maps whose
+    grid misses points of some cycles, tents, flat tents, and random PL
+    maps."""
+    rs = [(70 + i) / 100 for i in range(31)]
+    cases = [(cls(r), 8) for cls in (maps.LogisticMap, maps.SineMap)
+             for r in rs]
+    cases += [(maps.LogisticMap(r), 8) for r in (0.75, 0.997, 1.0)]
+    cases += [(maps.SineMap(r), 8) for r in (0.991, 0.999, 1.0)]
+    cases += [(cls(F(n, 100)), 8) for cls in (maps.TentMap, maps.FlatTentMap)
+              for n in range(50, 101, 5)]
+    rng = random.Random(20240817)
+    while len(cases) < 120:
+        try:
+            cases.append((maps.CustomPLMap(random_unit_map(rng)), 6))
+        except ValueError:
+            pass
+    return cases
+
+
+class TestFindCyclesOracle:
+    def test_records_match_one_loop_search(self):
+        cases = oracle_cases()
+        assert len(cases) == 120
+        for m, p_max in cases:
+            want = [c.to_json() for c in ref_find_cycles(m, p_max)]
+            got = [c.to_json() for c in cycles.find_cycles(m, p_max)]
+            assert got == want, (m, p_max)
 
 
 SMOOTH_MAPS = [
@@ -395,7 +491,7 @@ class TestRecordFlags:
     def test_table_flag_consistency(self):
         # "123" is simultaneously Stefan, increasing, primary-for-p3 context
         rec = cycles.CycleRecord(period=3, orbit=(F(2, 9), F(4, 9), F(8, 9)),
-                                 itinerary=(1, 2, 3), exact=True, residual=0.0)
+                                 itinerary=(1, 2, 3), residual=0.0)
         assert rec.increasing and rec.stefan and not rec.power_of_two
 
     def test_stefan_not_increasing(self):
@@ -403,7 +499,7 @@ class TestRecordFlags:
 
     def test_json_round_trip_fields(self):
         rec = cycles.CycleRecord(period=2, orbit=(F(40, 89), F(64, 89)),
-                                 itinerary=(1, 2), exact=True, residual=0.0)
+                                 itinerary=(1, 2), residual=0.0)
         import json
         payload = json.loads(rec.to_json())
         assert payload["period"] == 2

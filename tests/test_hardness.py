@@ -73,8 +73,7 @@ class TestIncreasingCertificate:
         # period-2 cycles are increasing ("12"), so fake a 1324 record
         rec = cycles.CycleRecord(period=4,
                                  orbit=(F(1, 5), F(3, 5), F(2, 5), F(4, 5)),
-                                 itinerary=(1, 3, 2, 4), exact=True,
-                                 residual=0.0)
+                                 itinerary=(1, 3, 2, 4), residual=0.0)
         with pytest.raises(CertificateError):
             hardness.certificate(m, rec, 5)
         del two
@@ -115,8 +114,7 @@ class TestStefanCertificate:
         m = maps.TentMap(F(19, 20))
         rec = cycles.CycleRecord(period=4,
                                  orbit=(F(1, 5), F(3, 5), F(2, 5), F(4, 5)),
-                                 itinerary=(1, 3, 2, 4), exact=True,
-                                 residual=0.0)
+                                 itinerary=(1, 3, 2, 4), residual=0.0)
         with pytest.raises(CertificateError,
                            match="neither increasing nor Stefan"):
             hardness.certificate(m, rec, 10)
