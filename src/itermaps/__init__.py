@@ -1,10 +1,11 @@
 """Iterated unimodal interval maps and their complexity measures.
 
-Subpackages cover: exact piecewise-linear arithmetic (pl), parametric map
+Modules cover: exact piecewise-linear arithmetic (pl), parametric map
 families (maps), oscillation/entropy counting (oscillation), periodic-orbit
 and itinerary analysis (cycles), spectral lower bounds (spectra),
 inapproximability certificates (hardness), ReLU network synthesis (relunet),
-and VC-dimension calculators (vcbounds).
+VC-dimension calculators (vcbounds), the toy-map growth comparison
+(warmup), bifurcation sweeps (bifurcation) and SVG plots (svgplot).
 """
 
 from .errors import CertificateError, NotPiecewiseLinear, ResourceLimitError

@@ -59,9 +59,10 @@ def _tails(kind: str, rs: list[float], burn: int,
            keep: int) -> list[list[float]]:
     """Orbit tails of the family members at rs, in the order of rs.
 
-    Each member is built with family_map (range check and unimodality
-    audit); its float parameter is float(m.r), which for the tents is the
-    rounded rational, not the grid value.
+    Each member is built with family_map (range check; a tent builds no
+    PL function unless it is iterated exactly); its float parameter is
+    float(m.r), which for the tents is the rounded rational, not the grid
+    value.
     """
     members = [family_map(kind, r) for r in rs]
     exact = [kind == "tent" and (2 * m.r).denominator == 1 for m in members]

@@ -9,13 +9,13 @@ affects random candidate sweeps.  The shared options --out, --cap and
 
 certify takes the first increasing p-cycle, or failing that the first Stefan
 p-cycle, and the cycle's kind picks the certificate rule, its width floor and
-its width threshold.  --cap bounds what certify, cycles, phase, synth and
-counterexample build knot by knot: f^k in ``pl.iterate``, in
-``cycles.find_cycles`` on PL maps and in ``hardness.counterexample_report``,
-and ``relunet.net_to_pl``.  Lap and crossing counts take no cap, so
-certificates and phase counts reach any depth.  When the cap stops
-certify's candidate stage, the certificate is written with no candidates
-before the command exits 3.
+its width threshold.  --cap bounds what certify, cycles, phase, synth,
+counterexample and warmup build knot by knot: f^k in ``pl.iterate``, in
+``cycles.find_cycles`` on PL maps (the toy maps of warmup included) and in
+``hardness.counterexample_report``, and ``relunet.net_to_pl``.  Lap and
+crossing counts take no cap, so certificates and phase counts reach any
+depth.  When the cap stops certify's candidate stage, the certificate is
+written with no candidates before the command exits 3.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def cmd_superstable(args) -> int:
 def cmd_warmup(args) -> int:
     rep = Reporter()
     k_max = args.k_max
-    series = warmup.growth_comparison(k_max)
+    series = warmup.growth_comparison(k_max, cap=args.cap)
     lines = ["k," + ",".join(f"M_{name}" for name in series) + ",pow2"]
     for k in range(1, k_max + 1):
         row = [str(k)] + [str(s.counts[k - 1]) for s in series.values()]
@@ -150,7 +150,8 @@ def cmd_warmup(args) -> int:
               "M(1324,k) <= 2(4k)^3")
     rep.check("rate_1324", s1324.rates[-1] <= 1.2,
               f"log-rate at k={k_max}: {s1324.rates[-1]:.4f}")
-    rep.check("maximal_1324", warmup.itinerary_1324_is_maximal(),
+    rep.check("maximal_1324",
+              warmup.itinerary_1324_is_maximal(cap=args.cap),
               "no period-8 or odd cycle <= 9")
 
     if args.out is not None:
@@ -359,8 +360,8 @@ SHARED_OPTIONS = (
     ("--out", {"default": None, "help": "output directory (default: stdout)"}),
     ("--cap", {"type": int, "default": pl.DEFAULT_KNOT_CAP,
                "help": "most knots a PL f^k or network built by certify, "
-                       "cycles, phase, synth or counterexample may hold "
-                       "(exit 3 beyond it)"}),
+                       "cycles, phase, synth, counterexample or warmup may "
+                       "hold (exit 3 beyond it)"}),
     ("--seed", {"type": int, "default": 0,
                 "help": "seed for random candidate sweeps"}),
 )

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import pl
+from . import pl, spectra
 from .maps import LogisticMap, UnimodalMap
 
 FLOAT_MATCH_TOL = 1e-8
@@ -347,9 +347,10 @@ def superstable_r(itin, bracket, tol: float = 1e-9, scan: int = 400) -> float:
     The residual f_r^p(1/2) - 1/2 also vanishes at super-stable parameters
     of divisor periods, so the bracket is scanned on scan + 1 values of r in
     one vector call of ``LogisticMap.float_step`` per step, every sign change
-    is bisected, and the root whose critical orbit has minimal period p and
-    the target itinerary is returned.  Bisection and the check run the same
-    step on floats; a scalar and a vector step do the same IEEE operations.
+    is bisected by ``spectra.bisect_root``, and the root whose critical
+    orbit has minimal period p and the target itinerary is returned.
+    Bisection and the check run the same step on floats; a scalar and a
+    vector step do the same IEEE operations.
     """
     itin = parse_itinerary(itin) if isinstance(itin, str) else tuple(itin)
     p = len(itin)
@@ -360,6 +361,9 @@ def superstable_r(itin, bracket, tol: float = 1e-9, scan: int = 400) -> float:
         for _ in range(p):
             orbit.append(step(r, orbit[-1]))
         return orbit
+
+    def residual(r):
+        return critical_orbit(r)[-1] - 0.5
 
     lo, hi = max(bracket[0], 1e-9), min(bracket[1], 1.0)
     if lo > hi:
@@ -372,18 +376,7 @@ def superstable_r(itin, bracket, tol: float = 1e-9, scan: int = 400) -> float:
     roots = [r for r, v in zip(rs, gs) if v == 0]
     for i in range(scan):
         if gs[i] * gs[i + 1] < 0:
-            a, b, ga = rs[i], rs[i + 1], gs[i]
-            while b - a > tol:
-                mid = (a + b) / 2
-                gm = critical_orbit(mid)[-1] - 0.5
-                if gm == 0:
-                    a = b = mid
-                    break
-                if ga * gm < 0:
-                    b = mid
-                else:
-                    a, ga = mid, gm
-            roots.append((a + b) / 2)
+            roots.append(spectra.bisect_root(residual, rs[i], rs[i + 1], tol))
 
     tried = []
     for root in sorted(roots):

@@ -46,10 +46,6 @@ class OscCertificate:
     def width(self):
         return self.b - self.a
 
-    @property
-    def width_floor(self) -> Fraction:
-        return WIDTH_FLOOR[self.mode]
-
     def required_count(self) -> float:
         if self.mode == "increasing":
             return self.rate**self.k / 2

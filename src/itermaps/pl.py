@@ -24,16 +24,15 @@ the slope changes, so each function has exactly one ``raw`` and equality
 compares it.  Built from (x, y) pairs of Fractions it scales them first;
 pairs and ``Knots`` (as ``compose``, ``relunet.net_to_pl`` and
 ``relunet.eps_approx`` build it) then share the same checks and one
-``canon``.  ``knots``, the pairs of ``Fraction`` that boundary code reads and
-serialises, is built from ``raw`` on first read, so an intermediate iterate
-that only the next ``compose`` reads never makes one.  ``scale`` and
+``canon``.  ``knots``, the pairs of ``Fraction`` that boundary code reads,
+is built from ``raw`` on first read, so an intermediate iterate that only
+the next ``compose`` reads never makes one.  ``scale`` and
 ``unscale`` are that conversion pair, and the sweeps return Fractions only
 for their results (roots, norms, touch points).
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,22 +308,6 @@ class PiecewiseLinear:
         ks = self.knots
         return tuple(
             (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(ks, ks[1:])
-        )
-
-    def to_json(self) -> str:
-        quads = [
-            [x.numerator, x.denominator, y.numerator, y.denominator]
-            for x, y in self.knots
-        ]
-        return json.dumps(quads)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewiseLinear":
-        quads = json.loads(text)
-        return cls(
-            tuple(
-                (Fraction(a, b), Fraction(c, d)) for a, b, c, d in quads
-            )
         )
 
 

@@ -70,19 +70,6 @@ class ReluNetwork:
         }
         return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ReluNetwork":
-        def dec(x):
-            return Fraction(x) if isinstance(x, str) else x
-
-        payload = json.loads(text)
-        layers = tuple(
-            (tuple(tuple(dec(x) for x in row) for row in layer["w"]),
-             tuple(dec(x) for x in layer["b"]))
-            for layer in payload["layers"]
-        )
-        return cls(layers)
-
 
 def synth_from_pl(f: pl.PiecewiseLinear) -> ReluNetwork:
     """Depth-2 net computing f exactly on [0,1].

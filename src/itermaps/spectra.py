@@ -8,6 +8,12 @@ The two polynomial families are
 
 and the transition matrix A_p encodes how an increasing p-cycle's gap
 intervals map onto each other under one application of the map.
+
+A_p is a root of P_inc(p): A_p^p - 2 A_p^(p-1) + I is the zero matrix (its
+characteristic polynomial times x - 1 is P_inc(p); the tests check the
+identity in integers for p = 3..20).  So every eigenvalue of A_p is a root
+of P_inc(p), and the Perron root of A_p, which exceeds 1, is rho_inc(p):
+the spectral radius needs no power iteration.
 """
 
 from __future__ import annotations
@@ -28,7 +34,12 @@ def p_odd(p: int, x: float) -> float:
     return x**p - 2 * x ** (p - 2) - 1
 
 
-def _bisect(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
+def bisect_root(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
+    """A root of f in [lo, hi], where f changes sign, to within tol.
+
+    Each step evaluates f once, at the midpoint, and returns the midpoint
+    at once if f is 0 there.
+    """
     flo = f(lo)
     if flo == 0:
         return lo
@@ -36,13 +47,13 @@ def _bisect(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
         raise ValueError("no sign change in bracket")
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if f(mid) == 0:
+        fmid = f(mid)
+        if fmid == 0:
             return mid
-        if flo * f(mid) < 0:
+        if flo * fmid < 0:
             hi = mid
         else:
-            lo = mid
-            flo = f(mid)
+            lo, flo = mid, fmid
     return (lo + hi) / 2
 
 
@@ -54,14 +65,14 @@ def rho_inc(p: int) -> float:
     """
     if p < 3:
         raise ValueError("p must be >= 3")
-    return _bisect(lambda x: p_inc(p, x), 1.5, 2.0)
+    return bisect_root(lambda x: p_inc(p, x), 1.5, 2.0)
 
 
 def rho_odd(p: int) -> float:
     """Largest (only positive) root of P_odd(p); decreases toward sqrt(2)."""
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
-    return _bisect(lambda x: p_odd(p, x), math.sqrt(2), 2.0)
+    return bisect_root(lambda x: p_odd(p, x), math.sqrt(2), 2.0)
 
 
 def fact_lower_bound(p: int) -> float:
@@ -135,27 +146,6 @@ def crossing_lb_vector(p: int, k: int) -> CrossingVector:
     for _ in range(k):
         v = a.apply(v)
     return CrossingVector(p=p, k=k, y=v)
-
-
-def spectral_radius(a: TransitionMatrix, tol: float = 1e-10,
-                    max_iter: int = 10**5) -> float:
-    """Power iteration from the all-ones vector.
-
-    Iterates are exactly the crossing vectors rescaled, and the dominant
-    eigenvalue of A_p is simple, so convergence is geometric.
-    """
-    v = [1.0] * (a.p - 1)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = [float(x) for x in a.apply(tuple(v))]
-        norm = max(abs(x) for x in w)
-        w = [x / norm for x in w]
-        new_lam = sum(wi * vi for wi, vi in zip(w, v)) / sum(
-            vi * vi for vi in v) * norm
-        if abs(new_lam - lam) <= tol * abs(new_lam):
-            return new_lam
-        lam, v = new_lam, w
-    raise RuntimeError("power iteration did not converge")
 
 
 def rho_table(p_lo: int = 3, p_hi: int = 10) -> list[dict]:

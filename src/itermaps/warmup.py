@@ -25,9 +25,10 @@ TOY_CYCLES = {
 }
 
 
-def cycle_interpolant(cycle_dyn, margin: Fraction = APEX_MARGIN
-                      ) -> CustomPLMap:
-    """Unimodal PL map carrying the given cycle (dynamical order)."""
+def cycle_interpolant(cycle_dyn, margin: Fraction = APEX_MARGIN,
+                      cap: int = pl.DEFAULT_KNOT_CAP) -> CustomPLMap:
+    """Unimodal PL map carrying the given cycle (dynamical order); the f^p
+    that checks the cycle may hold `cap` knots."""
     p = len(cycle_dyn)
     pairs = sorted((cycle_dyn[i], cycle_dyn[(i + 1) % p]) for i in range(p))
     apex_val = max(v for _, v in pairs)
@@ -38,27 +39,32 @@ def cycle_interpolant(cycle_dyn, margin: Fraction = APEX_MARGIN
     knots = ([(Fraction(0), Fraction(0))] + pairs[:idx + 1] + [apex]
              + pairs[idx + 1:] + [(Fraction(1), Fraction(0))])
     m = CustomPLMap(pl.new(knots))
-    detected = {c.itinerary for c in find_cycles(m, p) if c.period == p}
+    detected = {c.itinerary for c in find_cycles(m, p, cap)
+                if c.period == p}
     want = itinerary_of_points(cycle_dyn)
     if want not in detected:
         raise ValueError(f"interpolant lost its {want} cycle")
     return m
 
 
-def toy_map(itinerary: str) -> CustomPLMap:
+def toy_map(itinerary: str, cap: int = pl.DEFAULT_KNOT_CAP) -> CustomPLMap:
     """One of the three comparison maps: '123', '1234', or '1324'."""
-    return cycle_interpolant(TOY_CYCLES[itinerary])
+    return cycle_interpolant(TOY_CYCLES[itinerary], cap=cap)
 
 
-def growth_comparison(k_max: int = 14) -> dict[str, oscillation.GrowthSeries]:
-    """Monotone-piece growth series of the three toy maps."""
-    return {name: oscillation.entropy_estimate(toy_map(name), k_max)
+def growth_comparison(k_max: int = 14, cap: int = pl.DEFAULT_KNOT_CAP
+                      ) -> dict[str, oscillation.GrowthSeries]:
+    """Monotone-piece growth series of the three toy maps; `cap` bounds
+    the checks of their cycles, not the lap walk."""
+    return {name: oscillation.entropy_estimate(toy_map(name, cap), k_max)
             for name in ("1234", "123", "1324")}
 
 
-def itinerary_1324_is_maximal(p_scan: int = 9) -> bool:
-    """No period-8 cycle and no odd cycle of period <= p_scan."""
-    found = find_cycles(toy_map("1324"), p_scan)
+def itinerary_1324_is_maximal(p_scan: int = 9,
+                              cap: int = pl.DEFAULT_KNOT_CAP) -> bool:
+    """No period-8 cycle and no odd cycle of period <= p_scan; f^p_scan
+    may hold `cap` knots."""
+    found = find_cycles(toy_map("1324", cap), p_scan, cap)
     periods = {c.period for c in found}
     if 8 in periods:
         return False

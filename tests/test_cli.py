@@ -82,6 +82,13 @@ class TestWarmup:
         last = out.splitlines()[9]
         assert last.startswith("9,") and last.endswith(",512")
 
+    def test_cap_bounds_cycle_checks(self, capsys):
+        # the toy maps' own cycle checks build f^4 (at most 43 knots); the
+        # maximality check builds up to f^9 of the 1324 map (209 knots)
+        assert main(["--cap", "100", "warmup", "--k-max", "9"]) == 3
+        assert capsys.readouterr().err == ("resource cap exceeded: "
+                                           "composition exceeds 100 knots\n")
+
     def test_rate_label_names_window_used(self, capsys):
         code, out = run(["warmup", "--k-max", "9"], capsys)
         assert code == 0

@@ -509,7 +509,7 @@ class TestRecordFlags:
 
 def ref_superstable_r(itin, bracket, tol=1e-9, scan=400):
     """The per-map residual solver that the vector scan replaced: every
-    residual evaluation builds (and audits) a LogisticMap and calls it."""
+    residual evaluation builds a LogisticMap and calls it."""
     itin = cycles.parse_itinerary(itin)
     p = len(itin)
 

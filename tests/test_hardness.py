@@ -35,7 +35,7 @@ def meets_floors(cert):
     """The certificate's postcondition: the count reaches
     ``required_count()`` and the width its floor."""
     assert cert.count >= cert.required_count()
-    assert float(cert.width) >= float(cert.width_floor)
+    assert float(cert.width) >= float(hardness.WIDTH_FLOOR[cert.mode])
     return cert
 
 
@@ -134,7 +134,7 @@ class TestStefanCertificate:
         cert = certificate(m, c, 12)
         assert (cert.mode, cert.count, cert.width) == ("stefan", 1546,
                                                        F(8082, 31087))
-        assert cert.width_floor == F(7, 100)
+        assert hardness.WIDTH_FLOOR[cert.mode] == F(7, 100)
         # soundness: re-measure from scratch
         fk = pl.iterate(m.to_pl(), 12)
         assert crossings(fk, cert.a, cert.b) == cert.count

@@ -509,17 +509,6 @@ class TestClassification:
             pl.SampleSet((F(1, 4), F(1, 2)), F(1, 2), (True,))
 
 
-class TestSerialization:
-    def test_round_trip_bit_exact(self, rng):
-        for _ in range(30):
-            f = random_pl(rng)
-            assert pl.PiecewiseLinear.from_json(f.to_json()).knots == f.knots
-
-    def test_format_is_quad_list(self):
-        text = tent(F(4, 5)).to_json()
-        assert text == "[[0, 1, 0, 1], [1, 2, 4, 5], [1, 1, 0, 1]]"
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 10**6))
 def test_eval_matches_interpolation_on_tent(num, num2, den):

@@ -108,12 +108,30 @@ class TestCrossingVectors:
         assert y[1] > 2**130  # Fibonacci growth, exact big ints
 
 
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
 class TestSpectralRadius:
-    @pytest.mark.parametrize("p", range(3, 11))
+    """rho(A_p) = rho_inc(p), checked in integers: A_p is a root of P_inc(p)
+    (the ``spectra`` docstring says why that settles it)."""
+
+    @pytest.mark.parametrize("p", range(3, 21))
     def test_agrees_with_polynomial_root(self, p):
-        a = spectra.transition_matrix(p)
-        assert abs(spectra.spectral_radius(a) - spectra.rho_inc(p)) <= 1e-8
+        a = [list(row) for row in spectra.transition_matrix(p).entries]
+        eye = [[int(i == j) for j in range(p - 1)] for i in range(p - 1)]
+        powers = [eye]
+        for _ in range(p):
+            powers.append(matmul(powers[-1], a))
+        # P_inc(p)(A_p) = A_p^p - 2 A_p^(p-1) + I
+        value = [[x - 2 * y + e for x, y, e in zip(*rows)]
+                 for rows in zip(powers[p], powers[p - 1], eye)]
+        assert value == [[0] * (p - 1) for _ in range(p - 1)]
 
     def test_golden_ratio_base_case(self):
-        val = spectra.spectral_radius(spectra.transition_matrix(3))
-        assert val == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-9)
+        # A_3^2 = A_3 + I: A_3's eigenvalues are the roots of x^2 - x - 1
+        a = [list(row) for row in spectra.transition_matrix(3).entries]
+        assert matmul(a, a) == [[1, 1], [1, 2]]
+        assert spectra.rho_inc(3) == pytest.approx((1 + math.sqrt(5)) / 2,
+                                                   abs=1e-12)
