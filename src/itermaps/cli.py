@@ -16,6 +16,10 @@ counterexample and warmup build knot by knot: f^k in ``pl.iterate``, in
 crossing counts take no cap, so certificates and phase counts reach any
 depth.  When the cap stops certify's candidate stage, the certificate is
 written with no candidates before the command exits 3.
+
+This module is the only JSON writer.  The library's records return plain
+data from ``to_dict``, with exact values left as Fractions; ``dump`` writes
+every JSON artifact, and its ``json_default`` writes a Fraction as n/d.
 """
 
 from __future__ import annotations
@@ -40,6 +44,20 @@ def fmt(x) -> str:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return str(x)
+
+
+def json_default(x) -> str:
+    """A Fraction as n/d; json.dumps calls this for values it cannot write."""
+    if isinstance(x, Fraction):
+        return fmt(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def dump(obj) -> str:
+    # payloads are trees built per command; the cycle check would add a
+    # marker per Fraction handed to json_default, a tenth of the encoding
+    return json.dumps(obj, sort_keys=True, indent=1, check_circular=False,
+                      default=json_default) + "\n"
 
 
 def parse_map(spec: str) -> maps.UnimodalMap:
@@ -201,16 +219,14 @@ def cmd_certify(args) -> int:
         print(f"no increasing or Stefan {p}-cycle detected", file=sys.stderr)
         return 1
     cert = hardness.certificate(m, usable[0], k)
-    threshold = hardness.width_threshold(
-        p, k, depth, "linf" if cert.mode == "increasing" else "odd_linf")
-    payload = {"certificate": json.loads(cert.to_json()),
+    threshold = hardness.width_threshold(cert, depth)
+    payload = {"certificate": cert.to_dict(),
                "width_threshold": {"u_max": threshold.u_max,
                                    "vacuous": threshold.vacuous},
                "candidates": []}
 
     def write():
-        _write(args.out, "certify.json",
-               json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        _write(args.out, "certify.json", dump(payload))
 
     if m.is_exact:
         try:
@@ -228,7 +244,7 @@ def cmd_certify(args) -> int:
         for name, g in cands:
             report = hardness.certify_against_candidate(fk, g, cert, sample)
             payload["candidates"].append(
-                {"name": name, **json.loads(report.to_json())})
+                {"name": name, **report.to_dict()})
             rep.check(f"counting_floor_{name}", report.ok,
                       f"cls={float(report.cls_error):.4f} "
                       f"pieces={report.g_pieces}")
@@ -238,9 +254,7 @@ def cmd_certify(args) -> int:
 
 def cmd_cycles(args) -> int:
     found = cycles.find_cycles(args.map, args.p_max, cap=args.cap)
-    payload = [json.loads(c.to_json()) for c in found]
-    _write(args.out, "cycles.json",
-           json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write(args.out, "cycles.json", dump([c.to_dict() for c in found]))
     return 0
 
 
@@ -249,10 +263,10 @@ def cmd_phase(args) -> int:
     out = []
     for m in args.maps:
         found = cycles.find_cycles(m, args.p_max, cap=args.cap)
-        report = cycles.classify_regime(found, p_max=args.p_max)
+        report = cycles.classify_regime(found)
         series = oscillation.entropy_estimate(m, args.k_max)
         entry = {
-            "map": json.loads(m.to_json()),
+            "map": m.to_dict(),
             "regime": report.regime,
             "q": report.max_power_of_two,
             "entropy": series.entropy,
@@ -267,13 +281,12 @@ def cmd_phase(args) -> int:
                       all(b < a for a, b in zip(tail, tail[1:])),
                       "per-k rates strictly decreasing from k=8")
         else:
-            entry["witness"] = json.loads(report.witness.to_json())
+            entry["witness"] = report.witness.to_dict()
             if isinstance(m, maps.TentMap) and m.r == 1:
                 witness = vcbounds.shatter(args.shatter_d)
-                entry["shatter"] = json.loads(witness.to_json())
+                entry["shatter"] = witness.to_dict()
         out.append(entry)
-    _write(args.out, "phase.json",
-           json.dumps(out, sort_keys=True, indent=1) + "\n")
+    _write(args.out, "phase.json", dump(out))
     return rep.exit_code
 
 
@@ -296,9 +309,8 @@ def cmd_synth(args) -> int:
     payload = {"k": args.k, "shallow": {"width": net.width,
                                         "depth": net.depth},
                "deep": {"width": deep.width, "depth": deep.depth},
-               "network": json.loads(net.to_json())}
-    _write(args.out, "synth.json",
-           json.dumps(payload, sort_keys=True, indent=1) + "\n")
+               "network": net.to_dict()}
+    _write(args.out, "synth.json", dump(payload))
     return rep.exit_code
 
 
@@ -313,14 +325,13 @@ def cmd_vc(args) -> int:
               "1*0(01)^inf|10^inf" else True, f"bound={bound}")
     if args.shatter_d:
         witness = vcbounds.shatter(args.shatter_d)
-        payload["shatter"] = json.loads(witness.to_json())
+        payload["shatter"] = witness.to_dict()
         rep.check("shatter_complete",
                   len(witness.table) == 2**args.shatter_d,
                   f"{len(witness.table)} labelings")
     payload["doubling_bounds"] = {p: vcbounds.doubling_vc_bound(p)
                                   for p in (1, 2, 4, 8)}
-    _write(args.out, "vc.json",
-           json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write(args.out, "vc.json", dump(payload))
     return rep.exit_code
 
 
@@ -346,8 +357,7 @@ def cmd_counterexample(args) -> int:
                   f"max L-inf over k<={args.k_max}: "
                   f"{float(report['max_linf_error']):.4f}")
         rep.check(f"{name}_width3", report["net_width"] == 3, "three ReLUs")
-    _write(args.out, "counterexample.json",
-           json.dumps(out, sort_keys=True, indent=1) + "\n")
+    _write(args.out, "counterexample.json", dump(out))
     return rep.exit_code
 
 

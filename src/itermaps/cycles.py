@@ -19,11 +19,9 @@ it misses closing by more than RESIDUAL_TOL (a spurious bracket).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -118,12 +116,10 @@ class CycleRecord:
         return {"increasing": self.increasing, "stefan": self.stefan,
                 "primary": self.primary, "power_of_two": self.power_of_two}
 
-    def to_json(self) -> str:
-        orbit = [f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction)
-                 else x for x in self.orbit]
-        return json.dumps({"period": self.period, "orbit": orbit,
-                           "itinerary": itinerary_str(self.itinerary),
-                           "flags": self.flags(), "residual": self.residual})
+    def to_dict(self) -> dict:
+        return {"period": self.period, "orbit": self.orbit,
+                "itinerary": itinerary_str(self.itinerary),
+                "flags": self.flags(), "residual": self.residual}
 
 
 def is_2_extension(child, parent) -> bool:
@@ -278,36 +274,25 @@ def find_cycles(m: UnimodalMap, p_max: int,
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Evidence-based regime call over the cycles detected up to p_max."""
+    """Evidence-based regime call over the cycles detected."""
 
     regime: str  # "doubling" | "chaotic"
     witness: CycleRecord | None
     max_power_of_two: int | None
-    p_max: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "regime": self.regime,
-            "witness": None if self.witness is None
-            else json.loads(self.witness.to_json()),
-            "q": self.max_power_of_two, "p_max": self.p_max})
 
 
-def classify_regime(cycles: Sequence[CycleRecord], p_max: int | None = None
-                    ) -> RegimeReport:
+def classify_regime(cycles: Sequence[CycleRecord]) -> RegimeReport:
     """Chaotic iff a non-power-of-two period or a non-primary power-of-two
     itinerary was detected; otherwise doubling with q = log2(max period)."""
-    if p_max is None:
-        p_max = max((c.period for c in cycles), default=1)
     if not cycles:
         # the endpoint 0 is always fixed, so the doubling floor is q = 0
-        return RegimeReport("doubling", None, 0, p_max)
+        return RegimeReport("doubling", None, 0)
     for c in sorted(cycles, key=lambda c: c.period):
         if not c.power_of_two or not c.primary:
-            return RegimeReport("chaotic", c, None, p_max)
+            return RegimeReport("chaotic", c, None)
     q = max(int(math.log2(c.period)) for c in cycles)
     witness = max(cycles, key=lambda c: c.period)
-    return RegimeReport("doubling", witness, q, p_max)
+    return RegimeReport("doubling", witness, q)
 
 
 # MSS forcing order for the logistic family: cycles appear (and are

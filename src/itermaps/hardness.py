@@ -10,7 +10,6 @@ genuinely need symmetry and concavity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,16 +54,11 @@ class OscCertificate:
         w = float(self.width)
         return {"linf": w / 2, "cls": 0.25, "l1": w * w / 16}
 
-    def to_json(self) -> str:
-        def enc(x):
-            return (f"{x.numerator}/{x.denominator}"
-                    if isinstance(x, Fraction) else x)
-
-        return json.dumps({
-            "mode": self.mode, "p": self.p, "k": self.k,
-            "a": enc(self.a), "b": enc(self.b), "width": float(self.width),
-            "count": self.count, "rate": self.rate, "floors": self.floors(),
-        })
+    def to_dict(self) -> dict:
+        return {"mode": self.mode, "p": self.p, "k": self.k,
+                "a": self.a, "b": self.b, "width": float(self.width),
+                "count": self.count, "rate": self.rate,
+                "floors": self.floors()}
 
 
 def certificate(m: UnimodalMap, c: CycleRecord, k: int) -> OscCertificate:
@@ -98,7 +92,7 @@ def certificate(m: UnimodalMap, c: CycleRecord, k: int) -> OscCertificate:
     floor = WIDTH_FLOOR[mode]
     wide = [(a, b) for a, b in sorted(candidates, key=lambda g: g[1] - g[0],
                                       reverse=True)
-            if float(b - a) >= float(floor)]
+            if b - a >= floor]
     if not wide:
         raise CertificateError(
             f"no qualifying gap: every {mode} candidate is narrower than "
@@ -120,10 +114,6 @@ def certificate(m: UnimodalMap, c: CycleRecord, k: int) -> OscCertificate:
 class WidthThreshold:
     """Width ceiling below which the counting bounds force Omega(1) error."""
 
-    p: int
-    k: int
-    depth: int
-    mode: str  # "linf" | "l1" | "odd_linf" | "odd_l1"
     u_max: float
 
     @property
@@ -131,18 +121,13 @@ class WidthThreshold:
         return self.u_max < 1
 
 
-def width_threshold(p: int, k: int, depth: int, mode: str) -> WidthThreshold:
-    if not (p >= 3 and k >= 1 and 1 <= depth <= k):
-        raise ValueError("need p >= 3 and 1 <= depth <= k")
-    if mode in ("linf", "l1"):
-        rho, exponent = spectra.rho_inc(p), k / depth
-    elif mode in ("odd_linf", "odd_l1"):
-        rho, exponent = spectra.rho_odd(p), (k - p) / depth
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    factor = Fraction(1, 8) if mode.endswith("linf") else Fraction(1, 16)
-    return WidthThreshold(p=p, k=k, depth=depth, mode=mode,
-                          u_max=float(factor) * rho**exponent)
+def width_threshold(cert: OscCertificate, depth: int) -> WidthThreshold:
+    """L-inf width ceiling rate^(e/depth)/8 for nets of the given depth,
+    with e the exponent of the certificate's rule: k, or k - p for Stefan."""
+    if not 1 <= depth <= cert.k:
+        raise ValueError("need 1 <= depth <= k")
+    e = cert.k - cert.p if cert.mode == "stefan" else cert.k
+    return WidthThreshold(u_max=0.125 * cert.rate ** (e / depth))
 
 
 def adversarial_sample(fk: pl.PiecewiseLinear, cert: OscCertificate
@@ -197,14 +182,12 @@ class CandidateReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "linf": float(self.linf), "l1": float(self.l1),
-            "cls_error": float(self.cls_error), "g_pieces": self.g_pieces,
-            "sample_size": self.sample_size,
-            "threshold_check": self.counting_applies,
-            "violations": self.violations,
-        })
+    def to_dict(self) -> dict:
+        return {"linf": float(self.linf), "l1": float(self.l1),
+                "cls_error": float(self.cls_error),
+                "g_pieces": self.g_pieces, "sample_size": self.sample_size,
+                "threshold_check": self.counting_applies,
+                "violations": self.violations}
 
 
 def certify_against_candidate(fk: pl.PiecewiseLinear, g: pl.PiecewiseLinear,
@@ -364,6 +347,5 @@ def counterexample_report(m: CustomPLMap, eps, k_max: int = 10,
         "concave": m.concave,
         "max_linf_error": max(errors.values()),
         "errors": errors,
-        "net_width": relunet.synth_from_pl(
-            three_piece_band_approx(fk, band_lo, apex_val)).width,
+        "net_width": relunet.synth_from_pl(g).width,
     }

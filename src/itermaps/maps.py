@@ -12,7 +12,6 @@ f(0) = f(1) = 0 and a maximum at the critical point.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -50,11 +49,8 @@ class UnimodalMap:
     def to_pl(self) -> pl.PiecewiseLinear:
         raise NotPiecewiseLinear(f"{self.kind} map is not piecewise linear")
 
-    def to_json(self) -> str:
-        r = self.r
-        payload = {"kind": self.kind,
-                   "r": f"{r.numerator}/{r.denominator}" if self.is_exact else r}
-        return json.dumps(payload)
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "r": self.r}
 
     def __repr__(self):
         return f"{type(self).__name__}(r={self.r})"
@@ -220,14 +216,3 @@ class CustomPLMap(PLMap):
 
     def __repr__(self):
         return f"CustomPLMap({self.f})"
-
-
-def tent_near(x: float, bump=Fraction(1, 10**12)) -> TentMap:
-    """Tent map at a rational parameter just above the float x.
-
-    Cycles of the tent family are born exactly at the polynomial-root
-    parameters, so rounding must land on the existing side; the +1e-12 bump
-    dominates both the float representation error and the root solver
-    tolerance while keeping critical-orbit perturbations below 1e-9.
-    """
-    return TentMap(Fraction(x) + bump)

@@ -55,7 +55,8 @@ def rat(x) -> Fraction:
     """Coerce an int, Fraction, or string like '2/5' / '0.93' to Fraction.
 
     Floats are rejected: approximation of irrational parameters must be an
-    explicit caller decision (see maps.tent_near).
+    explicit caller decision (the tests' ``tent_near`` rounds a float tent
+    parameter up to a rational one).
     """
     if isinstance(x, Fraction):
         return x

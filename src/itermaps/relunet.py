@@ -9,7 +9,6 @@ stacking a block k times multiplies depth by k while preserving width.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -56,19 +55,9 @@ class ReluNetwork:
         ) and all(isinstance(x, (Fraction, int))
                   for _, b in self.layers for x in b)
 
-    def to_json(self) -> str:
-        def enc(x):
-            if isinstance(x, (Fraction, int)):
-                f = Fraction(x)
-                return f"{f.numerator}/{f.denominator}"
-            return x
-
-        payload = {
-            "layers": [{"w": [[enc(x) for x in row] for row in w],
-                        "b": [enc(x) for x in b]} for w, b in self.layers],
-            "activation": "relu",
-        }
-        return json.dumps(payload)
+    def to_dict(self) -> dict:
+        return {"layers": [{"w": w, "b": b} for w, b in self.layers],
+                "activation": "relu"}
 
 
 def synth_from_pl(f: pl.PiecewiseLinear) -> ReluNetwork:

@@ -9,7 +9,6 @@ docstring and output notes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,12 +195,9 @@ class ShatterWitness:
     points: tuple[Fraction, ...]
     table: dict[str, int]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "d": self.d, "m": self.m, "primes": list(self.primes),
-            "points": [f"{x.numerator}/{x.denominator}" for x in self.points],
-            "table": self.table,
-        })
+    def to_dict(self) -> dict:
+        return {"d": self.d, "m": self.m, "primes": self.primes,
+                "points": self.points, "table": self.table}
 
 
 def _increasing_cycle_point(p: int) -> Fraction:

@@ -3,7 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from itermaps import pl
+from itermaps import maps, pl
+
+
+def tent_near(x: float, bump=Fraction(1, 10**12)) -> maps.TentMap:
+    """Tent map at a rational parameter just above the float x.
+
+    Cycles of the tent family are born exactly at the polynomial-root
+    parameters, so rounding must land on the existing side; the +1e-12 bump
+    dominates both the float representation error and the root solver
+    tolerance while keeping critical-orbit perturbations below 1e-9.
+    """
+    return maps.TentMap(Fraction(x) + bump)
 
 
 def random_rational(rng, den_max=64):

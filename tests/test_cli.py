@@ -1,13 +1,16 @@
 """CLI: exit codes, determinism, emitted file formats."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
 
-from itermaps.cli import build_parser, fmt, main, parse_map
+import itermaps
+from itermaps.cli import build_parser, fmt, json_default, main, parse_map
 from itermaps import (bifurcation, cycles, hardness, maps, pl, relunet,
                       spectra)
 
@@ -18,6 +21,21 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+class TestJsonEncoding:
+    def test_fraction_written_n_over_d(self):
+        assert json_default(F(1)) == "1/1"
+        assert json_default(F(-3, 6)) == "-1/2"
+
+    def test_other_types_rejected(self):
+        with pytest.raises(TypeError):
+            json_default(object())
+
+    def test_cli_is_the_only_json_writer(self):
+        for info in pkgutil.iter_modules(itermaps.__path__):
+            mod = importlib.import_module(f"itermaps.{info.name}")
+            assert info.name == "cli" or not hasattr(mod, "json"), info.name
 
 
 class TestParseMap:
@@ -227,9 +245,10 @@ class TestCertify:
         cycle = next(c for c in cycles.find_cycles(m, 3)
                      if c.period == 3 and c.increasing)
         cert = hardness.certificate(m, cycle, 60)
-        threshold = hardness.width_threshold(3, 60, 2, "linf")
+        threshold = hardness.width_threshold(cert, 2)
         assert got["certificate"]["count"] == 2**60
-        assert got["certificate"] == json.loads(cert.to_json())
+        assert got["certificate"] == json.loads(
+            json.dumps(cert.to_dict(), default=json_default))
         assert got["width_threshold"] == {"u_max": threshold.u_max,
                                           "vacuous": threshold.vacuous}
 

@@ -8,6 +8,7 @@ Closed-form cycle coordinates used as oracles:
 """
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from itermaps import cycles, maps, pl
+from itermaps import cli, cycles, maps, pl
 from itermaps.errors import NotPiecewiseLinear
 
 from conftest import orbit, random_unit_map
@@ -349,6 +350,11 @@ def ref_find_cycles(m, p_max):
     return records
 
 
+def record_json(c) -> str:
+    """One record as the JSON artifacts write it, without indentation."""
+    return json.dumps(c.to_dict(), default=cli.json_default)
+
+
 def oracle_cases():
     """(map, p_max) pairs: smooth maps over r in [0.7, 1], the maps whose
     grid misses points of some cycles, tents, flat tents, and random PL
@@ -374,8 +380,8 @@ class TestFindCyclesOracle:
         cases = oracle_cases()
         assert len(cases) == 120
         for m, p_max in cases:
-            want = [c.to_json() for c in ref_find_cycles(m, p_max)]
-            got = [c.to_json() for c in cycles.find_cycles(m, p_max)]
+            want = [record_json(c) for c in ref_find_cycles(m, p_max)]
+            got = [record_json(c) for c in cycles.find_cycles(m, p_max)]
             assert got == want, (m, p_max)
 
 
@@ -400,7 +406,7 @@ class TestSmoothRootsOracle:
 
     The sine rows check that np.sin over the longer concatenated vector of
     all periods gives each element the bits it gets in its own period's
-    vector.  The record digests (one to_json line per record, p_max = 8)
+    vector.  The record digests (one record_json line per record, p_max = 8)
     were recorded with the per-period bisection.
     """
 
@@ -414,7 +420,7 @@ class TestSmoothRootsOracle:
             want = ref_smooth_period_roots(m, p)
             # float for float: equal values and equal bits
             assert np.array(roots).tobytes() == np.array(want).tobytes()
-        text = "\n".join(c.to_json() for c in cycles.find_cycles(m, 8))
+        text = "\n".join(record_json(c) for c in cycles.find_cycles(m, 8))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_each_period_matches_its_own_call(self):
@@ -433,7 +439,7 @@ class TestRegime:
 
     def test_logistic_doubling_q2(self):
         found = cycles.find_cycles(maps.LogisticMap(0.8671), 8)
-        report = cycles.classify_regime(found, p_max=8)
+        report = cycles.classify_regime(found)
         assert report.regime == "doubling"
         assert report.max_power_of_two == 2
 
@@ -445,7 +451,7 @@ class TestRegime:
         assert 3 in periods  # the forced three-cycle is actually detected
 
     def test_empty_is_doubling_floor(self):
-        report = cycles.classify_regime([], p_max=1)
+        report = cycles.classify_regime([])
         assert report.regime == "doubling" and report.max_power_of_two == 0
 
 
@@ -500,8 +506,8 @@ class TestRecordFlags:
     def test_json_round_trip_fields(self):
         rec = cycles.CycleRecord(period=2, orbit=(F(40, 89), F(64, 89)),
                                  itinerary=(1, 2), residual=0.0)
-        import json
-        payload = json.loads(rec.to_json())
+        assert rec.to_dict()["orbit"] == (F(40, 89), F(64, 89))
+        payload = json.loads(record_json(rec))
         assert payload["period"] == 2
         assert payload["orbit"] == ["40/89", "64/89"]
         assert payload["flags"]["primary"] is True

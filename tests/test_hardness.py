@@ -10,7 +10,7 @@ import pytest
 from itermaps import cycles, hardness, maps, pl, relunet, spectra
 from itermaps.errors import CertificateError
 
-from conftest import crossings, orbit, pointwise_l1
+from conftest import crossings, orbit, pointwise_l1, tent_near
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -35,7 +35,7 @@ def meets_floors(cert):
     """The certificate's postcondition: the count reaches
     ``required_count()`` and the width its floor."""
     assert cert.count >= cert.required_count()
-    assert float(cert.width) >= float(hardness.WIDTH_FLOOR[cert.mode])
+    assert cert.width >= hardness.WIDTH_FLOOR[cert.mode]
     return cert
 
 
@@ -46,7 +46,7 @@ def certificate(m, c, k):
 
 class TestIncreasingCertificate:
     def test_golden_tent_k8(self):
-        m = maps.tent_near(spectra.rho_inc(3) / 2)
+        m = tent_near(spectra.rho_inc(3) / 2)
         cert = certificate(m, increasing_cycle(m, 3), 8)
         assert cert.count >= PHI**8 / 2  # >= 24
         assert float(cert.width) >= 1 / 18
@@ -86,10 +86,22 @@ class TestIncreasingCertificate:
 
     def test_p4_and_p5_tents(self):
         for p in (4, 5):
-            m = maps.tent_near(spectra.rho_inc(p) / 2)
+            m = tent_near(spectra.rho_inc(p) / 2)
             cert = certificate(m, increasing_cycle(m, p), 10)
             assert cert.count >= spectra.rho_inc(p) ** 10 / 2
             assert float(cert.width) >= 1 / 18
+
+    def test_width_floor_is_exact(self):
+        # both gaps are 1/18 - 10^-30: in floats they round to 1/18, but
+        # no gap reaches the floor
+        m = maps.TentMap(1)
+        d = F(1, 18) - F(1, 10**30)
+        rec = cycles.CycleRecord(period=3,
+                                 orbit=(F(1, 5), F(1, 5) + d, F(1, 5) + 2 * d),
+                                 itinerary=(1, 2, 3), residual=0.0)
+        assert float(d) == float(F(1, 18))
+        with pytest.raises(CertificateError, match="no qualifying gap"):
+            hardness.certificate(m, rec, 10)
 
 
 class TestStefanCertificate:
@@ -147,22 +159,31 @@ class TestStefanCertificate:
 
 class TestWidthThreshold:
     def test_linf_p4(self):
-        t = hardness.width_threshold(4, 20, 2, "linf")
+        m = tent_near(spectra.rho_inc(4) / 2)
+        cert = certificate(m, increasing_cycle(m, 4), 20)
+        t = hardness.width_threshold(cert, 2)
         assert t.u_max == pytest.approx(spectra.rho_inc(4) ** 10 / 8, rel=1e-9)
         assert 55 < t.u_max < 56
 
     def test_vacuous_flag(self):
-        t = hardness.width_threshold(3, 10, 10, "linf")
+        m = maps.TentMap(1)
+        t = hardness.width_threshold(
+            certificate(m, increasing_cycle(m, 3), 10), 10)
         assert t.u_max == pytest.approx(PHI / 8, abs=1e-6)
         assert t.vacuous
 
     def test_odd_exponent_offset(self):
-        t = hardness.width_threshold(5, 12, 1, "odd_linf")
+        m = maps.TentMap(F(9, 10))
+        cert = certificate(m, stefan_cycle(m, 5), 12)
+        t = hardness.width_threshold(cert, 1)
         assert t.u_max == pytest.approx(spectra.rho_odd(5) ** 7 / 8, rel=1e-9)
 
-    def test_l1_uses_sixteenth(self):
-        t = hardness.width_threshold(3, 12, 2, "l1")
-        assert t.u_max == pytest.approx(spectra.rho_inc(3) ** 6 / 16, rel=1e-9)
+    @pytest.mark.parametrize("depth", [0, 11])
+    def test_depth_outside_1_to_k_rejected(self, depth):
+        m = maps.TentMap(1)
+        cert = certificate(m, increasing_cycle(m, 3), 10)
+        with pytest.raises(ValueError, match="1 <= depth <= k"):
+            hardness.width_threshold(cert, depth)
 
 
 def full_band_certificate(k):
@@ -309,7 +330,7 @@ class TestCounterexamples:
 class TestTentCorollary:
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_half_orbit_is_increasing_cycle(self, p):
-        m = maps.tent_near(spectra.rho_inc(p) / 2)
+        m = tent_near(spectra.rho_inc(p) / 2)
         pts = orbit(m, F(1, 2), p)
         assert abs(float(pts[-1]) - 0.5) <= 1e-9
         assert cycles.itinerary_of_points(pts[:p]) == tuple(range(1, p + 1))

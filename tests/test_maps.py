@@ -9,7 +9,7 @@ import pytest
 from itermaps import maps, pl, warmup
 from itermaps.errors import NotPiecewiseLinear
 
-from conftest import orbit
+from conftest import orbit, tent_near
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -142,7 +142,7 @@ class TestOrbits:
 
     def test_tent_near_golden_returns_to_half(self):
         # parameter at the increasing-3-cycle birth: half-orbit closes in 3
-        m = maps.tent_near(PHI / 2)
+        m = tent_near(PHI / 2)
         assert abs(float(orbit(m, m.apex_x, 3)[3]) - 0.5) < 1e-9
 
     def test_logistic_superstable_123_orbit(self):

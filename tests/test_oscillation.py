@@ -7,7 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import crossings, kneading_laps, random_unit_map
+from conftest import crossings, kneading_laps, random_unit_map, tent_near
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -352,7 +352,7 @@ class TestEntropy:
 
     def test_increasing_four_cycle_tent_rate(self):
         from itermaps import spectra
-        m = maps.tent_near(spectra.rho_inc(4) / 2)
+        m = tent_near(spectra.rho_inc(4) / 2)
         series = oscillation.entropy_estimate(m, 14)
         target = math.log(1.839)
         assert abs(series.entropy - target) <= 0.05 * target

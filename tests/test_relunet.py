@@ -1,10 +1,11 @@
 """ReLU synthesis round-trips, stacking vs iteration, eps-approximation."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from itermaps import pl, relunet
+from itermaps import cli, pl, relunet
 from itermaps.errors import ResourceLimitError
 
 from conftest import random_pl
@@ -173,7 +174,7 @@ class TestEpsApprox:
 
 class TestSerialization:
     def test_json_fields(self):
-        import json
-        payload = json.loads(hand_tent_net().to_json())
+        payload = json.loads(
+            json.dumps(hand_tent_net().to_dict(), default=cli.json_default))
         assert payload["activation"] == "relu"
         assert payload["layers"][0]["w"] == [["2/1"], ["4/1"]]

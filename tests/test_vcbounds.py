@@ -1,11 +1,12 @@
 """Regex weak-VC calculus, doubling bound, primes, CRT shattering."""
 
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from itermaps import maps, vcbounds
+from itermaps import cli, maps, vcbounds
 from itermaps.vcbounds import Interleave, Prefix, RepInf, Star, Union
 
 HORIZON = 20
@@ -174,8 +175,7 @@ class TestShatter:
             vcbounds.shatter(d)
 
     def test_witness_json(self):
-        import json
         w = vcbounds.shatter(2)
-        payload = json.loads(w.to_json())
+        payload = json.loads(json.dumps(w.to_dict(), default=cli.json_default))
         assert payload["primes"] == [5, 7]
         assert payload["points"] == ["16/33", "64/129"]
