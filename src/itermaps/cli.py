@@ -178,7 +178,7 @@ def cmd_warmup(args) -> int:
              for name, s in series.items()]
             + [("2^k", [(k, 2.0**k) for k in range(1, k_max + 1)])],
             title="monotone pieces of iterated toy maps",
-            x_label="k", y_label="M(f^k)", log_y=True)
+            x_label="k", y_label="M(f^k)")
         _write(args.out, "warmup_growth.svg", plot)
     return rep.exit_code
 
@@ -210,6 +210,10 @@ def cmd_certify(args) -> int:
     rep = Reporter()
     m = args.map
     p, k, depth = args.p, args.k, args.depth
+    if not 1 <= depth <= k:
+        print(f"certify needs 1 <= depth <= k, got depth {depth} and k {k}",
+              file=sys.stderr)
+        return 2
     found = [c for c in cycles.find_cycles(m, p, cap=args.cap)
              if c.period == p]
     # 123 is both increasing and Stefan: it takes the increasing rule
@@ -219,10 +223,9 @@ def cmd_certify(args) -> int:
         print(f"no increasing or Stefan {p}-cycle detected", file=sys.stderr)
         return 1
     cert = hardness.certificate(m, usable[0], k)
-    threshold = hardness.width_threshold(cert, depth)
+    u_max = hardness.width_threshold(cert, depth)
     payload = {"certificate": cert.to_dict(),
-               "width_threshold": {"u_max": threshold.u_max,
-                                   "vacuous": threshold.vacuous},
+               "width_threshold": {"u_max": u_max, "vacuous": u_max < 1},
                "candidates": []}
 
     def write():
@@ -464,13 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    # argparse would read the value of the removed global --jobs as the
-    # subcommand and report an invalid choice instead
-    if any(a == "--jobs" or a.startswith("--jobs=") for a in argv):
-        parser.error("--jobs was removed: sweeps run serially")
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
     except ResourceLimitError as exc:

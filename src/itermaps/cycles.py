@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +34,10 @@ RESIDUAL_TOL = 1e-9
 
 #: root-bracketing cells per unit period for smooth maps
 GRID_PER_PERIOD = 4096
+
+#: superstable_r scans a bracket on SCAN + 1 values of r and bisects each
+#: sign change to within R_TOL
+SCAN, R_TOL = 400, 1e-9
 
 
 def itinerary_of_points(orbit: Sequence) -> tuple[int, ...]:
@@ -122,10 +126,8 @@ class CycleRecord:
                 "flags": self.flags(), "residual": self.residual}
 
 
-def is_2_extension(child, parent) -> bool:
+def is_2_extension(child: tuple[int, ...], parent: tuple[int, ...]) -> bool:
     """Check the doubling identity a_i = ceil(a'_i/2) = ceil(a'_(i+p)/2)."""
-    child = parse_itinerary(child) if isinstance(child, str) else tuple(child)
-    parent = parse_itinerary(parent) if isinstance(parent, str) else tuple(parent)
     p = len(parent)
     if len(child) != 2 * p:
         raise ValueError("child must have twice the parent's length")
@@ -135,31 +137,18 @@ def is_2_extension(child, parent) -> bool:
     )
 
 
-def halve_2_extension(itin: tuple[int, ...]):
-    """Invert the 2-extension map, or None when itin is not an extension."""
-    n = len(itin)
-    if n % 2 == 1:
-        return None
-    p = n // 2
-    parent = tuple(-(-itin[i] // 2) for i in range(p))
-    if sorted(parent) != list(range(1, p + 1)):
-        return None
-    if not is_2_extension(itin, parent):
-        return None
-    return parent
-
-
-def is_primary_power_of_two(itin) -> bool:
+def is_primary_power_of_two(itin: tuple[int, ...]) -> bool:
     """A power-of-two cycle is primary iff it is an iterated 2-extension of 1."""
-    itin = parse_itinerary(itin) if isinstance(itin, str) else tuple(itin)
     n = len(itin)
     if n & (n - 1) != 0:
         raise ValueError("period must be a power of two")
     while len(itin) > 1:
-        nxt = halve_2_extension(itin)
-        if nxt is None:
+        p = len(itin) // 2
+        parent = tuple(-(-a // 2) for a in itin[:p])  # the only candidate
+        if (sorted(parent) != list(range(1, p + 1))
+                or not is_2_extension(itin, parent)):
             return False
-        itin = nxt
+        itin = parent
     return True
 
 
@@ -222,11 +211,10 @@ def _pl_cycles(m: UnimodalMap, p_max: int, cap: int) -> list[CycleRecord]:
             while (j := succ[cyc[-1]]) > i:
                 cyc.append(j)
             if j == i and len(cyc) == p:  # i is the cycle's least root
-                order = sorted(cyc)
+                # roots are sorted, so indices rank as the points do
                 records.append(CycleRecord(
                     period=p, orbit=tuple(roots[j] for j in cyc),
-                    itinerary=tuple(order.index(j) + 1 for j in cyc),
-                    residual=0.0))
+                    itinerary=itinerary_of_points(cyc), residual=0.0))
     return records
 
 
@@ -325,19 +313,19 @@ FORCING_TABLE = (
 )
 
 
-def superstable_r(itin, bracket, tol: float = 1e-9, scan: int = 400) -> float:
+def superstable_r(itin: str, bracket) -> float:
     """Logistic parameter at which the critical orbit closes with itinerary
     `itin` (the cycle contains the critical point).
 
     The residual f_r^p(1/2) - 1/2 also vanishes at super-stable parameters
-    of divisor periods, so the bracket is scanned on scan + 1 values of r in
+    of divisor periods, so the bracket is scanned on SCAN + 1 values of r in
     one vector call of ``LogisticMap.float_step`` per step, every sign change
-    is bisected by ``spectra.bisect_root``, and the root whose critical
-    orbit has minimal period p and the target itinerary is returned.
-    Bisection and the check run the same step on floats; a scalar and a
-    vector step do the same IEEE operations.
+    is bisected by ``spectra.bisect_root`` to within R_TOL, and the root
+    whose critical orbit has minimal period p and the target itinerary is
+    returned.  Bisection and the check run the same step on floats; a
+    scalar and a vector step do the same IEEE operations.
     """
-    itin = parse_itinerary(itin) if isinstance(itin, str) else tuple(itin)
+    itin = parse_itinerary(itin)
     p = len(itin)
     step = LogisticMap.float_step
 
@@ -353,15 +341,16 @@ def superstable_r(itin, bracket, tol: float = 1e-9, scan: int = 400) -> float:
     lo, hi = max(bracket[0], 1e-9), min(bracket[1], 1.0)
     if lo > hi:
         raise ValueError(f"bracket {bracket} misses (0, 1]")
-    rs = [lo + (hi - lo) * i / scan for i in range(scan + 1)]
-    grid, x = np.array(rs), np.full(scan + 1, 0.5)
+    rs = [lo + (hi - lo) * i / SCAN for i in range(SCAN + 1)]
+    grid, x = np.array(rs), np.full(SCAN + 1, 0.5)
     for _ in range(p):
         x = step(grid, x)
     gs = (x - 0.5).tolist()
     roots = [r for r, v in zip(rs, gs) if v == 0]
-    for i in range(scan):
+    for i in range(SCAN):
         if gs[i] * gs[i + 1] < 0:
-            roots.append(spectra.bisect_root(residual, rs[i], rs[i + 1], tol))
+            roots.append(
+                spectra.bisect_root(residual, rs[i], rs[i + 1], R_TOL))
 
     tried = []
     for root in sorted(roots):

@@ -110,24 +110,15 @@ def certificate(m: UnimodalMap, c: CycleRecord, k: int) -> OscCertificate:
         f"measured {max(shortfall)}")
 
 
-@dataclass(frozen=True)
-class WidthThreshold:
-    """Width ceiling below which the counting bounds force Omega(1) error."""
-
-    u_max: float
-
-    @property
-    def vacuous(self) -> bool:
-        return self.u_max < 1
-
-
-def width_threshold(cert: OscCertificate, depth: int) -> WidthThreshold:
-    """L-inf width ceiling rate^(e/depth)/8 for nets of the given depth,
-    with e the exponent of the certificate's rule: k, or k - p for Stefan."""
+def width_threshold(cert: OscCertificate, depth: int) -> float:
+    """L-inf width ceiling u_max = rate^(e/depth)/8 for nets of the given
+    depth, with e the exponent of the certificate's rule: k, or k - p for
+    Stefan.  Below it the counting bounds force Omega(1) error; a u_max
+    under 1 is vacuous."""
     if not 1 <= depth <= cert.k:
         raise ValueError("need 1 <= depth <= k")
     e = cert.k - cert.p if cert.mode == "stefan" else cert.k
-    return WidthThreshold(u_max=0.125 * cert.rate ** (e / depth))
+    return 0.125 * cert.rate ** (e / depth)
 
 
 def adversarial_sample(fk: pl.PiecewiseLinear, cert: OscCertificate
@@ -219,26 +210,20 @@ def decimated_candidate(fk: pl.PiecewiseLinear, pieces: int
     return pl.new([ks[i] for i in idx])
 
 
-def least_squares_candidate(fk: pl.PiecewiseLinear, pieces: int,
-                            grid: int = 512) -> pl.PiecewiseLinear:
-    """Uniform-knot PL fit of f^k by discrete least squares on a fine grid."""
+def least_squares_candidate(fk: pl.PiecewiseLinear, pieces: int
+                            ) -> pl.PiecewiseLinear:
+    """Uniform-knot PL fit of f^k by discrete least squares on a grid of
+    512 cells."""
     import numpy as np
 
-    xs = np.linspace(0.0, 1.0, grid + 1)
+    xs = np.linspace(0.0, 1.0, 513)
     fk_knots_x = np.array([float(x) for x, _ in fk.knots])
     fk_knots_y = np.array([float(y) for _, y in fk.knots])
     ys = np.interp(xs, fk_knots_x, fk_knots_y)
     knots = np.linspace(0.0, 1.0, pieces + 1)
-    # hat-function design matrix
-    design = np.zeros((len(xs), len(knots)))
-    for j, t in enumerate(knots):
-        left = knots[j - 1] if j > 0 else t
-        right = knots[j + 1] if j + 1 < len(knots) else t
-        rise = np.where((xs >= left) & (xs <= t),
-                        (xs - left) / (t - left) if t > left else 1.0, 0.0)
-        fall = np.where((xs > t) & (xs <= right),
-                        (right - xs) / (right - t) if right > t else 0.0, 0.0)
-        design[:, j] = rise + fall
+    # hat-function design matrix: column j interpolates the j-th unit vector
+    design = np.stack([np.interp(xs, knots, e) for e in np.eye(pieces + 1)],
+                      axis=1)
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     coef = np.clip(coef, 0.0, 1.0)
     pts = [(Fraction(t).limit_denominator(10**6),

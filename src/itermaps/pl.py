@@ -386,17 +386,27 @@ def iterate(f: PiecewiseLinear, k: int,
     return result
 
 
-def monotone_pieces(f: PiecewiseLinear) -> int:
-    """Minimal number of maximal monotone intervals.
+def turning_knots(ys: Sequence) -> list[int]:
+    """Indices of the knots (with values ys) where a maximal monotone run
+    turns: knot i starts a non-flat segment against the last non-flat one.
 
-    Flat segments merge into the adjacent monotone piece, so only sign
-    alternations of the nonzero slopes are counted.
+    A flat joins the run it ends; flats before the first slope join the
+    first run.
     """
-    ys = f.raw.ys
-    rising = [y1 > y0 for y0, y1 in zip(ys, ys[1:]) if y1 != y0]
-    if not rising:
-        return 1
-    return 1 + sum(1 for a, b in zip(rising, rising[1:]) if a != b)
+    out, last = [], 0
+    for i, (y0, y1) in enumerate(zip(ys, ys[1:])):
+        d = (y1 > y0) - (y1 < y0)
+        if d:
+            if d == -last:
+                out.append(i)
+            last = d
+    return out
+
+
+def monotone_pieces(f: PiecewiseLinear) -> int:
+    """Minimal number of maximal monotone intervals: one more than the
+    turning knots."""
+    return 1 + len(turning_knots(f.raw.ys))
 
 
 def crossing_points(f: PiecewiseLinear, a, b) -> tuple[tuple[Fraction, Fraction], ...]:

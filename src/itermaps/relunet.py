@@ -67,10 +67,8 @@ def synth_from_pl(f: pl.PiecewiseLinear) -> ReluNetwork:
     plus one per interior slope change), so hidden width = knots - 1.
     """
     ks = f.knots
-    slopes = list(f.slopes)
-    if not slopes:  # single flat piece
-        slopes = [Fraction(0)]
-    thresholds = [ks[0][0]] + [x for x, _ in ks[1:-1]]
+    slopes = f.slopes
+    thresholds = [x for x, _ in ks[:-1]]
     coeffs = [slopes[0]] + [s1 - s0 for s0, s1 in zip(slopes, slopes[1:])]
     w1 = tuple((Fraction(1),) for _ in thresholds)
     b1 = tuple(-t for t in thresholds)
@@ -174,8 +172,12 @@ def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
             xd.append(d)
             out.append(y)
 
-    def emit_run(lo: int, hi: int):
-        """Approximate f on knots[lo..hi] (monotone) by eps-spaced levels."""
+    def level_in(j, level):
+        a, b = ys[j], ys[j + 1]
+        return a != b and min(a, b) <= level <= max(a, b)
+
+    ends = [0, *pl.turning_knots(ys), len(ys) - 1]
+    for lo, hi in zip(ends, ends[1:]):  # f is monotone on knots lo..hi
         if hi > lo + 1:  # on one segment the level points are collinear
             y0, y1 = ys[lo], ys[hi]
             sign = 1 if y1 >= y0 else -1
@@ -183,28 +185,11 @@ def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
             j = lo
             while abs(y1 - level) > step:
                 level += sign * step
-                while not _level_in(j, level):
+                while not level_in(j, level):
                     j += 1
                 emit(*pl._at(xs[j], ys[j], xs[j + 1], ys[j + 1], level),
                      level)
         emit(xs[hi], 1, ys[hi])
-
-    def _level_in(j, level):
-        a, b = ys[j], ys[j + 1]
-        return a != b and min(a, b) <= level <= max(a, b)
-
-    # split knots into maximal monotone runs (flats merge rightward)
-    dirs = [(y1 > y0) - (y1 < y0) for y0, y1 in zip(ys, ys[1:])]
-    run_start = 0
-    cur = dirs[0]
-    for idx in range(1, len(dirs)):
-        if dirs[idx] != 0 and cur != 0 and dirs[idx] != cur:
-            emit_run(run_start, idx)
-            run_start = idx
-            cur = dirs[idx]
-        elif cur == 0:
-            cur = dirs[idx]
-    emit_run(run_start, len(ys) - 1)
 
     xs, m = pl._common(xn, xd)
     return pl.PiecewiseLinear(pl.Knots(xs, dx * m, out, s))

@@ -148,10 +148,10 @@ def crossing_lb_vector(p: int, k: int) -> CrossingVector:
     return CrossingVector(p=p, k=k, y=v)
 
 
-def rho_table(p_lo: int = 3, p_hi: int = 10) -> list[dict]:
-    """Rows (p, rho_inc, fact bound, rho_odd-or-None) for the summary table."""
+def rho_table() -> list[dict]:
+    """Rows (p, rho_inc, fact bound, rho_odd-or-None) for p = 3..10."""
     rows = []
-    for p in range(p_lo, p_hi + 1):
+    for p in range(3, 11):
         rows.append({
             "p": p,
             "rho_inc": rho_inc(p),

@@ -9,11 +9,11 @@ MARGIN = 60
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1
-    step = (hi - lo) / n
-    return [lo + i * step for i in range(n + 1)]
+    step = (hi - lo) / 5
+    return [lo + i * step for i in range(6)]
 
 
 class _Frame:
@@ -69,12 +69,12 @@ def _document(body: list[str]) -> str:
 
 
 def line_plot(series: list[tuple[str, list[tuple[float, float]]]],
-              title: str = "", x_label: str = "", y_label: str = "",
-              log_y: bool = False) -> str:
-    """Polyline chart; series is a list of (label, [(x, y), ...])."""
+              title: str = "", x_label: str = "", y_label: str = "") -> str:
+    """Polyline chart on a log y axis; series is a list of
+    (label, [(x, y), ...])."""
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
-    fr = _Frame(min(xs), max(xs), min(ys), max(ys), log_y=log_y)
+    fr = _Frame(min(xs), max(xs), min(ys), max(ys), log_y=True)
     body = _axes(fr, title, x_label, y_label)
     for i, (label, pts) in enumerate(series):
         color = COLORS[i % len(COLORS)]
@@ -87,14 +87,14 @@ def line_plot(series: list[tuple[str, list[tuple[float, float]]]],
 
 
 def scatter(points: list[tuple[float, float]], title: str = "",
-            x_label: str = "", y_label: str = "", radius: float = 0.7) -> str:
+            x_label: str = "", y_label: str = "") -> str:
     """Dot cloud (bifurcation-style)."""
     xs = [x for x, _ in points] or [0, 1]
     ys = [y for _, y in points] or [0, 1]
     fr = _Frame(min(xs), max(xs), min(ys), max(ys))
     body = _axes(fr, title, x_label, y_label)
     dots = "".join(
-        f'<circle cx="{fr.px(x):.2f}" cy="{fr.py(y):.2f}" r="{radius}"/>'
+        f'<circle cx="{fr.px(x):.2f}" cy="{fr.py(y):.2f}" r="0.7"/>'
         for x, y in points)
     body.append(f'<g fill="#1f77b4" fill-opacity="0.5">{dots}</g>')
     return _document(body)

@@ -167,8 +167,6 @@ def primes_above(m: int, d: int) -> tuple[int, ...]:
     n = m
     while len(out) < d:
         n += 1
-        if n < 2:
-            continue
         if all(n % q for q in range(2, int(math.isqrt(n)) + 1)):
             out.append(n)
     return tuple(out)

@@ -25,8 +25,8 @@ TOY_CYCLES = {
 }
 
 
-def cycle_interpolant(cycle_dyn, margin: Fraction = APEX_MARGIN,
-                      cap: int = pl.DEFAULT_KNOT_CAP) -> CustomPLMap:
+def cycle_interpolant(cycle_dyn, cap: int = pl.DEFAULT_KNOT_CAP
+                      ) -> CustomPLMap:
     """Unimodal PL map carrying the given cycle (dynamical order); the f^p
     that checks the cycle may hold `cap` knots."""
     p = len(cycle_dyn)
@@ -35,7 +35,7 @@ def cycle_interpolant(cycle_dyn, margin: Fraction = APEX_MARGIN,
     idx = max(i for i, (_, v) in enumerate(pairs) if v == apex_val)
     x_lo = pairs[idx][0]
     x_hi = pairs[idx + 1][0] if idx + 1 < len(pairs) else Fraction(1)
-    apex = ((x_lo + x_hi) / 2, apex_val + margin)
+    apex = ((x_lo + x_hi) / 2, apex_val + APEX_MARGIN)
     knots = ([(Fraction(0), Fraction(0))] + pairs[:idx + 1] + [apex]
              + pairs[idx + 1:] + [(Fraction(1), Fraction(0))])
     m = CustomPLMap(pl.new(knots))
@@ -60,11 +60,10 @@ def growth_comparison(k_max: int = 14, cap: int = pl.DEFAULT_KNOT_CAP
             for name in ("1234", "123", "1324")}
 
 
-def itinerary_1324_is_maximal(p_scan: int = 9,
-                              cap: int = pl.DEFAULT_KNOT_CAP) -> bool:
-    """No period-8 cycle and no odd cycle of period <= p_scan; f^p_scan
-    may hold `cap` knots."""
-    found = find_cycles(toy_map("1324", cap), p_scan, cap)
+def itinerary_1324_is_maximal(cap: int = pl.DEFAULT_KNOT_CAP) -> bool:
+    """No period-8 cycle and no odd cycle of period <= 9; f^9 may hold
+    `cap` knots."""
+    found = find_cycles(toy_map("1324", cap), 9, cap)
     periods = {c.period for c in found}
     if 8 in periods:
         return False

@@ -245,12 +245,27 @@ class TestCertify:
         cycle = next(c for c in cycles.find_cycles(m, 3)
                      if c.period == 3 and c.increasing)
         cert = hardness.certificate(m, cycle, 60)
-        threshold = hardness.width_threshold(cert, 2)
+        u_max = hardness.width_threshold(cert, 2)
         assert got["certificate"]["count"] == 2**60
         assert got["certificate"] == json.loads(
             json.dumps(cert.to_dict(), default=json_default))
-        assert got["width_threshold"] == {"u_max": threshold.u_max,
-                                          "vacuous": threshold.vacuous}
+        assert got["width_threshold"] == {"u_max": u_max,
+                                          "vacuous": u_max < 1}
+
+    @pytest.mark.parametrize("extra, depth, k", [
+        (["--depth", "0"], 0, 10),
+        (["--depth", "11"], 11, 10),
+        (["--k", "0"], 2, 0),
+    ], ids=["depth_0", "depth_11", "k_0"])
+    def test_depth_outside_1_to_k_is_usage_error(self, extra, depth, k,
+                                                 capsys):
+        # checked before the cycle search: one line on stderr, no output
+        code = main(["certify", "--map", "tent:1", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"certify needs 1 <= depth <= k, "
+                                f"got depth {depth} and k {k}\n")
 
 
 class TestPhase:
@@ -351,6 +366,8 @@ class TestSharedOptions:
         assert exc.value.code == 2
 
     def test_jobs_flag_removed(self, capsys):
+        # --jobs is gone; argparse rejects it either side of the subcommand
+        # with its own usage error
         for argv in (["--jobs", "2", "bifurcation", "--steps", "5"],
                      ["bifurcation", "--jobs", "2", "--steps", "5"],
                      ["--jobs=2", "vc"]):
@@ -358,7 +375,7 @@ class TestSharedOptions:
                 main(argv)
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            assert "--jobs was removed" in err
+            assert "itermaps: error:" in err
 
 
 class TestUsage:
@@ -417,6 +434,8 @@ class TestExactOutputsPinned:
     ``hardness.certificate``'s postcondition, left the output; nothing else
     in their stdout changed.  The ``bench_`` cases are the exact commands of
     the benchmark's workloads, so each gated command is byte-checked here.
+    The shattering table of ``vc --shatter-d 3`` was pinned when
+    ``vcbounds.primes_above`` lost its unreachable branch.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -444,10 +463,12 @@ class TestExactOutputsPinned:
          "5487beeec86e5a03de9516d4a30213468a0d6bdcc321ca00629a6cc8c99671b9"),
         (["synth", "--map", "tent:9/10", "--k", "8"],
          "86cd77d768cccee02fecf6ce8094d89395621c076dc533dca65ac5eccba04146"),
+        (["vc", "--shatter-d", "3"],
+         "20249f295286e1a27b8ce8beb81ed804e2ef793ce0385318c1c336562b2f2f56"),
     ], ids=["certify", "cycles", "counterexample", "synth", "certify_flat",
             "certify_stefan", "bench_certify", "bench_certify_9_10",
             "bench_cycles", "bench_counterexample", "bench_synth",
-            "bench_synth_9_10"])
+            "bench_synth_9_10", "vc_shatter_3"])
     def test_stdout_digest_and_exit_code(self, argv, digest, capsys):
         code, out = run(argv, capsys)
         assert code == 0
@@ -469,6 +490,8 @@ class TestFloatOutputsPinned:
     recorded while float crossings came from preimage trees, and re-recorded
     only to drop the certificate_count and certificate_width lines.  The
     ``bench_`` cases are benchmark workload commands, as in the exact pins.
+    The rho-table pin was recorded when ``spectra.rho_table`` lost its
+    range parameters.
     """
 
     @pytest.mark.parametrize("argv, exit_code, digest", [
@@ -492,10 +515,39 @@ class TestFloatOutputsPinned:
           "tent:1,tent:9/10,logistic:0.99,logistic:0.8671,sine:0.97",
           "--k-max", "16"], 0,
          "067eb25e5a6ad4e0c15b6987bc720e464a315ca504d9f25ef625747a58b056c6"),
+        (["rho-table"], 0,
+         "cee1e806c1d36c1c02f3c918748356e54cbd14a9132d696284a5822bd7917647"),
     ], ids=["logistic", "sine", "tent", "flat_tent", "superstable",
-            "certify_logistic", "certify_sine", "bench_warmup", "bench_phase"])
+            "certify_logistic", "certify_sine", "bench_warmup", "bench_phase",
+            "rho_table"])
     def test_stdout_digest_and_exit_code(self, argv, exit_code, digest,
                                          capsys):
         code, out = run(argv, capsys)
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestOutFilesPinned:
+    """The files --out writes, byte for byte: the warmup SVG is the log-y
+    line plot and the bifurcation SVG the scatter.  Recorded when
+    ``svgplot`` lost its unused parameters."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["warmup"], {
+            "warmup_growth.csv": "c4e7b84cd226460d6f4c920267179ac1"
+                                 "c367e58a888ed9642151e74ca3fad5d6",
+            "warmup_growth.svg": "6236aa2bfd8f917a0b8d5425d74a8126"
+                                 "926db2bafcd675af2163dd4d39c28362"}),
+        (["bifurcation", "--steps", "50"], {
+            "bifurcation_logistic.csv": "790680fbf3bbb17d1804f447bd40d57d"
+                                        "598e5d074b9842521c8d0ff8efa85701",
+            "bifurcation_logistic.json": "1b8588506628c7192c5856730c3240c0"
+                                         "3f1918e0a270bc5fd8b24861961c0870",
+            "bifurcation_logistic.svg": "e5500fb8ea0c8f6c65933b073fdf66cb"
+                                        "71b20c66b6ec8183ea7202beb06f5b67"}),
+    ], ids=["warmup", "bifurcation"])
+    def test_file_digests(self, argv, digests, tmp_path, capsys):
+        code, _ = run(["--out", str(tmp_path), *argv], capsys)
+        assert code == 0
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in tmp_path.iterdir()} == digests

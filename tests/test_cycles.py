@@ -72,28 +72,37 @@ class TestItinerary:
 
 
 class TestExtensions:
+    @staticmethod
+    def ext(child, parent):
+        return cycles.is_2_extension(cycles.parse_itinerary(child),
+                                     cycles.parse_itinerary(parent))
+
+    @staticmethod
+    def primary(itin):
+        return cycles.is_primary_power_of_two(cycles.parse_itinerary(itin))
+
     def test_known_extensions(self):
-        assert cycles.is_2_extension("12", "1")
-        assert cycles.is_2_extension("1324", "12")
-        assert cycles.is_2_extension("135246", "123")
-        assert cycles.is_2_extension("15472638", "1324")
+        assert self.ext("12", "1")
+        assert self.ext("1324", "12")
+        assert self.ext("135246", "123")
+        assert self.ext("15472638", "1324")
 
     def test_non_extension(self):
-        assert not cycles.is_2_extension("1234", "12")
+        assert not self.ext("1234", "12")
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            cycles.is_2_extension("123", "12")
+            self.ext("123", "12")
 
     def test_primary_power_of_two(self):
-        assert cycles.is_primary_power_of_two("12")
-        assert cycles.is_primary_power_of_two("1324")
-        assert cycles.is_primary_power_of_two("15472638")
-        assert not cycles.is_primary_power_of_two("1234")
+        assert self.primary("12")
+        assert self.primary("1324")
+        assert self.primary("15472638")
+        assert not self.primary("1234")
 
     def test_primary_rejects_odd_length(self):
         with pytest.raises(ValueError):
-            cycles.is_primary_power_of_two("123")
+            self.primary("123")
 
 
 class TestSharkovsky:

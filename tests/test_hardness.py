@@ -161,22 +161,22 @@ class TestWidthThreshold:
     def test_linf_p4(self):
         m = tent_near(spectra.rho_inc(4) / 2)
         cert = certificate(m, increasing_cycle(m, 4), 20)
-        t = hardness.width_threshold(cert, 2)
-        assert t.u_max == pytest.approx(spectra.rho_inc(4) ** 10 / 8, rel=1e-9)
-        assert 55 < t.u_max < 56
+        u_max = hardness.width_threshold(cert, 2)
+        assert u_max == pytest.approx(spectra.rho_inc(4) ** 10 / 8, rel=1e-9)
+        assert 55 < u_max < 56
 
     def test_vacuous_flag(self):
         m = maps.TentMap(1)
-        t = hardness.width_threshold(
+        u_max = hardness.width_threshold(
             certificate(m, increasing_cycle(m, 3), 10), 10)
-        assert t.u_max == pytest.approx(PHI / 8, abs=1e-6)
-        assert t.vacuous
+        assert u_max == pytest.approx(PHI / 8, abs=1e-6)
+        assert u_max < 1  # vacuous: no width is ruled out
 
     def test_odd_exponent_offset(self):
         m = maps.TentMap(F(9, 10))
         cert = certificate(m, stefan_cycle(m, 5), 12)
-        t = hardness.width_threshold(cert, 1)
-        assert t.u_max == pytest.approx(spectra.rho_odd(5) ** 7 / 8, rel=1e-9)
+        u_max = hardness.width_threshold(cert, 1)
+        assert u_max == pytest.approx(spectra.rho_odd(5) ** 7 / 8, rel=1e-9)
 
     @pytest.mark.parametrize("depth", [0, 11])
     def test_depth_outside_1_to_k_rejected(self, depth):
@@ -278,6 +278,44 @@ class TestCandidateSweep:
                 hardness.least_squares_candidate(fk, m_pieces)) <= m_pieces
             assert pl.monotone_pieces(
                 hardness.random_candidate(rng, m_pieces)) <= m_pieces
+
+
+def ref_least_squares_candidate(fk, pieces):
+    """``least_squares_candidate`` with its hat-function design matrix built
+    column by column from each hat's rising and falling flanks: the
+    reference for the interpolation of unit vectors it builds instead."""
+    import numpy as np
+
+    xs = np.linspace(0.0, 1.0, 513)
+    ys = np.interp(xs, [float(x) for x, _ in fk.knots],
+                   [float(y) for _, y in fk.knots])
+    knots = np.linspace(0.0, 1.0, pieces + 1)
+    design = np.zeros((len(xs), len(knots)))
+    for j, t in enumerate(knots):
+        left = knots[j - 1] if j > 0 else t
+        right = knots[j + 1] if j + 1 < len(knots) else t
+        rise = np.where((xs >= left) & (xs <= t),
+                        (xs - left) / (t - left) if t > left else 1.0, 0.0)
+        fall = np.where((xs > t) & (xs <= right),
+                        (right - xs) / (right - t) if right > t else 0.0, 0.0)
+        design[:, j] = rise + fall
+    coef = np.clip(np.linalg.lstsq(design, ys, rcond=None)[0], 0.0, 1.0)
+    pts = [(F(t).limit_denominator(10**6),
+            F(float(c)).limit_denominator(10**6))
+           for t, c in zip(knots, coef)]
+    pts[0] = (F(0), pts[0][1])
+    pts[-1] = (F(1), pts[-1][1])
+    return pl.new(pts)
+
+
+@pytest.mark.parametrize("pieces", [4, 8, 16, 32])
+@pytest.mark.parametrize("r, k", [(F(9, 10), 8), (F(1), 7), (F(4, 5), 5)])
+def test_least_squares_equals_flank_reference(r, k, pieces):
+    # dyadic knots on the 512-cell grid make every design entry exact both
+    # ways, so the fits agree bit for bit
+    fk = pl.iterate(maps.TentMap(r).to_pl(), k)
+    assert (hardness.least_squares_candidate(fk, pieces).raw
+            == ref_least_squares_candidate(fk, pieces).raw)
 
 
 class TestCounterexamples:

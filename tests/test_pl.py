@@ -183,6 +183,24 @@ class TestIterate:
             assert pl.monotone_pieces(fk) == extrema + 1
 
 
+class TestTurningKnots:
+    def test_flats_join_the_run_they_end(self):
+        # leading flat, rise, flat, fall, two-segment rise, trailing flat
+        assert pl.turning_knots([2, 2, 5, 5, 1, 3, 4, 4]) == [3, 4]
+
+    def test_flat_function_has_no_turn(self):
+        assert pl.turning_knots([3, 3]) == []
+        assert pl.monotone_pieces(pl.constant(F(1, 3))) == 1
+
+    def test_runs_between_turns_are_monotone(self, rng):
+        for _ in range(20):
+            ys = random_pl(rng).raw.ys
+            ends = [0, *pl.turning_knots(ys), len(ys) - 1]
+            for lo, hi in zip(ends, ends[1:]):
+                run = ys[lo:hi + 1]
+                assert run == sorted(run) or run == sorted(run, reverse=True)
+
+
 class TestCrossings:
     def test_full_tent(self):
         assert crossings(TENT, 0, 1) == 2

@@ -1,11 +1,13 @@
 """ReLU synthesis round-trips, stacking vs iteration, eps-approximation."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from itermaps import cli, pl, relunet
+from itermaps import cli, hardness, maps, pl, relunet
 from itermaps.errors import ResourceLimitError
 
 from conftest import random_pl
@@ -170,6 +172,23 @@ class TestEpsApprox:
         g = relunet.eps_approx(f6, eps)
         assert pl.linf_diff(f6, g) <= eps
         assert len(g.knots) - 1 <= pl.monotone_pieces(f6) * 8 + 1
+
+    # runs with flats and runs of several segments, where the level points
+    # step from segment to segment; recorded before the run split moved to
+    # pl.turning_knots
+    @pytest.mark.parametrize("make, eps, digest", [
+        (lambda: pl.iterate(maps.FlatTentMap(1).to_pl(), 3), F(1, 8),
+         "0a4ede4b11e8ce9ecc17e32c834606693001cc4b843096338181a447385bcdbc"),
+        (lambda: hardness.build_need_concavity(3, F(1, 10)).to_pl(), F(1, 64),
+         "b59825784d34a9e7ef78d039375c796f059da74db8704d3216b7b4f11661af1c"),
+        # seed 27 repeats the value 1 three times, twice side by side
+        (lambda: random_pl(random.Random(27), max_interior=12), F(1, 16),
+         "b45ae47e39d6eae34ab2f51a23a866d22b663cf3133ad07401158468fc89db55"),
+    ], ids=["flat_tent_f3", "need_concavity", "random_pl_27"])
+    def test_raw_pinned(self, make, eps, digest):
+        g = relunet.eps_approx(make(), eps)
+        assert hashlib.sha256(
+            repr(tuple(g.raw)).encode()).hexdigest() == digest
 
 
 class TestSerialization:
