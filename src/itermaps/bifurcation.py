@@ -10,11 +10,13 @@ outputs in the tests check that they agree).  The exception is a tent member
 whose slope 2r is an integer (r = 1/2 and r = 1): there the float step is
 exact in binary and each doubling shifts one bit out of the mantissa, so the
 float orbit of 0.5001 reaches 0 within about 55 steps.  Those members are
-iterated exactly from the rational 5001/10000, whose denominators stay
-bounded under an integer slope, and each value is converted to float only
-when emitted.  A sweep is one kernel call over its whole grid.  The
-``bifurcation`` command emits the CSV one r-slice at a time, with a single
-``%`` format of the row "r,%.12g" repeated once per tail value.
+iterated exactly from the rational 5001/10000: an integer slope keeps the
+denominator 10000, so the orbit runs on integer numerators and each value is
+converted to float only when emitted.  A sweep is one kernel call over its
+whole grid.  The ``bifurcation`` command emits the CSV one r-slice at a
+time (``cli.csv_slice``): a tail that repeats with period p has its first p
+rows formatted once and repeated, and any other tail, or a period holding a
+zero, is one ``%`` format of the row "r,%.12g" repeated once per tail value.
 """
 
 from __future__ import annotations
@@ -45,13 +47,16 @@ def family_map(kind: str, r: float) -> UnimodalMap:
 
 
 def _exact_tail(m: TentMap, burn: int, keep: int) -> list[float]:
-    x = X0_EXACT
+    """The tail of the exact orbit of X0_EXACT = n/d under slope s = 2r, an
+    integer: x -> s min(x, 1 - x) keeps the denominator d, so the orbit is
+    iterated on its numerator, and n / d rounds as float(Fraction(n, d))."""
+    s, n, d = int(2 * m.r), X0_EXACT.numerator, X0_EXACT.denominator
     for _ in range(burn):
-        x = m(x)
+        n = s * min(n, d - n)
     out = []
     for _ in range(keep):
-        x = m(x)
-        out.append(float(x))
+        n = s * min(n, d - n)
+        out.append(n / d)
     return out
 
 

@@ -183,15 +183,32 @@ def cmd_warmup(args) -> int:
     return rep.exit_code
 
 
+def csv_slice(r: float, tail: list[float]) -> str:
+    """The CSV rows "r,x" of one r-slice, byte for byte fmt(r) + "," + fmt(x).
+
+    With p the first recurrence of tail[0], a tail with tail[p:] ==
+    tail[:-p] has its first p rows formatted once and repeated; any other
+    tail takes one % call over all its values ("%.12g" and fmt's
+    f"{x:.12g}" are the same float conversion).  Equal floats print alike
+    except 0.0 and -0.0, so a period holding a zero takes the one call.
+    """
+    row = fmt(r) + ",%.12g\n"
+    try:
+        p = tail.index(tail[0], 1)
+    except (IndexError, ValueError):  # empty, or tail[0] does not recur
+        p = 0
+    if not p or tail[p:] != tail[:-p] or 0.0 in tail[:p]:
+        return row * len(tail) % tuple(tail)
+    q, rest = divmod(len(tail), p)
+    return row * p % tuple(tail[:p]) * q + row * rest % tuple(tail[:rest])
+
+
 def cmd_bifurcation(args) -> int:
     rep = Reporter()
     kind = args.family
     data = bifurcation.sweep(kind, args.r_lo, args.r_hi, steps=args.steps,
                              burn=args.burn, keep=args.keep)
-    # one % call per r-slice: "%.12g" and fmt's f"{x:.12g}" are the same
-    # float conversion
-    csv = "".join(["r,x\n"] + [(fmt(r) + ",%.12g\n") * len(tail) % tuple(tail)
-                                for r, tail in data])
+    csv = "".join(["r,x\n"] + [csv_slice(r, tail) for r, tail in data])
     meta = {"family": kind, "x0": bifurcation.X0, "burn": args.burn,
             "keep": args.keep, "steps": args.steps}
     _write(args.out, f"bifurcation_{kind}.csv", csv)
@@ -213,6 +230,11 @@ def cmd_certify(args) -> int:
     if not 1 <= depth <= k:
         print(f"certify needs 1 <= depth <= k, got depth {depth} and k {k}",
               file=sys.stderr)
+        return 2
+    if k < 2:
+        # every rate is below 2, so the rate^k / 2 alternation points of
+        # the adversarial sample round down to none at k = 1
+        print(f"certify needs k >= 2, got k {k}", file=sys.stderr)
         return 2
     found = [c for c in cycles.find_cycles(m, p, cap=args.cap)
              if c.period == p]

@@ -204,8 +204,10 @@ def _pl_cycles(m: UnimodalMap, p_max: int, cap: int) -> list[CycleRecord]:
     for p in range(1, p_max + 1):
         fp = pl.compose(fp, f1, cap=cap)
         roots = pl.level_set(pl.combine((fp.raw, minus_id), (1, -1), 0), 0)
-        index = {x: i for i, x in enumerate(roots)}
-        succ = [index[f1(x)] for x in roots]
+        # keyed by the normalised (numerator, denominator): exact, and it
+        # skips Fraction.__hash__, a modular pow per lookup
+        index = {(x.numerator, x.denominator): i for i, x in enumerate(roots)}
+        succ = [index[y.numerator, y.denominator] for y in map(f1, roots)]
         for i in range(len(roots)):
             cyc = [i]
             while (j := succ[cyc[-1]]) > i:

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 import itermaps
-from itermaps.cli import build_parser, fmt, json_default, main, parse_map
+from itermaps.cli import (build_parser, csv_slice, fmt, json_default, main,
+                          parse_map)
 from itermaps import (bifurcation, cycles, hardness, maps, pl, relunet,
                       spectra)
 
@@ -143,12 +144,37 @@ def ref_bifurcation_stdout(kind, r_lo, r_hi, steps, burn, keep):
             + f"\nASSERT {tag} sweep_nonempty :: {len(data)} slices\n")
 
 
+class TestCsvSlice:
+    """csv_slice against the per-point formatter, on hand-made tails."""
+
+    @pytest.mark.parametrize("tail", [
+        [0.25] * 7,
+        [0.3, 0.7] * 4 + [0.3],
+        [0.1, 0.5, 0.9] * 3 + [0.1, 0.5],
+        [],
+        [0.5],
+        [0.1 * i for i in range(1, 10)],
+        [0.3, 0.6, 0.3, 0.9, 0.3, 0.6],
+        [0.5, 0.0, 0.5, -0.0, 0.5, 0.0, 0.5],
+        [0.0, -0.0, 0.0, -0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+    ], ids=["period_1", "period_2", "period_3", "keep_0", "keep_1",
+            "chaotic", "recurs_not_periodic", "signed_zero_in_period",
+            "signed_zero_first", "negative_zero_first"])
+    def test_equals_per_point_formatter(self, tail):
+        assert csv_slice(0.875, tail) == "".join(
+            [fmt(0.875) + "," + fmt(x) + "\n" for x in tail])
+
+
 class TestBifurcationCsvOracle:
     """The slice-at-a-time CSV against the per-point formatter.
 
     half_to_one holds r = 1/2 and r = 1, whose tent tails are the exact
     Fraction orbits; the empty grid lies above r = 1 and prints the header
-    only.
+    only.  default_burn runs the default burn, after which the logistic
+    tails have settled on float cycles of periods 1, 2, 4 and 6, so its
+    CSV is mostly written a period at a time; keep 45 is a multiple of
+    none of them but 1.
     """
 
     @pytest.mark.parametrize("kind", ["logistic", "sine", "tent",
@@ -158,7 +184,9 @@ class TestBifurcationCsvOracle:
         (0.3, 0.95, 17, 60, 7),
         (0.0, 1.0, 9, 40, 0),
         (1.5, 2.0, 5, 10, 5),
-    ], ids=["half_to_one", "odd_grid", "keep_0", "empty_grid"])
+        (0.6, 0.9, 13, bifurcation.DEFAULT_BURN, 45),
+    ], ids=["half_to_one", "odd_grid", "keep_0", "empty_grid",
+            "default_burn"])
     def test_stdout_equals_per_point_formatter(self, kind, r_lo, r_hi,
                                                steps, burn, keep, capsys):
         code, out = run(["bifurcation", "--family", kind, "--r-lo",
@@ -266,6 +294,15 @@ class TestCertify:
         assert captured.out == ""
         assert captured.err == (f"certify needs 1 <= depth <= k, "
                                 f"got depth {depth} and k {k}\n")
+
+    @pytest.mark.parametrize("spec", ["tent:1", "logistic:0.958"])
+    def test_k_1_is_usage_error(self, spec, capsys):
+        # at k = 1 the adversarial sample would hold rate^1 / 2 < 1 points
+        code = main(["certify", "--map", spec, "--k", "1", "--depth", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "certify needs k >= 2, got k 1\n"
 
 
 class TestPhase:
@@ -491,7 +528,8 @@ class TestFloatOutputsPinned:
     only to drop the certificate_count and certificate_width lines.  The
     ``bench_`` cases are benchmark workload commands, as in the exact pins.
     The rho-table pin was recorded when ``spectra.rho_table`` lost its
-    range parameters.
+    range parameters, and the two bifurcation bench pins before the CSV was
+    written a period at a time.
     """
 
     @pytest.mark.parametrize("argv, exit_code, digest", [
@@ -517,9 +555,14 @@ class TestFloatOutputsPinned:
          "067eb25e5a6ad4e0c15b6987bc720e464a315ca504d9f25ef625747a58b056c6"),
         (["rho-table"], 0,
          "cee1e806c1d36c1c02f3c918748356e54cbd14a9132d696284a5822bd7917647"),
+        ([*BIF, "logistic"], 0,
+         "723f0bcda87e96c939f4aa5de745bba8ac278ed3d7208df936da7c306ceb0bc4"),
+        ([*BIF, "tent", "--steps", "400"], 0,
+         "e727cbb9287f24352cb4e9635a465cd53e35ac21c7cb0d41b3afd9da702b89e6"),
     ], ids=["logistic", "sine", "tent", "flat_tent", "superstable",
             "certify_logistic", "certify_sine", "bench_warmup", "bench_phase",
-            "rho_table"])
+            "rho_table", "bench_bifurcation_logistic",
+            "bench_bifurcation_tent"])
     def test_stdout_digest_and_exit_code(self, argv, exit_code, digest,
                                          capsys):
         code, out = run(argv, capsys)
