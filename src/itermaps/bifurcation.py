@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .maps import FlatTentMap, LogisticMap, SineMap, TentMap, UnimodalMap
+from .maps import FAMILIES, TentMap, UnimodalMap
 
 X0 = 0.5001
 #: X0 as the rational it denotes; Fraction(X0) is a dyadic rational, and its
@@ -35,13 +35,10 @@ DEFAULT_BURN = 500
 DEFAULT_KEEP = 200
 DEFAULT_STEPS = 1000
 
-_FAMILIES = {"tent": TentMap, "flat_tent": FlatTentMap,
-             "logistic": LogisticMap, "sine": SineMap}
-
 
 def family_map(kind: str, r: float) -> UnimodalMap:
-    cls = _FAMILIES[kind]
-    if cls in (TentMap, FlatTentMap):
+    cls = FAMILIES[kind]
+    if cls.is_exact:
         return cls(Fraction(r).limit_denominator(10**9))
     return cls(r)
 
@@ -71,7 +68,7 @@ def _tails(kind: str, rs: list[float], burn: int,
     """
     members = [family_map(kind, r) for r in rs]
     exact = [kind == "tent" and (2 * m.r).denominator == 1 for m in members]
-    step = _FAMILIES[kind].float_step
+    step = FAMILIES[kind].float_step
     r = np.array([float(m.r) for m, e in zip(members, exact) if not e])
     x = np.full(r.shape, X0)
     for _ in range(burn):

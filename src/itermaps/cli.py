@@ -11,10 +11,11 @@ certify takes the first increasing p-cycle, or failing that the first Stefan
 p-cycle, and the cycle's kind picks the certificate rule, its width floor and
 its width threshold.  --cap bounds what certify, cycles, phase, synth,
 counterexample and warmup build knot by knot: f^k in ``pl.iterate``, in
-``cycles.find_cycles`` on PL maps (the toy maps of warmup included) and in
-``hardness.counterexample_report``, and ``relunet.net_to_pl``.  Lap and
-crossing counts take no cap, so certificates and phase counts reach any
-depth.  When the cap stops certify's candidate stage, the certificate is
+``cycles.find_cycles`` on PL maps (warmup's maximality check of the 1324
+map included) and in ``hardness.counterexample_report``, and
+``relunet.net_to_pl``.  Lap and crossing counts take no cap, so
+certificates, phase counts and warmup's growth series reach any depth.
+When the cap stops certify's candidate stage, the certificate is
 written with no candidates before the command exits 3.
 
 This module is the only JSON writer.  The library's records return plain
@@ -65,22 +66,28 @@ def parse_map(spec: str) -> maps.UnimodalMap:
     kind, _, r = spec.partition(":")
     if not r:
         raise argparse.ArgumentTypeError(f"map spec needs kind:r, got {spec!r}")
-    if kind in ("tent", "flat_tent"):
-        cls = maps.TentMap if kind == "tent" else maps.FlatTentMap
-        return cls(Fraction(r))
-    if kind == "logistic":
-        return maps.LogisticMap(float(r))
-    if kind == "sine":
-        return maps.SineMap(float(r))
-    raise argparse.ArgumentTypeError(f"unknown map kind {kind!r}")
+    cls = maps.FAMILIES.get(kind)
+    if cls is None:
+        raise argparse.ArgumentTypeError(f"unknown map kind {kind!r}")
+    return cls(Fraction(r) if cls.is_exact else float(r))
 
 
-def _warmup_k_max(text: str) -> int:
-    """--k-max of warmup: its growth rates span k = 8 .. min(14, k_max)."""
-    k = int(text)
-    if k < 9:
-        raise argparse.ArgumentTypeError(f"must be >= 9, got {k}")
-    return k
+def _int_at_least(lo: int, hi: int | None = None):
+    """An argparse type: an int in lo..hi (no upper bound if hi is None).
+
+    Out of range is a usage error (exit 2); a non-integer keeps argparse's
+    "invalid int value" message, which names the type by its __name__.
+    """
+    def parse(text: str) -> int:
+        k = int(text)
+        if k < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {k}")
+        if hi is not None and k > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {k}")
+        return k
+
+    parse.__name__ = "int"
+    return parse
 
 
 class Reporter:
@@ -144,7 +151,7 @@ def cmd_superstable(args) -> int:
 def cmd_warmup(args) -> int:
     rep = Reporter()
     k_max = args.k_max
-    series = warmup.growth_comparison(k_max, cap=args.cap)
+    series = warmup.growth_comparison(k_max)
     lines = ["k," + ",".join(f"M_{name}" for name in series) + ",pow2"]
     for k in range(1, k_max + 1):
         row = [str(k)] + [str(s.counts[k - 1]) for s in series.values()]
@@ -431,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         fn=cmd_superstable)
 
     w = sub.add_parser("warmup", help="toy-map growth comparison")
-    w.add_argument("--k-max", type=_warmup_k_max, default=14)
+    # the growth rates of warmup span k = 8 .. min(14, k_max)
+    w.add_argument("--k-max", type=_int_at_least(9), default=14)
     w.set_defaults(fn=cmd_warmup)
 
     b = sub.add_parser("bifurcation", help="parameter sweep orbit cloud")
@@ -446,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("certify", help="oscillation certificate pipeline")
     c.add_argument("--map", type=parse_map, required=True)
-    c.add_argument("--p", type=int, default=3)
+    c.add_argument("--p", type=_int_at_least(1), default=3)
     c.add_argument("--k", type=int, default=10)
     c.add_argument("--depth", type=int, default=2)
     c.add_argument("--random-candidates", type=int, default=10)
@@ -454,33 +462,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     cy = sub.add_parser("cycles", help="list detected cycles")
     cy.add_argument("--map", type=parse_map, required=True)
-    cy.add_argument("--p-max", type=int, default=6)
+    cy.add_argument("--p-max", type=_int_at_least(1), default=6)
     cy.set_defaults(fn=cmd_cycles)
 
     ph = sub.add_parser("phase", help="regime/entropy/VC phase report")
     ph.add_argument("--maps", type=lambda s: [parse_map(t)
                                               for t in s.split(",")],
                     required=True)
-    ph.add_argument("--p-max", type=int, default=8)
-    ph.add_argument("--k-max", type=int, default=14)
-    ph.add_argument("--shatter-d", type=int, default=2)
+    ph.add_argument("--p-max", type=_int_at_least(1), default=8)
+    ph.add_argument("--k-max", type=_int_at_least(2), default=14)
+    ph.add_argument("--shatter-d", default=2,
+                    type=_int_at_least(1, vcbounds.MAX_SHATTER_D))
     ph.set_defaults(fn=cmd_phase)
 
     sy = sub.add_parser("synth", help="exact ReLU synthesis of f^k")
     sy.add_argument("--map", type=parse_map, required=True)
-    sy.add_argument("--k", type=int, default=6)
+    sy.add_argument("--k", type=_int_at_least(1), default=6)
     sy.set_defaults(fn=cmd_synth)
 
     v = sub.add_parser("vc", help="weak-VC calculus and shattering")
     v.add_argument("--regex", default="1*0(01)^inf|10^inf")
-    v.add_argument("--shatter-d", type=int, default=2)
+    # 0 skips the witness
+    v.add_argument("--shatter-d", default=2,
+                   type=_int_at_least(0, vcbounds.MAX_SHATTER_D))
     v.set_defaults(fn=cmd_vc)
 
     ce = sub.add_parser("counterexample",
                         help="symmetry/concavity necessity constructions")
-    ce.add_argument("--p", type=int, default=3)
+    ce.add_argument("--p", type=_int_at_least(3), default=3)
     ce.add_argument("--eps", default="1/10")
-    ce.add_argument("--k-max", type=int, default=10)
+    ce.add_argument("--k-max", type=_int_at_least(1), default=10)
     ce.set_defaults(fn=cmd_counterexample)
 
     for parser in sub.choices.values():

@@ -199,15 +199,21 @@ def _smooth_period_roots(m: UnimodalMap, p_max: int) -> list[list[float]]:
 def _pl_cycles(m: UnimodalMap, p_max: int, cap: int) -> list[CycleRecord]:
     """The cycles of f on the roots of f^p(x) = x, of length p."""
     f1 = m.to_pl()
+    dy = f1.raw.dy
     fp, minus_id = pl.identity(), pl.identity().raw
     records = []
     for p in range(1, p_max + 1):
         fp = pl.compose(fp, f1, cap=cap)
         roots = pl.level_set(pl.combine((fp.raw, minus_id), (1, -1), 0), 0)
         # keyed by the normalised (numerator, denominator): exact, and it
-        # skips Fraction.__hash__, a modular pow per lookup
+        # skips Fraction.__hash__, a modular pow per lookup; f1 is evaluated
+        # at the sorted roots in one sweep, each image reduced to that key
         index = {(x.numerator, x.denominator): i for i, x in enumerate(roots)}
-        succ = [index[y.numerator, y.denominator] for y in map(f1, roots)]
+        succ = []
+        for n, d in pl.values_at(f1, roots):
+            d *= dy
+            g = math.gcd(n, d)
+            succ.append(index[n // g, d // g])
         for i in range(len(roots)):
             cyc = [i]
             while (j := succ[cyc[-1]]) > i:

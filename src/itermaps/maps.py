@@ -216,3 +216,9 @@ class CustomPLMap(PLMap):
 
     def __repr__(self):
         return f"CustomPLMap({self.f})"
+
+
+#: the parametric families by ``kind``: the map specs of the CLI and the
+#: bifurcation sweeps build their members from it
+FAMILIES = {cls.kind: cls for cls in (LogisticMap, TentMap, FlatTentMap,
+                                      SineMap)}

@@ -15,8 +15,8 @@ the slope changes, ``combine`` sums slope changes, ``level_set``, the norms
 ``max_abs`` and ``abs_integral``, and ``compose``, which walks inner's pieces
 through outer's knots.  The segment solver ``_at`` finds where a segment
 meets a level and, with x and y swapped, evaluates it; point evaluation,
-``crossing_points`` and ``classification_error`` use it too.  No other module
-keeps a copy.
+``crossing_points`` and ``values_at`` (f at sorted points, in one sweep)
+use it too.  No other module keeps a copy.
 
 Fractions are made only at the boundary.  A ``PiecewiseLinear`` stores its
 knots once, as ``raw``: ``Knots`` over least denominators, kept only where
@@ -477,22 +477,31 @@ class SampleSet:
         return len(self.points)
 
 
-def classification_error(g: PiecewiseLinear, s: SampleSet) -> Fraction:
-    """Fraction of sample points where g's threshold label differs from the
-    sample's reference label.
+def values_at(f: PiecewiseLinear, points: Sequence[Fraction]) -> list:
+    """f at sorted Fraction points of [0,1], each value as (n, d) with d > 0:
+    the value is n / (d * dy), dy being ``f.raw.dy``.
 
-    One merge sweep evaluates g at the sorted points on its integer knots.
+    One merge sweep along f's integer knots; no Fraction is made.
     """
-    xs, dx, ys, dy = g.raw
-    tn, td = s.threshold.numerator, s.threshold.denominator
-    wrong = 0
+    xs, dx, ys, dy = f.raw
+    out = []
     j = 0
-    for x, label in zip(s.points, s.labels):
-        p, q = x.numerator, x.denominator
-        u = p * dx  # x on the scale q * dx
+    for x in points:
+        q = x.denominator
+        u = x.numerator * dx  # x on the scale q * dx
         while xs[j + 1] * q < u:
             j += 1
-        n, d = _at(ys[j], xs[j] * q, ys[j + 1], xs[j + 1] * q, u)
+        out.append(_at(ys[j], xs[j] * q, ys[j + 1], xs[j + 1] * q, u))
+    return out
+
+
+def classification_error(g: PiecewiseLinear, s: SampleSet) -> Fraction:
+    """Fraction of sample points where g's threshold label differs from the
+    sample's reference label."""
+    dy = g.raw.dy
+    tn, td = s.threshold.numerator, s.threshold.denominator
+    wrong = 0
+    for (n, d), label in zip(values_at(g, s.points), s.labels):
         if (n * td >= tn * d * dy) != label:
             wrong += 1
     return Fraction(wrong, len(s.points))

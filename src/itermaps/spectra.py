@@ -14,12 +14,15 @@ characteristic polynomial times x - 1 is P_inc(p); the tests check the
 identity in integers for p = 3..20).  So every eigenvalue of A_p is a root
 of P_inc(p), and the Perron root of A_p, which exceeds 1, is rho_inc(p):
 the spectral radius needs no power iteration.
+
+A_p is returned as a tuple of integer rows and A_p^k 1 as a tuple of
+integers.  The entries of A_p^k 1 are non-decreasing and the last is at
+most twice the first (the tests check both for p = 3..8, k <= 40).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 ROOT_TOL = 1e-12
 
@@ -86,66 +89,28 @@ def verify_root_bounds(p: int) -> bool:
     return fact_lower_bound(p) - 1e-9 <= rho < 2
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """(p-1)x(p-1) 0/1 matrix: ones on the subdiagonal and the last column."""
-
-    p: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = self.p - 1
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError("entries must be (p-1) x (p-1)")
-        for i in range(n):
-            for j in range(n):
-                expect = 1 if (j == n - 1 or i == j + 1) else 0
-                if self.entries[i][j] != expect:
-                    raise ValueError("not the gap-transition stencil")
-
-    def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(row[j] * v[j] for j in range(len(v)))
-                     for row in self.entries)
-
-
-def transition_matrix(p: int) -> TransitionMatrix:
+def transition_matrix(p: int) -> tuple[tuple[int, ...], ...]:
+    """A_p as its rows: the (p-1)x(p-1) 0/1 matrix with ones on the
+    subdiagonal and in the last column."""
     if p < 3:
         raise ValueError("p must be >= 3")
     n = p - 1
-    rows = tuple(
+    return tuple(
         tuple(1 if (j == n - 1 or i == j + 1) else 0 for j in range(n))
         for i in range(n)
     )
-    return TransitionMatrix(p=p, entries=rows)
 
 
-@dataclass(frozen=True)
-class CrossingVector:
-    """A_p^k applied to the all-ones vector: per-gap crossing lower bounds.
-
-    Entries are exact integers, non-decreasing along the vector, and the last
-    entry never exceeds twice the first.
-    """
-
-    p: int
-    k: int
-    y: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b < a for a, b in zip(self.y, self.y[1:])):
-            raise ValueError("entries must be non-decreasing")
-        if self.y[-1] > 2 * self.y[0]:
-            raise ValueError("last entry exceeds twice the first")
-
-
-def crossing_lb_vector(p: int, k: int) -> CrossingVector:
+def crossing_lb_vector(p: int, k: int) -> tuple[int, ...]:
+    """A_p^k applied to the all-ones vector: per-gap crossing lower bounds,
+    in exact integers."""
     if k < 0:
         raise ValueError("k must be >= 0")
     a = transition_matrix(p)
-    v = tuple([1] * (p - 1))
+    v = (1,) * (p - 1)
     for _ in range(k):
-        v = a.apply(v)
-    return CrossingVector(p=p, k=k, y=v)
+        v = tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return v
 
 
 def rho_table() -> list[dict]:

@@ -207,6 +207,11 @@ def _increasing_cycle_point(p: int) -> Fraction:
     return Fraction(2 ** (p - 1), 1 + 2**p)
 
 
+#: largest witness size shatter builds: its table holds 2^d labelings,
+#: each checked by up to prod(primes) exact tent steps
+MAX_SHATTER_D = 3
+
+
 def shatter(d: int) -> ShatterWitness:
     """Exact shattering witness of size d for the full tent at t = 1/2.
 
@@ -215,8 +220,8 @@ def shatter(d: int) -> ShatterWitness:
     labeling is verified by exact rational iteration of the map itself, not
     by the modular shortcut that constructs it.
     """
-    if not 1 <= d <= 3:
-        raise ValueError("desk-scale witness supports d <= 3")
+    if not 1 <= d <= MAX_SHATTER_D:
+        raise ValueError(f"desk-scale witness supports d <= {MAX_SHATTER_D}")
     tent = TentMap(1)
     base = 3  # smallest odd period of the full tent
     primes = primes_above(base, d)

@@ -102,11 +102,21 @@ class TestWarmup:
         assert last.startswith("9,") and last.endswith(",512")
 
     def test_cap_bounds_cycle_checks(self, capsys):
-        # the toy maps' own cycle checks build f^4 (at most 43 knots); the
-        # maximality check builds up to f^9 of the 1324 map (209 knots)
+        # the toy maps carry their cycles as knots and are built with no
+        # cycle search; the maximality check builds up to f^9 of the 1324
+        # map (209 knots)
         assert main(["--cap", "100", "warmup", "--k-max", "9"]) == 3
         assert capsys.readouterr().err == ("resource cap exceeded: "
                                            "composition exceeds 100 knots\n")
+
+    def test_cap_stops_only_the_maximality_check(self, capsys):
+        # the lap walk takes no cap, so the CSV and the checks before
+        # maximal_1324 print before the exit
+        assert main(["--cap", "40", "warmup", "--k-max", "9"]) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith("k,M_1234,M_123,M_1324,pow2\n")
+        assert "ASSERT PASS rate_1324" in out and "maximal_1324" not in out
+        assert err == "resource cap exceeded: composition exceeds 40 knots\n"
 
     def test_rate_label_names_window_used(self, capsys):
         code, out = run(["warmup", "--k-max", "9"], capsys)
@@ -420,6 +430,32 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        ("vc --shatter-d 4", "--shatter-d: must be <= 3, got 4"),
+        ("phase --maps tent:1 --shatter-d 0",
+         "--shatter-d: must be >= 1, got 0"),
+        ("phase --maps tent:1 --shatter-d 4",
+         "--shatter-d: must be <= 3, got 4"),
+        ("phase --maps logistic:0.9 --shatter-d 9",
+         "--shatter-d: must be <= 3, got 9"),
+        ("cycles --map tent:1 --p-max 0", "--p-max: must be >= 1, got 0"),
+        ("certify --map tent:1 --p 0", "--p: must be >= 1, got 0"),
+        ("phase --maps tent:1 --k-max 1", "--k-max: must be >= 2, got 1"),
+        ("synth --map tent:1 --k 0", "--k: must be >= 1, got 0"),
+        ("counterexample --p 2", "--p: must be >= 3, got 2"),
+        ("counterexample --k-max 0", "--k-max: must be >= 1, got 0"),
+        ("cycles --map tent:1 --p-max 1.5",
+         "--p-max: invalid int value: '1.5'"),
+    ])
+    def test_out_of_range_int_is_usage_error(self, argv, message, capsys):
+        # rejected while parsing: exit 2, no stdout, no traceback
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {message}\n")
 
     def test_resource_cap_exit_3(self, capsys):
         code = main(["--cap", "10", "synth", "--map", "tent:1", "--k", "12"])

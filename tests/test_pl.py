@@ -120,6 +120,20 @@ class TestEval:
         with pytest.raises(ValueError):
             TENT(F(3, 2))
 
+    def test_values_at_equals_call(self):
+        # sorted points that include every knot, 0 and 1, and repeats
+        rng = random.Random(2110)
+        for _ in range(200):
+            f = random_pl(rng)
+            xs = [x for x, _ in f.knots]
+            xs += [random_rational(rng, 200)
+                   for _ in range(rng.randint(0, 12))]
+            xs += [F(0), F(1), rng.choice(xs)]
+            pts = sorted(xs)
+            dy = f.raw.dy
+            assert [F(n, d * dy) for n, d in pl.values_at(f, pts)] == [
+                f(x) for x in pts]
+
 
 class TestCompose:
     def test_tent_squared_shape(self):

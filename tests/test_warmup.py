@@ -11,6 +11,8 @@ class TestConstruction:
     def test_cycles_survive_interpolation(self):
         for name, orbit in warmup.TOY_CYCLES.items():
             m = warmup.toy_map(name)
+            p = len(orbit)
+            assert all(m(orbit[i]) == orbit[(i + 1) % p] for i in range(p))
             found = cycles.find_cycles(m, len(orbit))
             itins = {cycles.itinerary_str(c.itinerary) for c in found
                      if c.period == len(orbit)}
