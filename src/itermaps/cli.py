@@ -26,6 +26,7 @@ every JSON artifact, and its ``json_default`` writes a Fraction as n/d.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -423,7 +424,14 @@ def _add_shared_options(parser: argparse.ArgumentParser, defaults: bool):
         parser.add_argument(flag, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The itermaps argument parser, built once per process.
+
+    Parsing reads the parser and writes only the namespace it returns, so
+    every ``main`` call shares one; an option given in one call leaves the
+    next call's defaults as they were.
+    """
     ap = argparse.ArgumentParser(
         prog="itermaps",
         description="iterated unimodal maps: tables, certificates, phases")

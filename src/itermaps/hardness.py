@@ -203,11 +203,12 @@ def certify_against_candidate(fk: pl.PiecewiseLinear, g: pl.PiecewiseLinear,
 def decimated_candidate(fk: pl.PiecewiseLinear, pieces: int
                         ) -> pl.PiecewiseLinear:
     """Interpolant of f^k through ~pieces+1 of its own knots (greedy skip)."""
-    ks = fk.knots
-    if len(ks) <= pieces + 1:
+    xs, dx, ys, dy = fk.raw
+    if len(xs) <= pieces + 1:
         return fk
-    idx = sorted({round(i * (len(ks) - 1) / pieces) for i in range(pieces + 1)})
-    return pl.new([ks[i] for i in idx])
+    idx = sorted({round(i * (len(xs) - 1) / pieces) for i in range(pieces + 1)})
+    return pl.PiecewiseLinear(
+        pl.Knots([xs[i] for i in idx], dx, [ys[i] for i in idx], dy))
 
 
 def least_squares_candidate(fk: pl.PiecewiseLinear, pieces: int
@@ -216,10 +217,10 @@ def least_squares_candidate(fk: pl.PiecewiseLinear, pieces: int
     512 cells."""
     import numpy as np
 
+    kxs, dx, kys, dy = fk.raw
     xs = np.linspace(0.0, 1.0, 513)
-    fk_knots_x = np.array([float(x) for x, _ in fk.knots])
-    fk_knots_y = np.array([float(y) for _, y in fk.knots])
-    ys = np.interp(xs, fk_knots_x, fk_knots_y)
+    # int / int rounds correctly, as float(Fraction) does
+    ys = np.interp(xs, [x / dx for x in kxs], [y / dy for y in kys])
     knots = np.linspace(0.0, 1.0, pieces + 1)
     # hat-function design matrix: column j interpolates the j-th unit vector
     design = np.stack([np.interp(xs, knots, e) for e in np.eye(pieces + 1)],

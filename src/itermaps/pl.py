@@ -11,9 +11,10 @@ denominator and a list of y numerators (unclamped) over another.  Slopes and
 levels are compared by cross-multiplying, so a sweep makes no ``Fraction``
 per knot (each Fraction operation reduces by a gcd in Python code, which is
 where the exact engine used to spend its time): ``canon`` keeps a knot where
-the slope changes, ``combine`` sums slope changes, ``level_set``, the norms
-``max_abs`` and ``abs_integral``, and ``compose``, which walks inner's pieces
-through outer's knots.  The segment solver ``_at`` finds where a segment
+the slope changes, ``combine`` sums slope changes (an affine image of one
+input only scales and shifts its values, at that input's abscissae),
+``level_set``, the norms ``max_abs`` and ``abs_integral``, and ``compose``,
+which walks inner's pieces through outer's knots.  The segment solver ``_at`` finds where a segment
 meets a level and, with x and y swapped, evaluates it; point evaluation,
 ``crossing_points`` and ``values_at`` (f at sorted points, in one sweep)
 use it too.  No other module keeps a copy.
@@ -115,8 +116,8 @@ def canon(k: Knots) -> Knots:
     """Raw knots kept only where the slope changes, over least denominators.
 
     Slopes are compared by cross-multiplying; a segment as steep as the last
-    kept one moves that knot forward.  Both denominators are then divided by
-    what all kept numerators share.
+    kept one moves that knot forward.  The kept knots are then put over
+    least denominators.
     """
     xs, dx, ys, dy = k
     keep = [0]
@@ -131,7 +132,12 @@ def canon(k: Knots) -> Knots:
             keep.append(i)
             w0, h0 = w, h
         x0, y0 = x1, y1
-    xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
+    return _least([xs[i] for i in keep], dx, [ys[i] for i in keep], dy)
+
+
+def _least(xs: list, dx: int, ys: list, dy: int) -> Knots:
+    """Knots of the rationals xs[i] / dx and ys[i] / dy over least
+    denominators: each denominator divided by what its numerators share."""
     g = gcd(dx, *xs)
     if g > 1:
         xs, dx = [x // g for x in xs], dx // g
@@ -148,8 +154,16 @@ def combine(inputs: Sequence[Knots], coeffs: Sequence, bias) -> Knots:
     common denominator, so the sweep adds integers.  One sort of the (x,
     slope change) events and end abscissae merges the presorted runs; a
     sweep sums the changes at equal x.  Nothing is hashed or evaluated, and
-    nothing canonicalised.
+    nothing canonicalised.  One input takes no sweep: c * f + bias keeps
+    f's abscissae (the same list), and each y is scaled and shifted over
+    one denominator.
     """
+    if len(inputs) == 1:
+        (c,), ((xs, dx, ys, kdy),) = coeffs, inputs
+        dy = lcm(bias.denominator, c.denominator * kdy)
+        m = c.numerator * (dy // (c.denominator * kdy))
+        y = bias.numerator * (dy // bias.denominator)
+        return Knots(xs, dx, [v * m + y for v in ys], dy)
     dx = lcm(*(k.dx for k in inputs))
     dy = lcm(bias.denominator,
              *(c.denominator * k.dy for c, k in zip(coeffs, inputs)))
@@ -303,13 +317,6 @@ class PiecewiseLinear:
             return Fraction(ys[j], dy)
         n, d = _at(ys[j], xs[j] * q, ys[j + 1], xs[j + 1] * q, u)
         return Fraction(n, d * dy)
-
-    @property
-    def slopes(self) -> tuple[Fraction, ...]:
-        ks = self.knots
-        return tuple(
-            (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(ks, ks[1:])
-        )
 
 
 def new(knots: Iterable) -> PiecewiseLinear:

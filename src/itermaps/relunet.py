@@ -5,6 +5,15 @@ Rational-weight networks admit exact PL propagation, so width/depth
 accounting against exact monotone-piece counts is bit-precise: a PL with n
 knots becomes a depth-2 net of hidden width n-1 (ramp decomposition), and
 stacking a block k times multiplies depth by k while preserving width.
+
+Both directions work on a ``PiecewiseLinear``'s integer ``raw`` knots, as
+``pl`` does.  ``synth_from_pl`` reads runs and rises straight from them and
+makes one ``Fraction`` per emitted weight, never f's Fraction knots or
+slopes.  ``net_to_pl`` propagates every unit as ``pl.Knots``: ``pl.combine``
+forms the unit's affine input (with one input, as in every first layer and
+the first layer of each ``stack`` block, an affine image of that input's
+knots), and ``_raw_relu`` clips it and returns it canonical in the same
+pass, so each unit is canonicalised once.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from . import pl
 from .errors import ResourceLimitError
@@ -64,16 +74,21 @@ def synth_from_pl(f: pl.PiecewiseLinear) -> ReluNetwork:
     """Depth-2 net computing f exactly on [0,1].
 
     Ramp decomposition: one hidden unit per linear piece (the opening slope
-    plus one per interior slope change), so hidden width = knots - 1.
+    plus one per interior slope change), so hidden width = knots - 1.  With
+    piece i rising h_i over a run of w_i in f's raw units, the slope change
+    at knot i is dx (h_i w_(i-1) - h_(i-1) w_i) / (w_i w_(i-1) dy): one
+    Fraction per weight.
     """
-    ks = f.knots
-    slopes = f.slopes
-    thresholds = [x for x, _ in ks[:-1]]
-    coeffs = [slopes[0]] + [s1 - s0 for s0, s1 in zip(slopes, slopes[1:])]
-    w1 = tuple((Fraction(1),) for _ in thresholds)
-    b1 = tuple(-t for t in thresholds)
+    xs, dx, ys, dy = f.raw
+    runs = list(map(sub, xs[1:], xs))
+    rises = list(map(sub, ys[1:], ys))
+    coeffs = [Fraction(rises[0] * dx, runs[0] * dy)]
+    coeffs += [Fraction((h * wp - hp * w) * dx, w * wp * dy)
+               for wp, hp, w, h in zip(runs, rises, runs[1:], rises[1:])]
+    w1 = ((Fraction(1),),) * len(runs)
+    b1 = tuple(Fraction(-x, dx) for x in xs[:-1])
     w2 = (tuple(coeffs),)
-    b2 = (ks[0][1],)
+    b2 = (Fraction(ys[0], dy),)
     return ReluNetwork(layers=((w1, b1), (w2, b2)))
 
 
@@ -89,23 +104,36 @@ def stack(block: ReluNetwork, k: int) -> ReluNetwork:
 
 
 def _raw_relu(k: pl.Knots) -> pl.Knots:
-    """ReLU of raw knots: zero crossings become knots, negatives clip to 0."""
+    """ReLU of raw knots, canonical: zero crossings become knots, negatives
+    clip to 0.
+
+    On knots with no collinear interior knot (any two knots are such), the
+    result's slope changes at each crossing and end, at each knot above 0,
+    and at each knot at 0 beside one above 0; every other knot lies inside
+    a flat run at 0 and is dropped.
+    """
     xs, dx, ys, dy = k
+    if min(ys) >= 0:
+        return pl.canon(k)
+    if len(xs) > 2:
+        xs, dx, ys, dy = pl.canon(k)
+    last = len(xs) - 1
     xn, xd, out = [], [], []
-    for i in range(len(xs) - 1):
-        xn.append(xs[i])
-        xd.append(1)
-        out.append(max(ys[i], 0))
-        if ys[i] * ys[i + 1] < 0:
-            n, d = pl._at(xs[i], ys[i], xs[i + 1], ys[i + 1], 0)
+    y0 = None
+    for i, y in enumerate(ys):
+        if i and y * y0 < 0:
+            n, d = pl._at(xs[i - 1], y0, xs[i], y, 0)
             xn.append(n)
             xd.append(d)
             out.append(0)
-    xn.append(xs[-1])
-    xd.append(1)
-    out.append(max(ys[-1], 0))
+        if (y > 0 or i == 0 or i == last
+                or (y == 0 and (y0 > 0 or ys[i + 1] > 0))):
+            xn.append(xs[i])
+            xd.append(1)
+            out.append(max(y, 0))
+        y0 = y
     xs, m = pl._common(xn, xd)
-    return pl.canon(pl.Knots(xs, dx * m, out, dy))
+    return pl._least(xs, dx * m, out, dy)
 
 
 def _distinct_abscissae(state: list[pl.Knots]) -> int:
@@ -122,9 +150,10 @@ def net_to_pl(n: ReluNetwork, cap: int = pl.DEFAULT_KNOT_CAP
               ) -> pl.PiecewiseLinear:
     """Exact PL computed by a rational-weight network on [0,1].
 
-    Every unit's function is propagated as integer ``pl.Knots``.  The output
-    is audited against the [0,1] codomain; out-of-range values are reported
-    as an error, never clamped silently.
+    Every unit's function is propagated as integer ``pl.Knots``, canonical
+    after each layer, and the cap bounds the distinct abscissae a layer
+    reads.  The output is audited against the [0,1] codomain; out-of-range
+    values are reported as an error, never clamped silently.
     """
     if not n.rational:
         raise ValueError("exact PL propagation needs rational weights")
@@ -133,10 +162,8 @@ def net_to_pl(n: ReluNetwork, cap: int = pl.DEFAULT_KNOT_CAP
     for i, (w, b) in enumerate(n.layers):
         if _distinct_abscissae(state) > cap:
             raise ResourceLimitError(f"network PL exceeds {cap} knots")
-        state = [pl.canon(pl.combine(state, row, bias))
-                 for row, bias in zip(w, b)]
-        if i != last:
-            state = [_raw_relu(k) for k in state]
+        act = _raw_relu if i != last else pl.canon
+        state = [act(pl.combine(state, row, bias)) for row, bias in zip(w, b)]
     xs, dx, ys, dy = out = state[0]
     bad = [i for i, y in enumerate(ys) if not (0 <= y <= dy)]
     if bad:

@@ -407,6 +407,21 @@ class TestSharedOptions:
         assert getattr(after, dest) == value
         assert getattr(absent, dest) == default
 
+    def test_consecutive_calls_keep_defaults(self, tmp_path, capsys):
+        # every main call in a process parses with the same parser
+        assert build_parser() is build_parser()
+        plain = self.COMMAND + ["--k", "6", "--random-candidates", "3"]
+        code, first = run(plain, capsys)
+        assert code == 0
+        code, seeded = run(["--seed", "5"] + plain, capsys)
+        assert code == 0 and seeded != first
+        # f^6 of tent:1 has 65 knots: the cap stops certify after writing
+        assert main(plain + ["--out", str(tmp_path), "--cap", "40"]) == 3
+        assert (tmp_path / "certify.json").is_file()
+        capsys.readouterr()
+        code, again = run(plain, capsys)
+        assert code == 0 and again == first
+
     def test_format_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
             main(["--format", "csv", "rho-table"])

@@ -294,6 +294,17 @@ class TestRawKnots:
             for x, y in out:
                 assert y == sum(c * f(x) for c, f in zip(cs, fs)) + bias
 
+    @pytest.mark.parametrize("sign", [-1, 0, 1])
+    def test_one_input_affine_image_matches_sweep(self, sign, rng):
+        # adding the zero function sends one input through the general sweep
+        zero = pl.constant(0).raw
+        for _ in range(50):
+            k = random_pl(rng).raw
+            c = sign * (random_rational(rng) + F(1, 64))
+            bias = random_rational(rng) - random_rational(rng)
+            assert (pl.canon(pl.combine([k], (c,), bias))
+                    == pl.canon(pl.combine([k, zero], (c, 1), bias)))
+
     def test_level_set_hits_are_on_level(self, rng):
         for _ in range(100):
             f = random_pl(rng)

@@ -85,6 +85,109 @@ class TestSynthRoundTrip:
             assert relunet.synth_from_pl(f).width == max(1, len(f.knots) - 1)
 
 
+def synth_reference(f):
+    """The layers of the ramp decomposition from f's Fraction knots and
+    slopes: the reference for ``relunet.synth_from_pl``'s raw-knot weights."""
+    ks = f.knots
+    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(ks, ks[1:])]
+    coeffs = [slopes[0]] + [s1 - s0 for s0, s1 in zip(slopes, slopes[1:])]
+    w1 = tuple((F(1),) for _ in ks[:-1])
+    b1 = tuple(-x for x, _ in ks[:-1])
+    return ((w1, b1), ((tuple(coeffs),), (ks[0][1],)))
+
+
+class TestSynthWeights:
+    def test_equal_fraction_slope_formula(self, rng):
+        for _ in range(100):
+            f = random_pl(rng, max_interior=12)
+            layers = relunet.synth_from_pl(f).layers
+            assert layers == synth_reference(f)
+            # every weight is a Fraction, which the JSON writes as n/d
+            assert all(type(v) is F for w, b in layers
+                       for v in (*b, *(x for row in w for x in row)))
+
+
+#: weights of the random networks: ints and Fractions, zero and negative
+WEIGHTS = (0, 1, -1, 2, F(1, 2), F(-3, 2), F(2, 3), F(-1, 4), F(5, 7))
+
+
+def random_unit(rng, bounds):
+    """A weight row over inputs in bounds, and a bias that mostly puts the
+    unit's zero inside the row's range, so the ReLU bends."""
+    row = tuple(rng.choice(WEIGHTS) for _ in bounds)
+    lo, hi = interval(row, 0, bounds)
+    if hi == lo or rng.random() < 0.25:
+        return row, rng.choice(WEIGHTS)
+    return row, -lo - (hi - lo) * F(rng.randint(1, 7), 8)
+
+
+def random_net(rng):
+    """Random rational network rescaled into [0,1].
+
+    One to three hidden layers of width 1 to 4 take weights from WEIGHTS.
+    Interval bounds of each layer's units bound the raw output g in
+    [lo, hi]; the output layer computes (g - lo) / (hi - lo), or g - lo
+    when g is constant, so the network maps into [0,1].
+    """
+    layers, bounds = [], [(F(0), F(1))]
+    for _ in range(rng.randint(1, 3)):
+        w, b = zip(*(random_unit(rng, bounds)
+                     for _ in range(rng.randint(1, 4))))
+        layers.append((w, b))
+        bounds = [interval(row, bias, bounds) for row, bias in zip(w, b)]
+        bounds = [(max(lo, 0), max(hi, 0)) for lo, hi in bounds]
+    row, bias = random_unit(rng, bounds)
+    lo, hi = interval(row, bias, bounds)
+    s = hi - lo or F(1)
+    layers.append(((tuple(c / s for c in row),), ((bias - lo) / s,)))
+    return relunet.ReluNetwork(layers=tuple(layers))
+
+
+def interval(row, bias, bounds):
+    """Bounds of sum(c * v) + bias over v[i] in bounds[i]."""
+    lo = hi = bias
+    for c, (a, b) in zip(row, bounds):
+        lo += min(c * a, c * b)
+        hi += max(c * a, c * b)
+    return lo, hi
+
+
+def relu_reference(k):
+    """Canonical ReLU of raw knots through Fraction pairs: each zero
+    crossing inserted, negatives clipped to 0."""
+    pts = pl.unscale(k)
+    out = []
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        out.append((x0, max(y0, 0)))
+        if y0 * y1 < 0:
+            out.append((x0 - y0 * (x1 - x0) / (y1 - y0), F(0)))
+    out.append((pts[-1][0], max(pts[-1][1], 0)))
+    return pl.canon(pl.scale(out))
+
+
+class TestRandomNetworks:
+    def test_raw_relu_matches_reference(self, rng):
+        # sums of two random PLs: unclamped, collinear knots included
+        for _ in range(200):
+            f, g = random_pl(rng), random_pl(rng)
+            cs = [F(rng.randint(-8, 8), rng.randint(1, 8)) for _ in "fg"]
+            bias = F(rng.randint(-8, 8), rng.randint(1, 8))
+            for k in (pl.combine([f.raw], cs[:1], bias),
+                      pl.combine([f.raw, g.raw], cs, bias)):
+                assert relunet._raw_relu(k) == relu_reference(k)
+
+    def test_net_to_pl_matches_pointwise_forward_pass(self, rng):
+        for _ in range(150):
+            net = random_net(rng)
+            g = relunet.net_to_pl(net)
+            xs = [x for x, _ in g.knots]
+            # g is linear between knots: a missed bend shows at a midpoint
+            xs += [(x0 + x1) / 2 for x0, x1 in zip(xs, xs[1:])]
+            xs += [F(rng.randint(0, 997), 997) for _ in range(10)]
+            for x in xs:
+                assert g(x) == net_eval(net, x)
+
+
 class TestStack:
     def test_stack_identity(self):
         ident = relunet.synth_from_pl(pl.identity())
