@@ -14,10 +14,10 @@ where the exact engine used to spend its time): ``canon`` keeps a knot where
 the slope changes, ``combine`` sums slope changes (an affine image of one
 input only scales and shifts its values, at that input's abscissae),
 ``level_set``, the norms ``max_abs`` and ``abs_integral``, and ``compose``,
-which walks inner's pieces through outer's knots.  The segment solver ``_at`` finds where a segment
-meets a level and, with x and y swapped, evaluates it; point evaluation,
-``crossing_points`` and ``values_at`` (f at sorted points, in one sweep)
-use it too.  No other module keeps a copy.
+which walks inner's pieces through outer's knots.  The segment solver
+``_at`` finds where a segment meets a level and, with x and y swapped,
+evaluates it; point evaluation, ``crossing_points`` and ``values_at`` (f at
+sorted points, in one sweep) use it too.  No other module keeps a copy.
 
 Fractions are made only at the boundary.  A ``PiecewiseLinear`` stores its
 knots once, as ``raw``: ``Knots`` over least denominators, kept only where
