@@ -20,7 +20,8 @@ written with no candidates before the command exits 3.
 
 This module is the only JSON writer.  The library's records return plain
 data from ``to_dict``, with exact values left as Fractions; ``dump`` writes
-every JSON artifact, and its ``json_default`` writes a Fraction as n/d.
+every JSON artifact but bifurcation's metadata, which is one sorted line of
+``json.dumps``, and ``json_default`` writes a Fraction as n/d.
 """
 
 from __future__ import annotations
@@ -89,6 +90,15 @@ def _int_at_least(lo: int, hi: int | None = None):
 
     parse.__name__ = "int"
     return parse
+
+
+def _fraction(text: str) -> Fraction:
+    """An argparse type: a Fraction such as 1/10 or 0.1 (exit 2 otherwise)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a fraction: {text!r}") from None
 
 
 class Reporter:
@@ -293,6 +303,11 @@ def cmd_cycles(args) -> int:
 
 def cmd_phase(args) -> int:
     rep = Reporter()
+    for m in args.maps:
+        if not m.strictly_unimodal:  # the lap walk needs one maximizer
+            print(f"phase needs strictly unimodal maps: {m.kind} map has "
+                  "no unique maximizer", file=sys.stderr)
+            return 2
     out = []
     for m in args.maps:
         found = cycles.find_cycles(m, args.p_max, cap=args.cap)
@@ -349,7 +364,11 @@ def cmd_synth(args) -> int:
 
 def cmd_vc(args) -> int:
     rep = Reporter()
-    expr = vcbounds.parse_regex(args.regex)
+    try:
+        expr = vcbounds.parse_regex(args.regex)
+    except ValueError as exc:
+        print(f"vc cannot parse --regex: {exc}", file=sys.stderr)
+        return 2
     bound = vcbounds.vcw_bound(expr)
     payload = {"regex": args.regex, "vcw_bound": bound,
                "interleave_constant_note":
@@ -370,7 +389,12 @@ def cmd_vc(args) -> int:
 
 def cmd_counterexample(args) -> int:
     rep = Reporter()
-    eps = Fraction(args.eps)
+    eps = args.eps
+    if not 0 < eps < Fraction(1, args.p):
+        # build_need_symmetry's concave shoulder needs eps < 1/p
+        print(f"counterexample needs 0 < eps < 1/p, got eps {eps} "
+              f"and p {args.p}", file=sys.stderr)
+        return 2
     out = {}
     for name, build in (("need_symmetry", hardness.build_need_symmetry),
                         ("need_concavity", hardness.build_need_concavity)):
@@ -456,8 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--r-lo", type=float, default=0.6)
     b.add_argument("--r-hi", type=float, default=1.0)
     b.add_argument("--steps", type=int, default=bifurcation.DEFAULT_STEPS)
-    b.add_argument("--burn", type=int, default=bifurcation.DEFAULT_BURN)
-    b.add_argument("--keep", type=int, default=bifurcation.DEFAULT_KEEP)
+    b.add_argument("--burn", type=_int_at_least(0),
+                   default=bifurcation.DEFAULT_BURN)
+    b.add_argument("--keep", type=_int_at_least(0),
+                   default=bifurcation.DEFAULT_KEEP)
     b.set_defaults(fn=cmd_bifurcation)
 
     c = sub.add_parser("certify", help="oscillation certificate pipeline")
@@ -465,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=_int_at_least(1), default=3)
     c.add_argument("--k", type=int, default=10)
     c.add_argument("--depth", type=int, default=2)
-    c.add_argument("--random-candidates", type=int, default=10)
+    c.add_argument("--random-candidates", type=_int_at_least(0), default=10)
     c.set_defaults(fn=cmd_certify)
 
     cy = sub.add_parser("cycles", help="list detected cycles")
@@ -498,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce = sub.add_parser("counterexample",
                         help="symmetry/concavity necessity constructions")
     ce.add_argument("--p", type=_int_at_least(3), default=3)
-    ce.add_argument("--eps", default="1/10")
+    ce.add_argument("--eps", type=_fraction, default="1/10")
     ce.add_argument("--k-max", type=_int_at_least(1), default=10)
     ce.set_defaults(fn=cmd_counterexample)
 

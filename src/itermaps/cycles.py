@@ -294,30 +294,18 @@ def classify_regime(cycles: Sequence[CycleRecord]) -> RegimeReport:
 # MSS forcing order for the logistic family: cycles appear (and are
 # super-stable) in this row order as r increases.
 FORCING_TABLE = (
-    {"p": 2, "itinerary": "12", "regime": "doubling", "r": 0.8090,
-     "tags": ("primary",)},
-    {"p": 4, "itinerary": "1324", "regime": "doubling", "r": 0.8671,
-     "tags": ("primary",)},
-    {"p": 6, "itinerary": "143526", "regime": "chaotic", "r": 0.9069,
-     "tags": ("primary",)},
-    {"p": 5, "itinerary": "13425", "regime": "chaotic", "r": 0.9347,
-     "tags": ("stefan", "primary")},
-    {"p": 3, "itinerary": "123", "regime": "chaotic", "r": 0.9580,
-     "tags": ("stefan", "increasing", "primary")},
-    {"p": 6, "itinerary": "135246", "regime": "chaotic", "r": 0.9611,
-     "tags": ()},
-    {"p": 5, "itinerary": "12435", "regime": "chaotic", "r": 0.9764,
-     "tags": ()},
-    {"p": 6, "itinerary": "124536", "regime": "chaotic", "r": 0.9844,
-     "tags": ()},
-    {"p": 4, "itinerary": "1234", "regime": "chaotic", "r": 0.9901,
-     "tags": ("increasing",)},
-    {"p": 6, "itinerary": "123546", "regime": "chaotic", "r": 0.9944,
-     "tags": ()},
-    {"p": 5, "itinerary": "12345", "regime": "chaotic", "r": 0.9976,
-     "tags": ("increasing",)},
-    {"p": 6, "itinerary": "123456", "regime": "chaotic", "r": 0.9994,
-     "tags": ("increasing",)},
+    {"p": 2, "itinerary": "12", "regime": "doubling", "r": 0.8090},
+    {"p": 4, "itinerary": "1324", "regime": "doubling", "r": 0.8671},
+    {"p": 6, "itinerary": "143526", "regime": "chaotic", "r": 0.9069},
+    {"p": 5, "itinerary": "13425", "regime": "chaotic", "r": 0.9347},
+    {"p": 3, "itinerary": "123", "regime": "chaotic", "r": 0.9580},
+    {"p": 6, "itinerary": "135246", "regime": "chaotic", "r": 0.9611},
+    {"p": 5, "itinerary": "12435", "regime": "chaotic", "r": 0.9764},
+    {"p": 6, "itinerary": "124536", "regime": "chaotic", "r": 0.9844},
+    {"p": 4, "itinerary": "1234", "regime": "chaotic", "r": 0.9901},
+    {"p": 6, "itinerary": "123546", "regime": "chaotic", "r": 0.9944},
+    {"p": 5, "itinerary": "12345", "regime": "chaotic", "r": 0.9976},
+    {"p": 6, "itinerary": "123456", "regime": "chaotic", "r": 0.9994},
 )
 
 

@@ -6,7 +6,8 @@ lap of f^n maps monotonically onto an interval (lo, hi) with ends in {0} and
 {c_j}; laps are kept by image with big-integer multiplicities, starting from
 two onto (0, c_1).  Under f a lap splits into (f(lo), c_1) and (f(hi), c_1)
 exactly when lo < c < hi, and otherwise maps onto the sorted
-(f(lo), f(hi)).  M(f^n) is the total multiplicity of level n.
+(f(lo), f(hi)).  M(f^n) is the total multiplicity of level n, and
+``lap_counts`` returns it for n = 1..k.
 
 The crossings of [a, b] by f^k are the laps of f^k whose image covers
 [a, b].  No crossing spans two laps: at a split, both halves run through
@@ -62,23 +63,20 @@ def _walk(m: UnimodalMap, k: int) -> tuple[list[int], Counter]:
     return counts, laps
 
 
-def _lap_counts(m: UnimodalMap, k: int) -> list[int]:
+def lap_counts(m: UnimodalMap, k: int) -> list[int]:
+    """M(f^n) for n = 1..k by the lap walk: exact on exact maps,
+    ``SMOOTH_TOL`` snap on float maps; uncapped, since the walk stores k
+    lap images at most."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not m.strictly_unimodal:
         raise ValueError(f"{m.kind} map has no unique maximizer")
     return _walk(m, k)[0]
 
 
-def count_monotone(m: UnimodalMap, k: int) -> int:
-    """M(f^k) by the lap walk: exact on exact maps, ``SMOOTH_TOL`` snap on
-    float maps; uncapped, since the walk stores k lap images at most."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _lap_counts(m, k)[-1]
-
-
 def count_crossings_map(m: UnimodalMap, k: int, a, b) -> int:
     """Crossings of [a,b] by f^k: the laps of f^k whose image covers [a,b]
-    (module docstring), with the snap of ``count_monotone`` and no cap."""
+    (module docstring), with the snap of ``lap_counts`` and no cap."""
     if k < 1:
         raise ValueError("k must be >= 1")
     a, b = (pl.rat(a), pl.rat(b)) if m.is_exact else (float(a), float(b))
@@ -94,12 +92,6 @@ class GrowthSeries:
 
     counts: tuple[int, ...]
     rates: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(c <= 0 for c in self.counts):
-            raise ValueError("counts must be positive")
-        if any(b < a for a, b in zip(self.counts, self.counts[1:])):
-            raise ValueError("counts must be non-decreasing")
 
     @property
     def entropy(self) -> float:
@@ -127,13 +119,13 @@ class GrowthSeries:
 def entropy_estimate(m: UnimodalMap, k_max: int) -> GrowthSeries:
     """Counts and rates up to k_max; the last rate estimates h_top.
 
-    Counts come from the lap walk of ``count_monotone`` (same snap, no
-    cap).  The estimate is heuristic (finite k); decision rules for
-    zero-vs-positive entropy live with the callers; the growth factor rho =
-    exp(rate) is reported separately to avoid conflating the two units.
+    Counts come from ``lap_counts`` (same snap, no cap).  The estimate is
+    heuristic (finite k); decision rules for zero-vs-positive entropy live
+    with the callers; the growth factor rho = exp(rate) is reported
+    separately to avoid conflating the two units.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    counts = tuple(_lap_counts(m, k_max))
+    counts = tuple(lap_counts(m, k_max))
     rates = tuple(math.log(c) / k for k, c in enumerate(counts, start=1))
     return GrowthSeries(counts=counts, rates=rates)

@@ -178,6 +178,10 @@ def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
     Each monotone piece contributes knots at value levels eps apart (not
     equal x-spacing), so pieces(g) <= monotone_pieces(f) * ceil(1/eps) + 1
     regardless of how slope mass is distributed.
+
+    On a run from knot lo to hi, with t_j = sign * (ys[j] - ys[lo]) never
+    decreasing, the levels are ys[lo] + sign * m * eps for 0 < m * eps <
+    t_hi, and segment j holds those with t_j < m * eps <= t_(j+1).
     """
     eps = pl.rat(eps)
     if eps <= 0:
@@ -191,32 +195,22 @@ def eps_approx(f: pl.PiecewiseLinear, eps) -> pl.PiecewiseLinear:
     if s != dy:
         ys = [y * (s // dy) for y in ys]
     step = eps.numerator * (s // eps.denominator)
-    xn, xd, out = [xs[0]], [1], [ys[0]]  # knot x = xn / (xd * dx)
-
-    def emit(n, d, y):
-        if n * xd[-1] > xn[-1] * d:  # only points right of the last one
-            xn.append(n)
-            xd.append(d)
-            out.append(y)
-
-    def level_in(j, level):
-        a, b = ys[j], ys[j + 1]
-        return a != b and min(a, b) <= level <= max(a, b)
+    pts = [(xs[0], 1, ys[0])]  # (n, d, y): knot x = n / (d * dx)
 
     ends = [0, *pl.turning_knots(ys), len(ys) - 1]
     for lo, hi in zip(ends, ends[1:]):  # f is monotone on knots lo..hi
         if hi > lo + 1:  # on one segment the level points are collinear
-            y0, y1 = ys[lo], ys[hi]
-            sign = 1 if y1 >= y0 else -1
-            level = y0
-            j = lo
-            while abs(y1 - level) > step:
-                level += sign * step
-                while not level_in(j, level):
-                    j += 1
-                emit(*pl._at(xs[j], ys[j], xs[j + 1], ys[j + 1], level),
-                     level)
-        emit(xs[hi], 1, ys[hi])
+            y0 = ys[lo]
+            sign = 1 if ys[hi] >= y0 else -1
+            top = (sign * (ys[hi] - y0) - 1) // step
+            for j in range(lo, hi):
+                t0, t1 = (sign * (y - y0) // step for y in ys[j:j + 2])
+                for m in range(t0 + 1, min(t1, top) + 1):
+                    y = y0 + sign * m * step
+                    n, d = pl._at(xs[j], ys[j], xs[j + 1], ys[j + 1], y)
+                    pts.append((n, d, y))
+        pts.append((xs[hi], 1, ys[hi]))
 
+    xn, xd, out = map(list, zip(*pts))
     xs, m = pl._common(xn, xd)
     return pl.PiecewiseLinear(pl.Knots(xs, dx * m, out, s))

@@ -462,6 +462,12 @@ class TestUsage:
         ("counterexample --k-max 0", "--k-max: must be >= 1, got 0"),
         ("cycles --map tent:1 --p-max 1.5",
          "--p-max: invalid int value: '1.5'"),
+        ("bifurcation --keep -1", "--keep: must be >= 0, got -1"),
+        ("bifurcation --burn -1", "--burn: must be >= 0, got -1"),
+        ("certify --map tent:1 --random-candidates -2",
+         "--random-candidates: must be >= 0, got -2"),
+        ("counterexample --eps abc", "--eps: not a fraction: 'abc'"),
+        ("counterexample --eps 1/0", "--eps: not a fraction: '1/0'"),
     ])
     def test_out_of_range_int_is_usage_error(self, argv, message, capsys):
         # rejected while parsing: exit 2, no stdout, no traceback
@@ -471,6 +477,25 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("counterexample --eps 0",
+         "counterexample needs 0 < eps < 1/p, got eps 0 and p 3"),
+        ("counterexample --eps 1/2",
+         "counterexample needs 0 < eps < 1/p, got eps 1/2 and p 3"),
+        ("counterexample --p 4 --eps 1/4",
+         "counterexample needs 0 < eps < 1/p, got eps 1/4 and p 4"),
+        ("vc --regex 1",
+         "vc cannot parse --regex: term must end in w^inf: '1'"),
+        ("phase --maps tent:1,flat_tent:1",
+         "phase needs strictly unimodal maps: flat_tent map has no unique "
+         "maximizer"),
+    ])
+    def test_value_rejected_by_command(self, argv, message, capsys):
+        # checked by the command before any output: exit 2, one line
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message + "\n")
 
     def test_resource_cap_exit_3(self, capsys):
         code = main(["--cap", "10", "synth", "--map", "tent:1", "--k", "12"])

@@ -194,7 +194,7 @@ def test_walk_matches_pl_on_random_maps(seed, k, num, width):
         return
     fk = pl.iterate(m.to_pl(), k)
     if m.strictly_unimodal:
-        assert oscillation.count_monotone(m, k) == pl.monotone_pieces(fk)
+        assert oscillation.lap_counts(m, k)[-1] == pl.monotone_pieces(fk)
     a, b = F(num, 32), F(min(num + width, 32), 32)
     if a < b:
         assert oscillation.count_crossings_map(m, k, a, b) == crossings(
@@ -243,12 +243,12 @@ class TestKneadingOracle:
 class TestCountMonotone:
     @pytest.mark.parametrize("k,expect", [(1, 2), (5, 32), (10, 1024)])
     def test_full_tent_powers_of_two(self, k, expect):
-        assert oscillation.count_monotone(maps.TentMap(1), k) == expect
+        assert oscillation.lap_counts(maps.TentMap(1), k)[-1] == expect
 
     def test_any_strict_map_k1(self):
         for m in (maps.TentMap(F(2, 3)), maps.LogisticMap(0.5),
                   maps.SineMap(0.77)):
-            assert oscillation.count_monotone(m, 1) == 2
+            assert oscillation.lap_counts(m, 1)[-1] == 2
 
     def test_tree_equals_pl_engine(self, rng):
         for _ in range(20):
@@ -256,7 +256,7 @@ class TestCountMonotone:
             m = maps.TentMap(r)
             f = m.to_pl()
             for k in (1, 3, 6, 10):
-                assert oscillation.count_monotone(m, k) == pl.monotone_pieces(
+                assert oscillation.lap_counts(m, k)[-1] == pl.monotone_pieces(
                     pl.iterate(f, k))
 
     def test_superstable_levels_overlap_handled(self):
@@ -264,18 +264,19 @@ class TestCountMonotone:
         # tree levels intersect; union semantics give M(f^3) = 6 (hand count:
         # extrema at 1/2, the two preimages of 1/2, and their two preimages)
         m = maps.LogisticMap(SS_12)
-        assert oscillation.count_monotone(m, 2) == 4
-        assert oscillation.count_monotone(m, 3) == 6
+        assert oscillation.lap_counts(m, 2)[-1] == 4
+        assert oscillation.lap_counts(m, 3)[-1] == 6
 
     def test_doubling_polynomial_bound(self):
         for r, q in ((SS_12, 1), (SS_1324, 2)):
             m = maps.LogisticMap(r)
             for k in range(1, 15):
-                assert oscillation.count_monotone(m, k) <= 2 * (4 * k) ** (q + 1)
+                assert (oscillation.lap_counts(m, k)[-1]
+                        <= 2 * (4 * k) ** (q + 1))
 
     def test_flat_tent_rejected(self):
         with pytest.raises(ValueError):
-            oscillation.count_monotone(maps.FlatTentMap(F(1, 2)), 3)
+            oscillation.lap_counts(maps.FlatTentMap(F(1, 2)), 3)
 
 
 class TestCountCrossings:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,63 @@ from itermaps.errors import ResourceLimitError
 from conftest import random_pl
 
 TENT = pl.new([(0, 0), (F(1, 2), 1), (1, 0)])
+
+
+def ref_eps_approx(f, eps):
+    """``relunet.eps_approx`` by search: each level is found by stepping
+    through the run, and its point is taken from the first non-flat segment
+    that holds it.  The reference for the closed-form level ranges."""
+    eps = pl.rat(eps)
+    if eps >= 1:
+        return pl.constant(F(1, 2))
+    xs, dx, ys, dy = f.raw
+    s = lcm(dy, eps.denominator)
+    if s != dy:
+        ys = [y * (s // dy) for y in ys]
+    step = eps.numerator * (s // eps.denominator)
+    xn, xd, out = [xs[0]], [1], [ys[0]]
+
+    def emit(n, d, y):
+        if n * xd[-1] > xn[-1] * d:  # only points right of the last one
+            xn.append(n)
+            xd.append(d)
+            out.append(y)
+
+    def level_in(j, level):
+        a, b = ys[j], ys[j + 1]
+        return a != b and min(a, b) <= level <= max(a, b)
+
+    ends = [0, *pl.turning_knots(ys), len(ys) - 1]
+    for lo, hi in zip(ends, ends[1:]):
+        if hi > lo + 1:
+            y0, y1 = ys[lo], ys[hi]
+            sign = 1 if y1 >= y0 else -1
+            level = y0
+            j = lo
+            while abs(y1 - level) > step:
+                level += sign * step
+                while not level_in(j, level):
+                    j += 1
+                emit(*pl._at(xs[j], ys[j], xs[j + 1], ys[j + 1], level),
+                     level)
+        emit(xs[hi], 1, ys[hi])
+
+    xs, m = pl._common(xn, xd)
+    return pl.PiecewiseLinear(pl.Knots(xs, dx * m, out, s))
+
+
+def grid_pl(rng):
+    """Random PL whose values lie on a grid of 1/8, 1/21 or 1/40, so knots
+    fall on the levels of eps = 1/8, 1/3, 2/7 and 1/40, with about one value
+    in three repeating the last one (a flat piece)."""
+    den = rng.choice((8, 21, 40))
+    n = rng.randint(2, 14)
+    xs = sorted({F(rng.randint(1, 255), 256) for _ in range(n)})
+    ys = [F(rng.randint(0, den), den)]
+    for _ in range(len(xs) + 1):
+        ys.append(ys[-1] if rng.random() < 1 / 3
+                  else F(rng.randint(0, den), den))
+    return pl.new(list(zip([F(0), *xs, F(1)], ys)))
 
 
 def net_eval(n, x):
@@ -292,6 +350,18 @@ class TestEpsApprox:
         g = relunet.eps_approx(make(), eps)
         assert hashlib.sha256(
             repr(tuple(g.raw)).encode()).hexdigest() == digest
+
+    def test_level_ranges_match_search(self):
+        rng = random.Random(2110)
+        fs = [grid_pl(rng) for _ in range(240)]
+        fs += [random_pl(rng, max_interior=12) for _ in range(40)]
+        fs += [pl.iterate(maps.TentMap(F(rng.randint(9, 16), 16)).to_pl(),
+                          rng.randint(2, 5)) for _ in range(20)]
+        fs.append(pl.iterate(maps.FlatTentMap(1).to_pl(), 3))
+        for f in fs:
+            for eps in (F(1, 8), F(1, 3), F(2, 7), F(1, 40)):
+                assert relunet.eps_approx(f, eps).raw == (
+                    ref_eps_approx(f, eps).raw), (f.knots, eps)
 
 
 class TestSerialization:
