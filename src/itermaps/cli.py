@@ -64,14 +64,21 @@ def dump(obj) -> str:
 
 
 def parse_map(spec: str) -> maps.UnimodalMap:
-    """kind:r with r a fraction or decimal string, e.g. tent:1, logistic:0.958."""
+    """kind:r with r a fraction or decimal string, e.g. tent:1, logistic:0.958.
+
+    An r the family rejects is a usage error that names the spec.
+    """
     kind, _, r = spec.partition(":")
     if not r:
         raise argparse.ArgumentTypeError(f"map spec needs kind:r, got {spec!r}")
     cls = maps.FAMILIES.get(kind)
     if cls is None:
         raise argparse.ArgumentTypeError(f"unknown map kind {kind!r}")
-    return cls(Fraction(r) if cls.is_exact else float(r))
+    try:
+        return cls(r)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad map spec {spec!r}: {exc}") from None
 
 
 def _int_at_least(lo: int, hi: int | None = None):
@@ -479,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("logistic", "tent", "flat_tent", "sine"))
     b.add_argument("--r-lo", type=float, default=0.6)
     b.add_argument("--r-hi", type=float, default=1.0)
-    b.add_argument("--steps", type=int, default=bifurcation.DEFAULT_STEPS)
+    b.add_argument("--steps", type=_int_at_least(1),
+                   default=bifurcation.DEFAULT_STEPS)
     b.add_argument("--burn", type=_int_at_least(0),
                    default=bifurcation.DEFAULT_BURN)
     b.add_argument("--keep", type=_int_at_least(0),

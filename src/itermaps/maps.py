@@ -6,8 +6,10 @@ the flags ``strictly_unimodal``, ``concave`` and ``symmetric`` and the
 critical point ``apex_x`` are read off f's integer knots.  The two tents
 build f on first use, so members that a bifurcation sweep steps only on
 floats never build one.  Logistic and sine maps are double precision with
-a documented 1e-12 tolerance on orbits.  All maps send [0,1] to [0,1] with
-f(0) = f(1) = 0 and a maximum at the critical point.
+a documented 1e-12 tolerance on orbits.  The four families share one
+constructor, which takes r exact for the tents and as a float otherwise and
+checks that 0 < r <= 1.  All maps send [0,1] to [0,1] with f(0) = f(1) = 0
+and a maximum at the critical point.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ SMOOTH_TOL = 1e-12
 
 
 class UnimodalMap:
-    """Base class; subclasses define kind and evaluation."""
+    """Base class; subclasses define kind and the step float_step(r, x)."""
 
     kind = "abstract"
     is_exact = False
@@ -40,8 +42,15 @@ class UnimodalMap:
     #: the critical point, where f attains its maximum
     apex_x = 0.5
 
+    def __init__(self, r):
+        r = pl.rat(r) if self.is_exact else float(r)
+        if not (0 < r <= 1):
+            raise ValueError(f"{self.kind} parameter must lie in (0,1]")
+        self.r = r
+
     def __call__(self, x):
-        raise NotImplementedError
+        # a Fraction x meets the float r first, which makes it a float
+        return self.float_step(self.r, x)
 
     def max_value(self):
         return self(self.apex_x)
@@ -108,12 +117,6 @@ class TentMap(PLMap):
 
     kind = "tent"
 
-    def __init__(self, r):
-        r = pl.rat(r)
-        if not (0 < r <= 1):
-            raise ValueError("tent parameter must lie in (0,1]")
-        self.r = r
-
     @cached_property
     def f(self) -> pl.PiecewiseLinear:
         return pl.new([(0, 0), (HALF, self.r), (1, 0)])
@@ -133,12 +136,6 @@ class FlatTentMap(PLMap):
 
     kind = "flat_tent"
 
-    def __init__(self, r):
-        r = pl.rat(r)
-        if not (0 < r <= 1):
-            raise ValueError("flat-tent parameter must lie in (0,1]")
-        self.r = r
-
     @cached_property
     def f(self) -> pl.PiecewiseLinear:
         return pl.new([(0, 0), (Fraction(2, 5), self.r),
@@ -155,16 +152,6 @@ class LogisticMap(UnimodalMap):
 
     kind = "logistic"
 
-    def __init__(self, r):
-        r = float(r)
-        if not (0 < r <= 1):
-            raise ValueError("logistic parameter must lie in (0,1]")
-        self.r = r
-
-    def __call__(self, x):
-        # a Fraction operand of a float product is converted to float first
-        return self.float_step(self.r, x)
-
     @staticmethod
     def float_step(r, x):
         """f at parameter r; elementwise over arrays of r and x."""
@@ -175,12 +162,6 @@ class SineMap(UnimodalMap):
     """f(x) = r sin(pi x) for float r in (0,1]."""
 
     kind = "sine"
-
-    def __init__(self, r):
-        r = float(r)
-        if not (0 < r <= 1):
-            raise ValueError("sine parameter must lie in (0,1]")
-        self.r = r
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):

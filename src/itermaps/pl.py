@@ -12,12 +12,12 @@ levels are compared by cross-multiplying, so a sweep makes no ``Fraction``
 per knot (each Fraction operation reduces by a gcd in Python code, which is
 where the exact engine used to spend its time): ``canon`` keeps a knot where
 the slope changes, ``combine`` sums slope changes (an affine image of one
-input only scales and shifts its values, at that input's abscissae),
-``level_set``, the norms ``max_abs`` and ``abs_integral``, and ``compose``,
-which walks inner's pieces through outer's knots.  The segment solver
-``_at`` finds where a segment meets a level and, with x and y swapped,
-evaluates it; point evaluation, ``crossing_points`` and ``values_at`` (f at
-sorted points, in one sweep) use it too.  No other module keeps a copy.
+input only scales and shifts its values, at that input's abscissae), the
+norms ``max_abs`` and ``abs_integral``, ``compose``, which walks inner's
+pieces through outer's knots, ``_touches``, where f meets levels (for
+``level_set`` and ``crossing_points``), and ``values_at``, f at sorted
+points (and at one).  The segment solver ``_at`` finds where a segment meets
+a level and, with x and y swapped, evaluates it.  No other module keeps one.
 
 Fractions are made only at the boundary.  A ``PiecewiseLinear`` stores its
 knots once, as ``raw``: ``Knots`` over least denominators, kept only where
@@ -213,36 +213,41 @@ def _at(x0, y0, x1, y1, level) -> tuple[int, int]:
     return (n, d) if d > 0 else (-n, -d)
 
 
-def _on_scale(ys, dy, *levels) -> tuple[list, list]:
-    """ys (over dy) and the Fraction levels as numerators over one scale."""
-    s = lcm(dy, *(v.denominator for v in levels))
+def _touches(knots: Knots, levels: Sequence) -> list[tuple[int, int, int]]:
+    """Where f meets the Fraction levels, in order along f, as (n, d, i):
+    x = n / (d * dx) lies on levels[i].  A segment meets the levels in its
+    own direction; a flat at a level gives both of its ends."""
+    xs, _, ys, dy = knots
+    s = lcm(dy, *(v.denominator for v in levels))  # for y and the levels
     if s != dy:
         ys = [y * (s // dy) for y in ys]
-    return ys, [v.numerator * (s // v.denominator) for v in levels]
+    up = sorted((v.numerator * (s // v.denominator), i)
+                for i, v in enumerate(levels))
+    down = up[::-1]
+    hits = []
+    for i in range(len(xs) - 1):
+        y0, y1 = ys[i], ys[i + 1]
+        if y0 == y1:
+            for level, j in up:
+                if level == y0:
+                    hits.append((xs[i], 1, j))
+                    hits.append((xs[i + 1], 1, j))
+            continue
+        for level, j in (up if y0 < y1 else down):
+            if y0 <= level <= y1 or y1 <= level <= y0:
+                hits.append((*_at(xs[i], y0, xs[i + 1], y1, level), j))
+    return hits
 
 
 def level_set(knots: Knots, y) -> list[Fraction]:
     """Sorted x with f(x) = y on raw knots; a flat piece at y gives both ends."""
-    xs, dx, ys, dy = knots
-    ys, (level,) = _on_scale(ys, dy, rat(y))
-    hits = []
-    last = (-1, 1)  # the last hit x as (n, d): x = n / (d * dx)
-
-    def add(n, d):
-        nonlocal last
+    dx = knots.dx
+    out, last = [], (-1, 1)  # last: the last kept x as (n, d)
+    for n, d, _ in _touches(knots, (rat(y),)):
         if last[0] * d != n * last[1]:
-            hits.append(Fraction(n, d * dx))
+            out.append(Fraction(n, d * dx))
             last = (n, d)
-
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 == y1:
-            if y0 == level:
-                add(xs[i], 1)
-                add(xs[i + 1], 1)
-        elif y0 <= level <= y1 or y1 <= level <= y0:
-            add(*_at(xs[i], y0, xs[i + 1], y1, level))
-    return hits
+    return out
 
 
 def max_abs(knots: Knots) -> Fraction:
@@ -310,13 +315,8 @@ class PiecewiseLinear:
         x = rat(x)
         if not (0 <= x <= 1):
             raise ValueError(f"x={x} outside [0,1]")
-        xs, dx, ys, dy = self.raw
-        u, q = x.numerator * dx, x.denominator  # x on the scale q * dx
-        j = bisect_right(xs, u // q) - 1  # the last knot at or left of x
-        if xs[j] * q == u:
-            return Fraction(ys[j], dy)
-        n, d = _at(ys[j], xs[j] * q, ys[j + 1], xs[j + 1] * q, u)
-        return Fraction(n, d * dy)
+        (n, d), = values_at(self, (x,))
+        return Fraction(n, d * self.raw.dy)
 
 
 def new(knots: Iterable) -> PiecewiseLinear:
@@ -427,26 +427,12 @@ def crossing_points(f: PiecewiseLinear, a, b) -> tuple[tuple[Fraction, Fraction]
     a, b = rat(a), rat(b)
     if not (0 <= a < b <= 1):
         raise ValueError("need 0 <= a < b <= 1")
-    xs, dx, ys, dy = f.raw
-    ys, (la, lb) = _on_scale(ys, dy, a, b)
-    touches = []  # (x, level); a touch of the last touch's level is dropped
-    top = None  # whether the last touch is of b
-
-    def touch(n, d, at_b):
-        nonlocal top
-        if at_b is not top:
-            touches.append((Fraction(n, d * dx), b if at_b else a))
-            top = at_b
-
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 == y1:
-            if y0 == la or y0 == lb:
-                touch(xs[i], 1, y0 == lb)
-            continue
-        for level in ((la, lb) if y0 < y1 else (lb, la)):
-            if y0 <= level <= y1 or y1 <= level <= y0:
-                touch(*_at(xs[i], y0, xs[i + 1], y1, level), level == lb)
+    dx = f.raw.dx
+    touches, last = [], None  # last: the level index of the last touch kept
+    for n, d, i in _touches(f.raw, (a, b)):
+        if i != last:
+            touches.append((Fraction(n, d * dx), b if i else a))
+            last = i
     return tuple(touches)
 
 
@@ -488,16 +474,17 @@ def values_at(f: PiecewiseLinear, points: Sequence[Fraction]) -> list:
     """f at sorted Fraction points of [0,1], each value as (n, d) with d > 0:
     the value is n / (d * dy), dy being ``f.raw.dy``.
 
-    One merge sweep along f's integer knots; no Fraction is made.
+    A point right of the last point's segment finds its own by a binary
+    search along f's integer knots; no Fraction is made.
     """
     xs, dx, ys, dy = f.raw
     out = []
-    j = 0
+    j, end = 0, len(xs) - 1
     for x in points:
         q = x.denominator
         u = x.numerator * dx  # x on the scale q * dx
-        while xs[j + 1] * q < u:
-            j += 1
+        if xs[j + 1] * q < u:  # x lies right of segment j
+            j = bisect_right(xs, u // q, j + 1, end) - 1
         out.append(_at(ys[j], xs[j] * q, ys[j + 1], xs[j + 1] * q, u))
     return out
 

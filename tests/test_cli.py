@@ -15,6 +15,7 @@ from itermaps.cli import (build_parser, csv_slice, fmt, json_default, main,
 from itermaps import (bifurcation, cycles, hardness, maps, pl, relunet,
                       spectra)
 
+import cli_outputs
 from conftest import kneading_laps
 
 
@@ -468,6 +469,21 @@ class TestUsage:
          "--random-candidates: must be >= 0, got -2"),
         ("counterexample --eps abc", "--eps: not a fraction: 'abc'"),
         ("counterexample --eps 1/0", "--eps: not a fraction: '1/0'"),
+        ("bifurcation --steps 0", "--steps: must be >= 1, got 0"),
+        ("bifurcation --steps -1", "--steps: must be >= 1, got -1"),
+        # the family constructor's error, named with the spec
+        ("certify --map tent:1/0",
+         "--map: bad map spec 'tent:1/0': Fraction(1, 0)"),
+        ("phase --maps tent:1/0",
+         "--maps: bad map spec 'tent:1/0': Fraction(1, 0)"),
+        ("certify --map tent:2",
+         "--map: bad map spec 'tent:2': tent parameter must lie in (0,1]"),
+        ("phase --maps tent:2",
+         "--maps: bad map spec 'tent:2': tent parameter must lie in (0,1]"),
+        ("certify --map logistic:abc", "--map: bad map spec 'logistic:abc': "
+         "could not convert string to float: 'abc'"),
+        ("phase --maps logistic:abc", "--maps: bad map spec 'logistic:abc': "
+         "could not convert string to float: 'abc'"),
     ])
     def test_out_of_range_int_is_usage_error(self, argv, message, capsys):
         # rejected while parsing: exit 2, no stdout, no traceback
@@ -534,139 +550,55 @@ class TestCapBoundsCycleSearch:
                                 "composition exceeds 10 knots\n")
 
 
+MANIFEST = cli_outputs.load()
+
+
+def manifest_cases(pin):
+    """The manifest's entries first pinned in class pin (None: the rest)."""
+    return [pytest.param(e, id=e["id"]) for e in MANIFEST
+            if e.get("pin") == pin]
+
+
+def check_manifest_entry(entry):
+    """A fresh run of the entry's argv gives its recorded exit code, stdout
+    digest, last stderr line and --out file digests."""
+    fresh = cli_outputs.record(entry["argv"])
+    assert fresh == {k: entry[k] for k in fresh}, entry["id"]
+
+
+class TestOutputManifest:
+    """Every argv of tests/cli_outputs.jsonl, whose notes say when and why
+    each line was recorded; the three classes below hold the lines first
+    pinned in them."""
+
+    def test_ids_unique(self):
+        ids = [e["id"] for e in MANIFEST]
+        assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("entry", manifest_cases(None))
+    def test_argv(self, entry):
+        check_manifest_entry(entry)
+
+
 class TestExactOutputsPinned:
-    """Stdout of small exact commands, byte for byte.
+    """Small exact commands (manifest pin "exact")."""
 
-    The digests were recorded before the PL kernel's sweep rewrite; a change
-    that only makes the exact path faster must leave every byte in place.
-    The flat-tent certificate was recorded while crossings were still counted
-    on the built f^k; it guards the plateau path of the lap walk.  The
-    tent:9/10 5-cycle is Stefan and not increasing; its pin guards the
-    Stefan certificate rule.  The three certify digests were re-recorded
-    when the certificate_count and certificate_width lines, which restated
-    ``hardness.certificate``'s postcondition, left the output; nothing else
-    in their stdout changed.  The ``bench_`` cases are the exact commands of
-    the benchmark's workloads, so each gated command is byte-checked here.
-    The shattering table of ``vc --shatter-d 3`` was pinned when
-    ``vcbounds.primes_above`` lost its unreachable branch.
-    """
-
-    @pytest.mark.parametrize("argv, digest", [
-        (["--seed", "7", "certify", "--map", "tent:9/10", "--k", "8"],
-         "25893ff3c19e215d22b230f2ce8f08ffb4ddcc6560c7c5c09c2de8420133e8eb"),
-        (["cycles", "--map", "tent:1", "--p-max", "8"],
-         "20a2a493b501d8d18558fb0436fb41babe2c7978817f5298d78d6d2714ab4121"),
-        (["counterexample", "--k-max", "8"],
-         "2741e1e9e1397bc758246062a03d607308f80946681c640160a8cc8a5c3cfae4"),
-        (["synth", "--map", "tent:9/10", "--k", "6"],
-         "5d5b442fd2bcca69b7ec392a22ea9c8f1feb427d6f7e846294961eaf9d82c0be"),
-        (["certify", "--map", "flat_tent:1", "--k", "8"],
-         "10de51dbe579937be09a0f234836880e8527e7252cceee487a0b7dde7ba1cf90"),
-        (["certify", "--map", "tent:9/10", "--p", "5", "--k", "12"],
-         "6f49d2dabd9606122e34668cb9976a9b2643dd490fe6af3359a1b409fbf39a51"),
-        (["--seed", "7", "certify", "--map", "tent:1", "--k", "10"],
-         "fd7f84df078ff077e1913893548590a211ab3fd88c3165ec68656e4cadbc7f78"),
-        (["--seed", "7", "certify", "--map", "tent:9/10", "--k", "10"],
-         "8ca492347a018e994aa527a2bda5acd011f2c1594390d51fdc90441e7f955660"),
-        (["cycles", "--map", "tent:1", "--p-max", "10"],
-         "4e57aa2fd375427bbacca459a03886087cc58777f566b32c406ac8db0d048d7f"),
-        (["counterexample", "--k-max", "12"],
-         "aea0ddbf5b3e70cec12bf3a26b33f555523e2b4328133d3712c820eebfa6af56"),
-        (["synth", "--map", "tent:1", "--k", "9"],
-         "5487beeec86e5a03de9516d4a30213468a0d6bdcc321ca00629a6cc8c99671b9"),
-        (["synth", "--map", "tent:9/10", "--k", "8"],
-         "86cd77d768cccee02fecf6ce8094d89395621c076dc533dca65ac5eccba04146"),
-        (["vc", "--shatter-d", "3"],
-         "20249f295286e1a27b8ce8beb81ed804e2ef793ce0385318c1c336562b2f2f56"),
-    ], ids=["certify", "cycles", "counterexample", "synth", "certify_flat",
-            "certify_stefan", "bench_certify", "bench_certify_9_10",
-            "bench_cycles", "bench_counterexample", "bench_synth",
-            "bench_synth_9_10", "vc_shatter_3"])
-    def test_stdout_digest_and_exit_code(self, argv, digest, capsys):
-        code, out = run(argv, capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-BIF = ["bifurcation", "--family"]
-BIF_GRID = ["--steps", "60", "--burn", "100", "--keep", "20",
-            "--r-lo", "0.5", "--r-hi", "1.0"]
+    @pytest.mark.parametrize("entry", manifest_cases("exact"))
+    def test_stdout_digest_and_exit_code(self, entry):
+        check_manifest_entry(entry)
 
 
 class TestFloatOutputsPinned:
-    """Stdout and exit code of float sweeps and the super-stable table.
+    """Float sweeps and the super-stable table (manifest pin "float")."""
 
-    The digests were recorded with the scalar per-r orbit loop, before the
-    vector kernel.  The sine pin also guards np.sin against math.sin, which
-    the kernel and the scalar map call respectively.  superstable exits 1:
-    its 1324 row misses the doubling parameter.  The two certificates were
-    recorded while float crossings came from preimage trees, and re-recorded
-    only to drop the certificate_count and certificate_width lines.  The
-    ``bench_`` cases are benchmark workload commands, as in the exact pins.
-    The rho-table pin was recorded when ``spectra.rho_table`` lost its
-    range parameters, and the two bifurcation bench pins before the CSV was
-    written a period at a time.
-    """
-
-    @pytest.mark.parametrize("argv, exit_code, digest", [
-        ([*BIF, "logistic", *BIF_GRID], 0,
-         "fecfe5d5d889c19bf340743f7e21b982247ba5f5784da83d9753699be4d8241f"),
-        ([*BIF, "sine", *BIF_GRID], 0,
-         "375e806836b3de3c04b9c4134a982de1ee5fb646f24200107514f8ea7431deec"),
-        ([*BIF, "tent", *BIF_GRID], 0,
-         "919c3e28de81b11fe73b18f549cde4d1f5cc75bf6fd5b2fb744e3c4aa3ec0bd0"),
-        ([*BIF, "flat_tent", *BIF_GRID], 0,
-         "e0df2136e4464e313252825bf4eb6885af62f1b1c468681bf7ff509f2c48d5dc"),
-        (["superstable"], 1,
-         "6a4baac453d7a247261afefabb01517540c5aa9eacd2dac958ff7988806c0447"),
-        (["certify", "--map", "logistic:0.958", "--k", "12"], 0,
-         "74cb5bd182d73ac35de9920320de3b4dabd4ea2c3b0d0c397ee366850120a983"),
-        (["certify", "--map", "sine:0.99", "--k", "12"], 0,
-         "adb0d2a1523c25ba52ac453533a79a0136366ab8fa573ff8404f060b74adde82"),
-        (["warmup", "--k-max", "16"], 0,
-         "eb2373338d2c49834154f46bb1bee2f2c46cf592aff49c36e82f9d372c7c3a5c"),
-        (["phase", "--maps",
-          "tent:1,tent:9/10,logistic:0.99,logistic:0.8671,sine:0.97",
-          "--k-max", "16"], 0,
-         "067eb25e5a6ad4e0c15b6987bc720e464a315ca504d9f25ef625747a58b056c6"),
-        (["rho-table"], 0,
-         "cee1e806c1d36c1c02f3c918748356e54cbd14a9132d696284a5822bd7917647"),
-        ([*BIF, "logistic"], 0,
-         "723f0bcda87e96c939f4aa5de745bba8ac278ed3d7208df936da7c306ceb0bc4"),
-        ([*BIF, "tent", "--steps", "400"], 0,
-         "e727cbb9287f24352cb4e9635a465cd53e35ac21c7cb0d41b3afd9da702b89e6"),
-    ], ids=["logistic", "sine", "tent", "flat_tent", "superstable",
-            "certify_logistic", "certify_sine", "bench_warmup", "bench_phase",
-            "rho_table", "bench_bifurcation_logistic",
-            "bench_bifurcation_tent"])
-    def test_stdout_digest_and_exit_code(self, argv, exit_code, digest,
-                                         capsys):
-        code, out = run(argv, capsys)
-        assert code == exit_code
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("entry", manifest_cases("float"))
+    def test_stdout_digest_and_exit_code(self, entry):
+        check_manifest_entry(entry)
 
 
 class TestOutFilesPinned:
-    """The files --out writes, byte for byte: the warmup SVG is the log-y
-    line plot and the bifurcation SVG the scatter.  Recorded when
-    ``svgplot`` lost its unused parameters."""
+    """The files --out writes (manifest pin "out")."""
 
-    @pytest.mark.parametrize("argv, digests", [
-        (["warmup"], {
-            "warmup_growth.csv": "c4e7b84cd226460d6f4c920267179ac1"
-                                 "c367e58a888ed9642151e74ca3fad5d6",
-            "warmup_growth.svg": "6236aa2bfd8f917a0b8d5425d74a8126"
-                                 "926db2bafcd675af2163dd4d39c28362"}),
-        (["bifurcation", "--steps", "50"], {
-            "bifurcation_logistic.csv": "790680fbf3bbb17d1804f447bd40d57d"
-                                        "598e5d074b9842521c8d0ff8efa85701",
-            "bifurcation_logistic.json": "1b8588506628c7192c5856730c3240c0"
-                                         "3f1918e0a270bc5fd8b24861961c0870",
-            "bifurcation_logistic.svg": "e5500fb8ea0c8f6c65933b073fdf66cb"
-                                        "71b20c66b6ec8183ea7202beb06f5b67"}),
-    ], ids=["warmup", "bifurcation"])
-    def test_file_digests(self, argv, digests, tmp_path, capsys):
-        code, _ = run(["--out", str(tmp_path), *argv], capsys)
-        assert code == 0
-        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                for f in tmp_path.iterdir()} == digests
+    @pytest.mark.parametrize("entry", manifest_cases("out"))
+    def test_file_digests(self, entry):
+        check_manifest_entry(entry)

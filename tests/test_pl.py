@@ -7,6 +7,7 @@ hand iteration of the tent map, or trapezoid geometry) before being frozen.
 import random
 import tracemalloc
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -523,6 +524,106 @@ class TestIntegerKernelLargeDenominators:
         # a dropped collinear knot takes its denominators with it
         g = pl.new([(0, 0), (F(1, 6), F(1, 6)), (F(1, 2), F(1, 2)), (1, 0)])
         assert g.raw == pl.Knots([0, 1, 2], 2, [0, 1, 0], 2)
+
+
+def ref_crossing_points(f, a, b):
+    """The crossing sweep as it stood before ``pl._touches``: a flat at a
+    level touches at its left end only, and a touch of the last touch's
+    level is dropped as it is found."""
+    a, b = pl.rat(a), pl.rat(b)
+    xs, dx, ys, dy = f.raw
+    s = lcm(dy, a.denominator, b.denominator)
+    ys = [y * (s // dy) for y in ys]
+    la, lb = (v.numerator * (s // v.denominator) for v in (a, b))
+    touches = []
+    top = None  # whether the last touch is of b
+
+    def touch(n, d, at_b):
+        nonlocal top
+        if at_b is not top:
+            touches.append((F(n, d * dx), b if at_b else a))
+            top = at_b
+
+    for i in range(len(xs) - 1):
+        y0, y1 = ys[i], ys[i + 1]
+        if y0 == y1:
+            if y0 == la or y0 == lb:
+                touch(xs[i], 1, y0 == lb)
+            continue
+        for level in ((la, lb) if y0 < y1 else (lb, la)):
+            if y0 <= level <= y1 or y1 <= level <= y0:
+                touch(*pl._at(xs[i], y0, xs[i + 1], y1, level), level == lb)
+    return tuple(touches)
+
+
+def ref_value(pts, x):
+    """f(x) by Fraction interpolation on the segment that holds x."""
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 <= x <= x1:
+            return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
+def flat_pl(rng):
+    """Random PL whose values come from a few quarters and thirds, so
+    flats are common and levels often sit on knots."""
+    n = rng.randint(0, 8)
+    xs = sorted({F(rng.randint(1, 63), 64) for _ in range(n)})
+    ys = [F(rng.randint(0, 12), 12) for _ in range(len(xs) + 2)]
+    return pl.new(zip([F(0)] + xs + [F(1)], ys))
+
+
+def level_cases(f, rng):
+    """Levels on f's knots, between them and off f's range."""
+    values = sorted({y for _, y in f.knots})
+    return values + [random_rational(rng, 12) for _ in range(3)]
+
+
+def iterates():
+    """f^k of tents and flat tents, whose levels repeat across many knots."""
+    for m in (maps.TentMap(1), maps.TentMap(F(9, 10)), maps.TentMap(F(1, 2)),
+              maps.FlatTentMap(1), maps.FlatTentMap(F(9, 10))):
+        f = m.to_pl()
+        for k in range(1, 7):
+            yield pl.iterate(f, k)
+
+
+class TestOneSweepOracles:
+    """``level_set`` and ``crossing_points`` share ``pl._touches``, and point
+    evaluation is ``values_at``; each against its own reference."""
+
+    def test_level_set_matches_reference(self, rng):
+        cases = [flat_pl(rng) for _ in range(300)] + list(iterates())
+        for f in cases:
+            for y in level_cases(f, rng):
+                assert pl.level_set(f.raw, y) == ref_level_set(f.knots, y)
+
+    def test_crossing_points_match_reference(self, rng):
+        cases = [flat_pl(rng) for _ in range(300)] + list(iterates())
+        for f in cases:
+            levels = level_cases(f, rng)
+            for _ in range(6):
+                a, b = sorted(rng.sample(levels, 2))
+                if a < b:
+                    assert (pl.crossing_points(f, a, b)
+                            == ref_crossing_points(f, a, b))
+            for a, b in ((F(4, 9), F(8, 9)), (F(0), F(1))):
+                assert (pl.crossing_points(f, a, b)
+                        == ref_crossing_points(f, a, b))
+
+    def test_values_at_one_point(self, rng):
+        cases = [flat_pl(rng) for _ in range(300)] + list(iterates())
+        for f in cases:
+            dy = f.raw.dy
+            for x, y in f.knots:  # 0 and 1 are knots
+                (n, d), = pl.values_at(f, [x])
+                assert F(n, d * dy) == y == f(x)
+            for _ in range(4):
+                x = random_rational(rng, 200)
+                (n, d), = pl.values_at(f, [x])
+                assert F(n, d * dy) == ref_value(f.knots, x) == f(x)
+
+    def test_values_at_no_points(self):
+        assert pl.values_at(TENT, []) == []
 
 
 def tent_sample(points, t):
