@@ -19,9 +19,10 @@ When the cap stops certify's candidate stage, the certificate is
 written with no candidates before the command exits 3.
 
 This module is the only JSON writer.  The library's records return plain
-data from ``to_dict``, with exact values left as Fractions; ``dump`` writes
+data from ``to_dict``, with exact values left as Fractions.  ``dump`` writes
 every JSON artifact but bifurcation's metadata, which is one sorted line of
-``json.dumps``, and ``json_default`` writes a Fraction as n/d.
+``json.dumps``.  It builds the text of ``json.dumps(obj, sort_keys=True,
+indent=1)`` directly, with a Fraction written as the string "n/d".
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import (bifurcation, cycles, hardness, maps, oscillation, pl, relunet,
@@ -49,18 +51,102 @@ def fmt(x) -> str:
     return str(x)
 
 
-def json_default(x) -> str:
-    """A Fraction as n/d; json.dumps calls this for values it cannot write."""
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    """json's float text: repr, or NaN, Infinity and -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+#: the JSON text of a scalar of exactly this type
+_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    Fraction: lambda q: f'"{q.numerator}/{q.denominator}"',
+}
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps converts it, before it is quoted."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _json(x, nl: str) -> str:
+    """x as JSON; nl is the newline and indent of x's own line."""
+    t = type(x)
+    write = _SCALAR.get(t)
+    if write is not None:
+        return write(x)
+    if t is list or t is tuple:
+        return _array(x, nl)
+    if t is dict:
+        return _object(x, nl)
+    # subclasses, in the order json.dumps tests them
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    if isinstance(x, (list, tuple)):
+        return _array(x, nl)
+    if isinstance(x, dict):
+        return _object(x, nl)
     if isinstance(x, Fraction):
-        return fmt(x)
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+        return _SCALAR[Fraction](x)
+    raise TypeError(f"{t.__name__} is not JSON serializable")
+
+
+def _array(xs, nl: str) -> str:
+    if not xs:
+        return "[]"
+    inner = nl + " "
+    return ("[" + inner + ("," + inner).join([_json(x, inner) for x in xs])
+            + nl + "]")
+
+
+def _object(d: dict, nl: str) -> str:
+    if not d:
+        return "{}"
+    inner = nl + " "
+    return ("{" + inner + ("," + inner).join(
+        [encode_basestring_ascii(_key(k)) + ": " + _json(v, inner)
+         for k, v in sorted(d.items())]) + nl + "}")
 
 
 def dump(obj) -> str:
-    # payloads are trees built per command; the cycle check would add a
-    # marker per Fraction handed to json_default, a tenth of the encoding
-    return json.dumps(obj, sort_keys=True, indent=1, check_circular=False,
-                      default=json_default) + "\n"
+    """obj as an indented JSON document with sorted keys and a Fraction as
+    the string "n/d", ending in a newline.
+
+    The text is json.dumps(obj, sort_keys=True, indent=1) byte for byte,
+    and must stay so.  It is not built by json.dumps: before Python 3.13,
+    an indent makes json use its pure-Python encoder, which with one
+    default call per Fraction was synth's largest cost after net_to_pl.
+    """
+    return _json(obj, "\n") + "\n"
 
 
 def parse_map(spec: str) -> maps.UnimodalMap:
@@ -230,6 +316,10 @@ def csv_slice(r: float, tail: list[float]) -> str:
 
 def cmd_bifurcation(args) -> int:
     rep = Reporter()
+    if not 0 < args.r_lo <= args.r_hi <= 1:
+        print(f"bifurcation needs 0 < r_lo <= r_hi <= 1, got r_lo "
+              f"{args.r_lo} and r_hi {args.r_hi}", file=sys.stderr)
+        return 2
     kind = args.family
     data = bifurcation.sweep(kind, args.r_lo, args.r_hi, steps=args.steps,
                              burn=args.burn, keep=args.keep)
@@ -432,7 +522,7 @@ def cmd_counterexample(args) -> int:
 #: keywords); the keywords hold the default used when the option is absent
 SHARED_OPTIONS = (
     ("--out", {"default": None, "help": "output directory (default: stdout)"}),
-    ("--cap", {"type": int, "default": pl.DEFAULT_KNOT_CAP,
+    ("--cap", {"type": _int_at_least(1), "default": pl.DEFAULT_KNOT_CAP,
                "help": "most knots a PL f^k or network built by certify, "
                        "cycles, phase, synth, counterexample or warmup may "
                        "hold (exit 3 beyond it)"}),

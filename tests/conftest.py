@@ -42,6 +42,13 @@ def random_unit_map(rng, max_interior=4):
     return pl.new(knots)
 
 
+def fraction_default(x) -> str:
+    """json.dumps's default for the JSON artifacts: a Fraction as n/d."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def crossings(f, a, b) -> int:
     """Number of full traversals of [a,b] by the PL f: one fewer than its
     alternating touch sequence, or none."""

@@ -16,10 +16,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from itermaps import cli, cycles, maps, pl
+from itermaps import cycles, maps, pl
 from itermaps.errors import NotPiecewiseLinear
 
-from conftest import orbit, random_unit_map
+from conftest import fraction_default, orbit, random_unit_map
 
 
 def tent(r):
@@ -361,7 +361,7 @@ def ref_find_cycles(m, p_max):
 
 def record_json(c) -> str:
     """One record as the JSON artifacts write it, without indentation."""
-    return json.dumps(c.to_dict(), default=cli.json_default)
+    return json.dumps(c.to_dict(), default=fraction_default)
 
 
 def oracle_cases():

@@ -366,7 +366,6 @@ class TestEpsApprox:
 
 class TestSerialization:
     def test_json_fields(self):
-        payload = json.loads(
-            json.dumps(hand_tent_net().to_dict(), default=cli.json_default))
+        payload = json.loads(cli.dump(hand_tent_net().to_dict()))
         assert payload["activation"] == "relu"
         assert payload["layers"][0]["w"] == [["2/1"], ["4/1"]]

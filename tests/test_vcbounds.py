@@ -176,6 +176,6 @@ class TestShatter:
 
     def test_witness_json(self):
         w = vcbounds.shatter(2)
-        payload = json.loads(json.dumps(w.to_dict(), default=cli.json_default))
+        payload = json.loads(cli.dump(w.to_dict()))
         assert payload["primes"] == [5, 7]
         assert payload["points"] == ["16/33", "64/129"]
