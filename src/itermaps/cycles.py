@@ -15,6 +15,9 @@ stepped out from the root itself.  A root within FLOAT_MATCH_TOL of a point
 of an orbit already taken is skipped; an orbit is dropped when two of its
 points meet within FLOAT_MATCH_TOL (its minimal period is smaller) or when
 it misses closing by more than RESIDUAL_TOL (a spurious bracket).
+
+A logistic super-stable parameter is solved from the itinerary alone: the
+cycle's kneading word, in the unimodal order, bisects r on [1/2, 1].
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import pl, spectra
+from . import pl
 from .maps import LogisticMap, UnimodalMap
 
 FLOAT_MATCH_TOL = 1e-8
@@ -34,10 +37,6 @@ RESIDUAL_TOL = 1e-9
 
 #: root-bracketing cells per unit period for smooth maps
 GRID_PER_PERIOD = 4096
-
-#: superstable_r scans a bracket on SCAN + 1 values of r and bisects each
-#: sign change to within R_TOL
-SCAN, R_TOL = 400, 1e-9
 
 
 def itinerary_of_points(orbit: Sequence) -> tuple[int, ...]:
@@ -291,8 +290,9 @@ def classify_regime(cycles: Sequence[CycleRecord]) -> RegimeReport:
     return RegimeReport("doubling", witness, q)
 
 
-# MSS forcing order for the logistic family: cycles appear (and are
-# super-stable) in this row order as r increases.
+# MSS forcing order for the logistic family: cycles are super-stable in this
+# row order as r increases.  The rows' r are the published values; the
+# solver never reads them, and `superstable` checks the solved order.
 FORCING_TABLE = (
     {"p": 2, "itinerary": "12", "regime": "doubling", "r": 0.8090},
     {"p": 4, "itinerary": "1324", "regime": "doubling", "r": 0.8671},
@@ -309,70 +309,63 @@ FORCING_TABLE = (
 )
 
 
-def superstable_r(itin: str, bracket) -> float:
+def superstable_r(itin: str) -> float:
     """Logistic parameter at which the critical orbit closes with itinerary
-    `itin` (the cycle contains the critical point).
+    `itin` (the cycle contains the critical point c = 1/2).
 
-    The residual f_r^p(1/2) - 1/2 also vanishes at super-stable parameters
-    of divisor periods, so the bracket is scanned on SCAN + 1 values of r in
-    one vector call of ``LogisticMap.float_step`` per step, every sign change
-    is bisected by ``spectra.bisect_root`` to within R_TOL, and the root
-    whose critical orbit has minimal period p and the target itinerary is
-    returned.  Bisection and the check run the same step on floats; a
-    scalar and a vector step do the same IEEE operations.
+    Word: c is the point whose successor has rank p; f(c), ..., f^(p-1)(c)
+    are L or R by their rank against c's, and f^p(c) is C, so 1324 reads
+    RLRC.  Order: the first p symbols of the critical orbit compare with
+    the word in the unimodal order L < C < R, reversed after each R of the
+    common prefix; in the logistic family that comparison is monotone in r
+    (Milnor & Thurston, LNM 1342, 1988).  Bisection on [1/2, 1] stops when
+    the midpoint equals an end and returns the upper end, where the orbit
+    must have the pattern `itin`: one that no logistic orbit has, such as
+    1342 (1234's word), is refused there.
     """
-    itin = parse_itinerary(itin)
-    p = len(itin)
+    ranks = parse_itinerary(itin)
+    p = len(ranks)
+    if not ranks or sorted(ranks) != list(range(1, p + 1)):
+        raise ValueError(f"itinerary {itin!r} is not a permutation of 1..{p}")
     step = LogisticMap.float_step
+    j = ranks.index(p) - 1
+    # L, C, R are -1, 0, 1
+    word = [(a > ranks[j]) - (a < ranks[j])
+            for a in ranks[j + 1:] + ranks[:j + 1]]
 
-    def critical_orbit(r):
-        orbit = [0.5]
-        for _ in range(p):
-            orbit.append(step(r, orbit[-1]))
-        return orbit
+    def at_or_above(r):
+        x, flip = 0.5, False
+        for w in word:
+            x = step(r, x)
+            s = (x > 0.5) - (x < 0.5)
+            if s != w:
+                return (s > w) != flip
+            flip ^= s > 0
+        return True
 
-    def residual(r):
-        return critical_orbit(r)[-1] - 0.5
-
-    lo, hi = max(bracket[0], 1e-9), min(bracket[1], 1.0)
-    if lo > hi:
-        raise ValueError(f"bracket {bracket} misses (0, 1]")
-    rs = [lo + (hi - lo) * i / SCAN for i in range(SCAN + 1)]
-    grid, x = np.array(rs), np.full(SCAN + 1, 0.5)
-    for _ in range(p):
-        x = step(grid, x)
-    gs = (x - 0.5).tolist()
-    roots = [r for r, v in zip(rs, gs) if v == 0]
-    for i in range(SCAN):
-        if gs[i] * gs[i + 1] < 0:
-            roots.append(
-                spectra.bisect_root(residual, rs[i], rs[i + 1], R_TOL))
-
-    tried = []
-    for root in sorted(roots):
-        orbit = critical_orbit(root)[:p]
-        gaps = [abs(a - b) for i, a in enumerate(orbit)
-                for b in orbit[i + 1:]]
-        if gaps and min(gaps) < 1e-7:
-            continue  # divisor-period root: orbit points collapse
-        got = itinerary_of_points(orbit)
-        if got == itin:
-            return root
-        tried.append((root, itinerary_str(got)))
-    raise ValueError(
-        f"no super-stable {itinerary_str(itin)} parameter in {bracket}; "
-        f"roots found: {tried}")
+    lo, hi = 0.5, 1.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if at_or_above(mid):
+            hi = mid
+        else:
+            lo = mid
+    orbit = [0.5]
+    for _ in range(p - 1):
+        orbit.append(step(hi, orbit[-1]))
+    if len(set(orbit)) < p or itinerary_of_points(orbit) != ranks:
+        raise ValueError(
+            f"no super-stable {itin} parameter in the logistic family")
+    return hi
 
 
 def solve_forcing_table() -> list[dict]:
-    """Solve every forcing-table row in the logistic family within 0.01 of
-    its published r; rows gain r_solved/delta."""
+    """Solve every forcing-table row from its itinerary alone; rows gain
+    r_solved and delta, its distance from the published r."""
     out = []
     for row in FORCING_TABLE:
-        r0 = row["r"]
-        solved = superstable_r(row["itinerary"], (r0 - 0.01, r0 + 0.01))
+        solved = superstable_r(row["itinerary"])
         rec = dict(row)
         rec["r_solved"] = solved
-        rec["delta"] = abs(solved - r0)
+        rec["delta"] = abs(solved - row["r"])
         out.append(rec)
     return out

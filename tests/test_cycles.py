@@ -8,6 +8,7 @@ Closed-form cycle coordinates used as oracles:
 """
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -465,32 +466,43 @@ class TestRegime:
 
 
 class TestSuperstable:
-    # r_true values re-derived by root-scan + itinerary verification; the
-    # 1324 row's published 0.8671 is not a super-stable parameter (the only
-    # root with that itinerary nearby is the classical cascade value
-    # mu = 3.4985617, r = 0.8746404)
-    @pytest.mark.parametrize("itin,seed,r_true", [
+    # r_true values are confirmed below by the critical orbit closing with
+    # the itinerary; the 1324 row's published 0.8671 is not a super-stable
+    # parameter (the only one with that itinerary is the classical cascade
+    # value mu = 3.4985617, r = 0.8746404), while the other two rows match
+    # their published r_paper
+    @pytest.mark.parametrize("itin,r_paper,r_true", [
         ("123", 0.9580, 0.957968),
         ("1324", 0.8671, 0.874640),
         ("123456", 0.9994, 0.999396),
     ])
-    def test_solver_finds_verified_parameter(self, itin, seed, r_true):
-        solved = cycles.superstable_r(itin, (seed - 0.01, seed + 0.01))
-        assert abs(solved - r_true) <= 5e-4
+    def test_solver_finds_verified_parameter(self, itin, r_paper, r_true):
+        solved = cycles.superstable_r(itin)
+        assert abs(solved - r_true) <= 1e-6
+        assert (abs(solved - r_paper) <= 5e-4) == (itin != "1324")
         # independent confirmation: critical orbit closes with the itinerary
         m = maps.LogisticMap(solved)
         pts = orbit(m, 0.5, len(itin))
-        assert abs(pts[-1] - 0.5) <= 1e-7
+        assert abs(pts[-1] - 0.5) <= 1e-12
         assert cycles.itinerary_of_points(pts[:len(itin)]) == \
             cycles.parse_itinerary(itin)
 
     def test_itinerary_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            cycles.superstable_r("1234", (0.955, 0.961))
+        # 1342 has 1234's word RLLC and 1243 has RRLC; no logistic orbit
+        # has either pattern
+        for itin in ("1342", "1243"):
+            with pytest.raises(ValueError, match=f"no super-stable {itin} "):
+                cycles.superstable_r(itin)
 
-    def test_bracket_outside_parameter_range_raises(self):
-        with pytest.raises(ValueError, match="misses"):
-            cycles.superstable_r("12", (1.2, 1.3))
+    @pytest.mark.parametrize("itin", ["1224", "134", ""])
+    def test_non_permutation_raises_before_bisection(self, itin,
+                                                     monkeypatch):
+        def step(r, x):
+            raise AssertionError("bisection started")
+
+        monkeypatch.setattr(maps.LogisticMap, "float_step", step)
+        with pytest.raises(ValueError, match="not a permutation"):
+            cycles.superstable_r(itin)
 
     def test_full_table_solves(self):
         rows = cycles.solve_forcing_table()
@@ -500,6 +512,37 @@ class TestSuperstable:
                 assert abs(row["r_solved"] - 0.874640) <= 5e-4
             else:
                 assert row["delta"] <= 5e-4
+
+    def test_two_cycle_is_closed_form(self):
+        # f_r(f_r(1/2)) = 1/2 with f_r(1/2) = r gives 16r^2 - 4r - 1 = 0
+        want = (1 + math.sqrt(5)) / 4
+        assert abs(cycles.superstable_r("12") - want) <= 2 * math.ulp(want)
+
+    def test_published_r_is_never_read(self, monkeypatch):
+        solved = [row["r_solved"] for row in cycles.solve_forcing_table()]
+        monkeypatch.setattr(cycles, "FORCING_TABLE", tuple(
+            dict(row, r=0.5) for row in cycles.FORCING_TABLE))
+        assert [row["r_solved"]
+                for row in cycles.solve_forcing_table()] == solved
+
+    def test_super_stable_cycles_per_period(self):
+        # the logistic family has 1, 1, 1, 2, 3, 5, 9 super-stable cycles
+        # of periods 1..7 (Metropolis, Stein & Stein, J. Combin. Theory A
+        # 15, 1973); every other pattern of 1..p must be refused
+        counts = []
+        for p in range(1, 8):
+            found = 0
+            for rest in itertools.permutations(range(2, p + 1)):
+                itin = "1" + "".join(map(str, rest))
+                try:
+                    r = cycles.superstable_r(itin)
+                except ValueError:
+                    continue
+                pts = orbit(maps.LogisticMap(r), 0.5, p)
+                assert abs(pts[-1] - 0.5) <= 1e-12, itin
+                found += 1
+            counts.append(found)
+        assert counts == [1, 1, 1, 2, 3, 5, 9]
 
 
 class TestRecordFlags:
@@ -523,8 +566,10 @@ class TestRecordFlags:
 
 
 def ref_superstable_r(itin, bracket, tol=1e-9, scan=400):
-    """The per-map residual solver that the vector scan replaced: every
-    residual evaluation builds a LogisticMap and calls it."""
+    """Scan the bracket for sign changes of f^p(1/2) - 1/2, bisect each to
+    tol and return the first root whose orbit has p points at least 1e-7
+    apart and the itinerary; every residual evaluation builds a LogisticMap
+    and calls it."""
     itin = cycles.parse_itinerary(itin)
     p = len(itin)
 
@@ -565,16 +610,23 @@ def ref_superstable_r(itin, bracket, tol=1e-9, scan=400):
 
 
 class TestSuperstableOracle:
-    """The vector scan against the per-map solver it replaced, bit for bit."""
+    """The kneading-word bisection against the bracketed residual scan it
+    replaced: the same root to within 1e-9, closing at least as tightly."""
 
     @pytest.mark.parametrize("row", cycles.FORCING_TABLE,
                              ids=lambda row: row["itinerary"])
     def test_equals_per_map_solver(self, row):
+        def residual(r):
+            return abs(orbit(maps.LogisticMap(r), 0.5, row["p"])[-1] - 0.5)
+
         bracket = (row["r"] - 0.01, row["r"] + 0.01)
-        assert cycles.superstable_r(row["itinerary"], bracket) == \
-            ref_superstable_r(row["itinerary"], bracket)
+        got = cycles.superstable_r(row["itinerary"])
+        want = ref_superstable_r(row["itinerary"], bracket)
+        assert abs(got - want) <= 1e-9
+        assert residual(got) <= residual(want)
 
     def test_both_reject_the_same_mismatch(self):
-        for solve in (cycles.superstable_r, ref_superstable_r):
-            with pytest.raises(ValueError, match="no super-stable"):
-                solve("1234", (0.955, 0.961))
+        with pytest.raises(ValueError, match="no super-stable 1342 "):
+            cycles.superstable_r("1342")
+        with pytest.raises(ValueError, match="no super-stable"):
+            ref_superstable_r("1342", (0.5, 1.0))
