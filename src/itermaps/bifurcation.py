@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .maps import FAMILIES, TentMap, UnimodalMap
+from .maps import FAMILIES
 
 X0 = 0.5001
 #: X0 as the rational it denotes; Fraction(X0) is a dyadic rational, and its
@@ -36,18 +36,12 @@ DEFAULT_KEEP = 200
 DEFAULT_STEPS = 1000
 
 
-def family_map(kind: str, r: float) -> UnimodalMap:
-    cls = FAMILIES[kind]
-    if cls.is_exact:
-        return cls(Fraction(r).limit_denominator(10**9))
-    return cls(r)
-
-
-def _exact_tail(m: TentMap, burn: int, keep: int) -> list[float]:
-    """The tail of the exact orbit of X0_EXACT = n/d under slope s = 2r, an
-    integer: x -> s min(x, 1 - x) keeps the denominator d, so the orbit is
-    iterated on its numerator, and n / d rounds as float(Fraction(n, d))."""
-    s, n, d = int(2 * m.r), X0_EXACT.numerator, X0_EXACT.denominator
+def _exact_tail(s: int, burn: int, keep: int) -> list[float]:
+    """The tail of the exact orbit of X0_EXACT = n/d under the tent of
+    integer slope s = 2r: x -> s min(x, 1 - x) keeps the denominator d, so
+    the orbit is iterated on its numerator, and n / d rounds as
+    float(Fraction(n, d))."""
+    n, d = X0_EXACT.numerator, X0_EXACT.denominator
     for _ in range(burn):
         n = s * min(n, d - n)
     out = []
@@ -61,15 +55,16 @@ def _tails(kind: str, rs: list[float], burn: int,
            keep: int) -> list[list[float]]:
     """Orbit tails of the family members at rs, in the order of rs.
 
-    Each member is built with family_map (range check; a tent builds no
-    PL function unless it is iterated exactly); its float parameter is
-    float(m.r), which for the tents is the rounded rational, not the grid
-    value.
+    No member is built.  An exact family (the tents) steps at the rational
+    Fraction(r).limit_denominator(10**9), which an exact map of r would
+    hold, as a float, and a tent whose rational has an integer slope 2r
+    takes ``_exact_tail``; the smooth families step at r itself.
     """
-    members = [family_map(kind, r) for r in rs]
-    exact = [kind == "tent" and (2 * m.r).denominator == 1 for m in members]
+    if FAMILIES[kind].is_exact:
+        rs = [Fraction(r).limit_denominator(10**9) for r in rs]
+    exact = [kind == "tent" and (2 * r).denominator == 1 for r in rs]
     step = FAMILIES[kind].float_step
-    r = np.array([float(m.r) for m, e in zip(members, exact) if not e])
+    r = np.array([float(q) for q, e in zip(rs, exact) if not e])
     x = np.full(r.shape, X0)
     for _ in range(burn):
         x = step(r, x)
@@ -78,8 +73,8 @@ def _tails(kind: str, rs: list[float], burn: int,
         x = step(r, x)
         row[:] = x
     floats = iter(out.T.tolist())
-    return [_exact_tail(m, burn, keep) if e else next(floats)
-            for m, e in zip(members, exact)]
+    return [_exact_tail(int(2 * q), burn, keep) if e else next(floats)
+            for q, e in zip(rs, exact)]
 
 
 def sweep(kind: str, r_lo: float, r_hi: float, steps: int = DEFAULT_STEPS,

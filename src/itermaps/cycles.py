@@ -1,10 +1,13 @@
 """Periodic orbits, itineraries, regime classification, and forcing order.
 
 A cycle's itinerary is read off by rotating the orbit so it starts at its
-smallest point and recording each point's rank in the sorted order; the
-itinerary "12...p" (an increasing cycle) marks the chaotic regime, and a
-power-of-two cycle keeps the doubling regime only while its itinerary is an
-iterated 2-extension of the fixed point.
+smallest point and recording each point's rank in the sorted order.  The
+itinerary alone fixes the cycle's regime (``pattern_regime``): a unimodal
+cycle pattern has zero entropy exactly when it is a primary power-of-two
+pattern, an iterated 2-extension of the fixed point (Alsedà, Llibre &
+Misiurewicz, *Combinatorial Dynamics and Entropy in Dimension One*).  Those
+patterns are "doubling" and every other one, the increasing "12...p"
+included, is "chaotic".
 
 Cycles of a PL map come from the exact roots of f^p(x) = x.  f maps those
 roots onto themselves, and the ends of a flat piece of f^p - id onto ends,
@@ -17,7 +20,9 @@ points meet within FLOAT_MATCH_TOL (its minimal period is smaller) or when
 it misses closing by more than RESIDUAL_TOL (a spurious bracket).
 
 A logistic super-stable parameter is solved from the itinerary alone: the
-cycle's kneading word, in the unimodal order, bisects r on [1/2, 1].
+cycle's kneading word, in the unimodal order, bisects r on [1/2, 1].  The
+forcing table types only each row's itinerary and published r; its period,
+regime and solved r are derived.
 """
 
 from __future__ import annotations
@@ -111,9 +116,7 @@ class CycleRecord:
 
     @property
     def primary(self) -> bool:
-        if not self.power_of_two:
-            return False
-        return is_primary_power_of_two(self.itinerary)
+        return pattern_regime(self.itinerary) == "doubling"
 
     def flags(self) -> dict:
         return {"increasing": self.increasing, "stefan": self.stefan,
@@ -149,6 +152,15 @@ def is_primary_power_of_two(itin: tuple[int, ...]) -> bool:
             return False
         itin = parent
     return True
+
+
+def pattern_regime(itin: tuple[int, ...]) -> str:
+    """"doubling" for a primary power-of-two pattern, the only cycle
+    patterns of zero entropy, and "chaotic" for every other one."""
+    n = len(itin)
+    if n & (n - 1) == 0 and is_primary_power_of_two(itin):
+        return "doubling"
+    return "chaotic"
 
 
 def _smooth_period_roots(m: UnimodalMap, p_max: int) -> list[list[float]]:
@@ -283,7 +295,7 @@ def classify_regime(cycles: Sequence[CycleRecord]) -> RegimeReport:
         # the endpoint 0 is always fixed, so the doubling floor is q = 0
         return RegimeReport("doubling", None, 0)
     for c in sorted(cycles, key=lambda c: c.period):
-        if not c.power_of_two or not c.primary:
+        if pattern_regime(c.itinerary) == "chaotic":
             return RegimeReport("chaotic", c, None)
     q = max(int(math.log2(c.period)) for c in cycles)
     witness = max(cycles, key=lambda c: c.period)
@@ -291,21 +303,21 @@ def classify_regime(cycles: Sequence[CycleRecord]) -> RegimeReport:
 
 
 # MSS forcing order for the logistic family: cycles are super-stable in this
-# row order as r increases.  The rows' r are the published values; the
-# solver never reads them, and `superstable` checks the solved order.
+# row order as r increases.  A row types its itinerary and the published r;
+# the solver never reads r, and `superstable` checks the solved order.
 FORCING_TABLE = (
-    {"p": 2, "itinerary": "12", "regime": "doubling", "r": 0.8090},
-    {"p": 4, "itinerary": "1324", "regime": "doubling", "r": 0.8671},
-    {"p": 6, "itinerary": "143526", "regime": "chaotic", "r": 0.9069},
-    {"p": 5, "itinerary": "13425", "regime": "chaotic", "r": 0.9347},
-    {"p": 3, "itinerary": "123", "regime": "chaotic", "r": 0.9580},
-    {"p": 6, "itinerary": "135246", "regime": "chaotic", "r": 0.9611},
-    {"p": 5, "itinerary": "12435", "regime": "chaotic", "r": 0.9764},
-    {"p": 6, "itinerary": "124536", "regime": "chaotic", "r": 0.9844},
-    {"p": 4, "itinerary": "1234", "regime": "chaotic", "r": 0.9901},
-    {"p": 6, "itinerary": "123546", "regime": "chaotic", "r": 0.9944},
-    {"p": 5, "itinerary": "12345", "regime": "chaotic", "r": 0.9976},
-    {"p": 6, "itinerary": "123456", "regime": "chaotic", "r": 0.9994},
+    {"itinerary": "12", "r": 0.8090},
+    {"itinerary": "1324", "r": 0.8671},
+    {"itinerary": "143526", "r": 0.9069},
+    {"itinerary": "13425", "r": 0.9347},
+    {"itinerary": "123", "r": 0.9580},
+    {"itinerary": "135246", "r": 0.9611},
+    {"itinerary": "12435", "r": 0.9764},
+    {"itinerary": "124536", "r": 0.9844},
+    {"itinerary": "1234", "r": 0.9901},
+    {"itinerary": "123546", "r": 0.9944},
+    {"itinerary": "12345", "r": 0.9976},
+    {"itinerary": "123456", "r": 0.9994},
 )
 
 
@@ -360,12 +372,12 @@ def superstable_r(itin: str) -> float:
 
 def solve_forcing_table() -> list[dict]:
     """Solve every forcing-table row from its itinerary alone; rows gain
-    r_solved and delta, its distance from the published r."""
+    the period p, the pattern's regime, r_solved and delta, its distance
+    from the published r."""
     out = []
     for row in FORCING_TABLE:
+        itin = parse_itinerary(row["itinerary"])
         solved = superstable_r(row["itinerary"])
-        rec = dict(row)
-        rec["r_solved"] = solved
-        rec["delta"] = abs(solved - row["r"])
-        out.append(rec)
+        out.append({**row, "p": len(itin), "regime": pattern_regime(itin),
+                    "r_solved": solved, "delta": abs(solved - row["r"])})
     return out

@@ -255,9 +255,7 @@ def build_need_symmetry(p: int, eps) -> CustomPLMap:
     knots += [(xs[j], xs[j + 1]) for j in range(p - 1)]
     knots.append((xs[p - 1], xs[0]))
     knots.append((Fraction(1), Fraction(0)))
-    m = CustomPLMap(pl.new(knots))
-    assert m.concave and not m.symmetric
-    return m
+    return CustomPLMap(pl.new(knots))
 
 
 def build_need_concavity(p: int, eps) -> CustomPLMap:
@@ -279,9 +277,7 @@ def build_need_concavity(p: int, eps) -> CustomPLMap:
         (h + eps / 2, shoulder),
         (Fraction(1), Fraction(0)),
     ]
-    m = CustomPLMap(pl.new(knots))
-    assert m.symmetric and not m.concave
-    return m
+    return CustomPLMap(pl.new(knots))
 
 
 def three_piece_band_approx(fk: pl.PiecewiseLinear, band_lo, band_hi

@@ -4,8 +4,7 @@ Tent, flat-tent and custom maps are exact: each is a ``PLMap``, which is
 its canonical ``pl.PiecewiseLinear`` f.  An exact x is evaluated by f, and
 the flags ``strictly_unimodal``, ``concave`` and ``symmetric`` and the
 critical point ``apex_x`` are read off f's integer knots.  The two tents
-build f on first use, so members that a bifurcation sweep steps only on
-floats never build one.  Logistic and sine maps are double precision with
+build f on first use.  Logistic and sine maps are double precision with
 a documented 1e-12 tolerance on orbits.  The four families share one
 constructor, which takes r exact for the tents and as a float otherwise and
 checks that 0 < r <= 1.  All maps send [0,1] to [0,1] with f(0) = f(1) = 0
@@ -199,7 +198,7 @@ class CustomPLMap(PLMap):
         return f"CustomPLMap({self.f})"
 
 
-#: the parametric families by ``kind``: the map specs of the CLI and the
-#: bifurcation sweeps build their members from it
+#: the parametric families by ``kind``: the CLI's map specs build their
+#: members from it, and the bifurcation sweeps read its float steps
 FAMILIES = {cls.kind: cls for cls in (LogisticMap, TentMap, FlatTentMap,
                                       SineMap)}

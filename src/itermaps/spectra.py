@@ -1,23 +1,12 @@
-"""Dominant roots of the oscillation polynomials and the interval-transition
-matrix whose powers lower-bound crossing counts.
+"""Dominant roots of the oscillation polynomials.
 
 The two polynomial families are
 
     P_inc(p) = x^p - 2 x^(p-1) + 1      (increasing p-cycles)
     P_odd(p) = x^p - 2 x^(p-2) - 1      (odd p-cycles)
 
-and the transition matrix A_p encodes how an increasing p-cycle's gap
-intervals map onto each other under one application of the map.
-
-A_p is a root of P_inc(p): A_p^p - 2 A_p^(p-1) + I is the zero matrix (its
-characteristic polynomial times x - 1 is P_inc(p); the tests check the
-identity in integers for p = 3..20).  So every eigenvalue of A_p is a root
-of P_inc(p), and the Perron root of A_p, which exceeds 1, is rho_inc(p):
-the spectral radius needs no power iteration.
-
-A_p is returned as a tuple of integer rows and A_p^k 1 as a tuple of
-integers.  The entries of A_p^k 1 are non-decreasing and the last is at
-most twice the first (the tests check both for p = 3..8, k <= 40).
+and their dominant roots rho_inc(p) and rho_odd(p) are the growth rates
+that the increasing and Stefan certificates compare crossing counts with.
 """
 
 from __future__ import annotations
@@ -81,36 +70,6 @@ def rho_odd(p: int) -> float:
 def fact_lower_bound(p: int) -> float:
     """Proven bracket floor for rho_inc: max(2 - 4/2^p, golden ratio)."""
     return max(2 - 4 / 2**p, PHI)
-
-
-def verify_root_bounds(p: int) -> bool:
-    """Check rho_inc(p) sits inside [max(2 - 4/2^p, phi), 2)."""
-    rho = rho_inc(p)
-    return fact_lower_bound(p) - 1e-9 <= rho < 2
-
-
-def transition_matrix(p: int) -> tuple[tuple[int, ...], ...]:
-    """A_p as its rows: the (p-1)x(p-1) 0/1 matrix with ones on the
-    subdiagonal and in the last column."""
-    if p < 3:
-        raise ValueError("p must be >= 3")
-    n = p - 1
-    return tuple(
-        tuple(1 if (j == n - 1 or i == j + 1) else 0 for j in range(n))
-        for i in range(n)
-    )
-
-
-def crossing_lb_vector(p: int, k: int) -> tuple[int, ...]:
-    """A_p^k applied to the all-ones vector: per-gap crossing lower bounds,
-    in exact integers."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    a = transition_matrix(p)
-    v = (1,) * (p - 1)
-    for _ in range(k):
-        v = tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-    return v
 
 
 def rho_table() -> list[dict]:

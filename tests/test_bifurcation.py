@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from itermaps import bifurcation
+from itermaps import bifurcation, maps
 from itermaps.maps import TentMap
 
 FAMILIES = ("logistic", "sine", "tent", "flat_tent")
 
 
 def reference_tail(kind, r, burn, keep):
-    """The scalar per-r orbit loop that the vector kernel replaced."""
-    m = bifurcation.family_map(kind, r)
+    """The scalar per-r orbit loop that the vector kernel replaced: one map
+    per r, an exact family's at the rational r.limit_denominator(10**9)."""
+    cls = maps.FAMILIES[kind]
+    m = cls(Fraction(r).limit_denominator(10**9) if cls.is_exact else r)
     if kind == "tent" and (2 * m.r).denominator == 1:
         x = bifurcation.X0_EXACT
         for _ in range(burn):

@@ -549,7 +549,8 @@ class TestUsage:
         ("phase --maps logistic:0.9 --shatter-d 9",
          "--shatter-d: must be <= 3, got 9"),
         ("cycles --map tent:1 --p-max 0", "--p-max: must be >= 1, got 0"),
-        ("certify --map tent:1 --p 0", "--p: must be >= 1, got 0"),
+        ("certify --map tent:1 --p 0", "--p: must be >= 3, got 0"),
+        ("certify --map tent:1 --p 2", "--p: must be >= 3, got 2"),
         ("phase --maps tent:1 --k-max 1", "--k-max: must be >= 2, got 1"),
         ("synth --map tent:1 --k 0", "--k: must be >= 1, got 0"),
         ("counterexample --p 2", "--p: must be >= 3, got 2"),
@@ -641,6 +642,52 @@ class TestCapBoundsCycleSearch:
         assert captured.out == ""
         assert captured.err == ("resource cap exceeded: "
                                 "composition exceeds 10 knots\n")
+
+
+class TestCapDecidedBeforeBuild:
+    """certify and synth refuse f^k from its lap count, before building it:
+    every turning point of f^k is a knot.  The builder of f^k is patched to
+    fail, so a command that reaches it fails the test (certify's cycle
+    search composes f^p for p <= 3, so there the patch is pl.iterate)."""
+
+    @staticmethod
+    def build(*args, **kwargs):
+        raise AssertionError("f^k was built")
+
+    def test_certify_writes_certificate_then_exits_3(self, monkeypatch,
+                                                     capsys):
+        # M(f^27) + 1 of tent:9/10 passes the default cap of 10^7 knots
+        monkeypatch.setattr(pl, "iterate", self.build)
+        code = main(["certify", "--map", "tent:9/10", "--k", "60"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("resource cap exceeded: composition exceeds "
+                                f"{pl.DEFAULT_KNOT_CAP} knots\n")
+        m = maps.TentMap(F(9, 10))
+        cycle = next(c for c in cycles.find_cycles(m, 3)
+                     if c.period == 3 and c.increasing)
+        cert = hardness.certificate(m, cycle, 60)
+        got = json.loads(captured.out)
+        assert got["certificate"] == json.loads(dump(cert.to_dict()))
+        assert got["candidates"] == []
+
+    def test_synth_exits_3(self, monkeypatch, capsys):
+        # f^24 of the full tent has 2^24 + 1 knots
+        monkeypatch.setattr(pl, "compose", self.build)
+        code = main(["synth", "--map", "tent:1", "--k", "30"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("resource cap exceeded: composition exceeds "
+                                f"{pl.DEFAULT_KNOT_CAP} knots\n")
+
+    @pytest.mark.parametrize("cap, code", [(628, 3), (629, 0)])
+    def test_boundary_is_the_built_knot_count(self, cap, code, capsys):
+        # f^10 of tent:9/10 has 629 knots, M(f^10) + 1, and 2^10 passes
+        # both caps, so the lap walk decides: it refuses only what
+        # pl.compose would refuse
+        assert main(["--cap", str(cap), "synth", "--map", "tent:9/10",
+                     "--k", "10"]) == code
+        capsys.readouterr()
 
 
 MANIFEST = cli_outputs.load()

@@ -105,6 +105,14 @@ class TestExtensions:
         with pytest.raises(ValueError):
             self.primary("123")
 
+    @pytest.mark.parametrize("itin, regime", [
+        ("1", "doubling"), ("12", "doubling"), ("15472638", "doubling"),
+        ("1234", "chaotic"), ("123", "chaotic"), ("135246", "chaotic"),
+    ])
+    def test_pattern_regime(self, itin, regime):
+        # any length is accepted: only a power of two can be primary
+        assert cycles.pattern_regime(cycles.parse_itinerary(itin)) == regime
+
 
 class TestSharkovsky:
     def test_head_of_order(self):
@@ -513,6 +521,25 @@ class TestSuperstable:
             else:
                 assert row["delta"] <= 5e-4
 
+    def test_derived_columns(self):
+        rows = cycles.solve_forcing_table()
+        assert [row["p"] for row in rows] == [
+            len(row["itinerary"]) for row in cycles.FORCING_TABLE]
+        # the published table's two doubling rows
+        assert [row["itinerary"] for row in rows
+                if row["regime"] == "doubling"] == ["12", "1324"]
+        assert all(row.keys() == {"itinerary", "r"}
+                   for row in cycles.FORCING_TABLE)
+
+    def test_derived_regime_matches_detected_cycles(self):
+        # at each solved r, the cycles of period <= p that find_cycles
+        # detects call the regime that the row's pattern alone gives
+        for row in cycles.solve_forcing_table():
+            m = maps.LogisticMap(row["r_solved"])
+            found = cycles.find_cycles(m, row["p"])
+            assert cycles.classify_regime(found).regime == row["regime"], \
+                row["itinerary"]
+
     def test_two_cycle_is_closed_form(self):
         # f_r(f_r(1/2)) = 1/2 with f_r(1/2) = r gives 16r^2 - 4r - 1 = 0
         want = (1 + math.sqrt(5)) / 4
@@ -617,7 +644,8 @@ class TestSuperstableOracle:
                              ids=lambda row: row["itinerary"])
     def test_equals_per_map_solver(self, row):
         def residual(r):
-            return abs(orbit(maps.LogisticMap(r), 0.5, row["p"])[-1] - 0.5)
+            return abs(orbit(maps.LogisticMap(r), 0.5,
+                             len(row["itinerary"]))[-1] - 0.5)
 
         bracket = (row["r"] - 0.01, row["r"] + 0.01)
         got = cycles.superstable_r(row["itinerary"])

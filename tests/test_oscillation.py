@@ -18,8 +18,9 @@ SS_1324 = 0.8671
 SS_123 = 0.9580
 
 
-def _exact_logistic_laps(r: F, k_max: int) -> tuple[int, ...]:
-    """M(f^k), k = 1..k_max, of f(x) = 4 r x (1 - x) in exact rationals.
+def _logistic_laps(r, k_max: int, c=F(1, 2)) -> tuple[int, ...]:
+    """M(f^k), k = 1..k_max, of f(x) = 4 r x (1 - x) in the arithmetic of
+    r and c = 1/2: exact rationals by default, or mpmath numbers.
 
     Laps are grouped by their image (lo, hi); one splits under f into
     (f(lo), f(1/2)) and (f(hi), f(1/2)) exactly when lo < 1/2 < hi.
@@ -31,9 +32,8 @@ def _exact_logistic_laps(r: F, k_max: int) -> tuple[int, ...]:
             image[x] = 4 * r * x * (1 - x)
         return image[x]
 
-    c = F(1, 2)
     c1 = f(c)
-    laps = {(F(0), c1): 2}
+    laps = {(c - c, c1): 2}
     counts = [2]
     for _ in range(k_max - 1):
         nxt = {}
@@ -379,9 +379,21 @@ class TestEntropy:
         # preimages comes out low (1942); the same recursion in exact
         # rationals at Fraction(r) is the oracle
         m = maps.LogisticMap(0.9579685138702394)
-        want = _exact_logistic_laps(F(m.r), 13)
+        want = _logistic_laps(F(m.r), 13)
         assert want[-1] == 1946
         assert oscillation.entropy_estimate(m, 13).counts == want
+
+    def test_float_walk_matches_120_digit_recursion(self):
+        # the same recursion on a 120-digit orbit of the same float r: the
+        # walk's SMOOTH_TOL snap and its float comparisons decide every lap
+        # as the high-precision orbit does; merging float preimages within
+        # 1e-10 would count 4 laps too few at k = 18
+        mpmath = pytest.importorskip("mpmath")
+        m = maps.LogisticMap(0.958)
+        with mpmath.workdps(120):
+            want = _logistic_laps(mpmath.mpf(m.r), 18, mpmath.mpf(1) / 2)
+        assert want[-1] == 21854
+        assert tuple(oscillation.lap_counts(m, 18)) == want
 
     def test_counts_never_decrease(self):
         series = oscillation.entropy_estimate(maps.LogisticMap(0.93), 12)

@@ -6,10 +6,6 @@ from pathlib import Path
 
 import itermaps
 
-# read by name only from tests until ROADMAP item 7 makes the certificate's
-# count check compare with it
-TEST_ONLY = {("spectra", "crossing_lb_vector")}
-
 
 def referenced_names(node) -> Counter:
     """Identifiers that node reads as a Name, an Attribute or an import."""
@@ -34,5 +30,4 @@ def test_every_public_name_has_a_caller_in_src():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and used[node.name] == referenced_names(node)[node.name])
-    assert [u for u in unused if u not in TEST_ONLY] == []
-    assert set(unused) >= TEST_ONLY, "a caller landed: shrink TEST_ONLY"
+    assert unused == []
