@@ -15,13 +15,13 @@ counterexample and warmup build knot by knot: f^k in ``pl.iterate``, in
 map included) and in ``hardness.counterexample_report``, and
 ``relunet.net_to_pl``.  Lap and crossing counts take no cap, so
 certificates, phase counts and warmup's growth series reach any depth.
-certify and synth refuse f^k of a strictly unimodal map before building
-it when its lap count alone passes the cap: every turning point of f^k is
-a knot, so f^k holds at least M(f^k) + 1 knots, and the refusal is the
-error ``pl.compose`` would raise.  find_cycles, counterexample_report and
-warmup meet the cap while they build.  When the cap stops certify's
-candidate stage, the certificate is written with no candidates before the
-command exits 3.
+certify, synth, find_cycles (at p_max) and counterexample_report (at
+k_max) refuse f^k of a strictly unimodal map before building it when its
+lap count alone passes the cap (``oscillation.refuse_oversized``): every
+turning point of f^k is a knot, so f^k holds at least M(f^k) + 1 knots,
+and the refusal is the error ``pl.compose`` would raise.  When the cap
+stops certify's candidate stage, the certificate is written with no
+candidates before the command exits 3.
 
 This module is the only JSON writer.  The library's records return plain
 data from ``to_dict``, with exact values left as Fractions.  ``dump`` writes
@@ -345,16 +345,6 @@ def cmd_bifurcation(args) -> int:
     return 0
 
 
-def _refuse_oversized(m: maps.UnimodalMap, k: int, cap: int):
-    """Raise pl.compose's cap error, before f^k is built, if f^k of a
-    strictly unimodal m has more knots than cap: its M(f^k) - 1 turning
-    points and its two ends are knots.  M(f^k) <= 2^k, so the lap walk
-    runs only when 2^k reaches the cap."""
-    if (m.strictly_unimodal and 2**k >= cap
-            and oscillation.lap_counts(m, k)[-1] + 1 > cap):
-        raise ResourceLimitError(f"composition exceeds {cap} knots")
-
-
 def cmd_certify(args) -> int:
     rep = Reporter()
     m = args.map
@@ -387,7 +377,7 @@ def cmd_certify(args) -> int:
 
     if m.is_exact:
         try:
-            _refuse_oversized(m, k, args.cap)
+            oscillation.refuse_oversized(m, k, args.cap)
             fk = pl.iterate(m.to_pl(), k, cap=args.cap)
         except ResourceLimitError:
             write()  # keep the proved certificate, then exit 3
@@ -459,7 +449,7 @@ def cmd_synth(args) -> int:
     if not m.is_exact:
         print("synth needs an exact PL map", file=sys.stderr)
         return 2
-    _refuse_oversized(m, args.k, args.cap)
+    oscillation.refuse_oversized(m, args.k, args.cap)
     fk = pl.iterate(m.to_pl(), args.k, cap=args.cap)
     net = relunet.synth_from_pl(fk)
     back = relunet.net_to_pl(net, cap=args.cap)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import pl
+from . import oscillation, pl
 from .maps import LogisticMap, UnimodalMap
 
 FLOAT_MATCH_TOL = 1e-8
@@ -209,13 +209,14 @@ def _smooth_period_roots(m: UnimodalMap, p_max: int) -> list[list[float]]:
 
 def _pl_cycles(m: UnimodalMap, p_max: int, cap: int) -> list[CycleRecord]:
     """The cycles of f on the roots of f^p(x) = x, of length p."""
+    oscillation.refuse_oversized(m, p_max, cap)
     f1 = m.to_pl()
     dy = f1.raw.dy
-    fp, minus_id = pl.identity(), pl.identity().raw
+    fp = ident = pl.identity()
     records = []
     for p in range(1, p_max + 1):
-        fp = pl.compose(fp, f1, cap=cap)
-        roots = pl.level_set(pl.combine((fp.raw, minus_id), (1, -1), 0), 0)
+        fp = pl.compose(f1, fp, cap=cap)
+        roots = pl.level_set(pl.diff(fp, ident), 0)
         # keyed by the normalised (numerator, denominator): exact, and it
         # skips Fraction.__hash__, a modular pow per lookup; f1 is evaluated
         # at the sorted roots in one sweep, each image reduced to that key

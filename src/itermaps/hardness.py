@@ -181,7 +181,7 @@ def certify_against_candidate(fk: pl.PiecewiseLinear, g: pl.PiecewiseLinear,
                               cert: OscCertificate, s: pl.SampleSet
                               ) -> CandidateReport:
     """Measure all three errors exactly and check the counting inequality."""
-    diff = pl.combine((fk.raw, g.raw), (1, -1), 0)
+    diff = pl.diff(fk, g)
     return CandidateReport(
         linf=pl.max_abs(diff),
         l1=pl.abs_integral(diff),
@@ -312,13 +312,14 @@ def counterexample_report(m: CustomPLMap, eps, k_max: int = 10,
     3-piece band approximant of f^k over k = 1..k_max, and the approximant's
     net width at k_max; f^k may hold `cap` knots."""
     eps = pl.rat(eps)
+    oscillation.refuse_oversized(m, k_max, cap)
     f = m.to_pl()
     apex_val = m.max_value()
     band_lo = apex_val - eps
     worst = Fraction(0)
     fk = pl.identity()
     for _ in range(k_max):
-        fk = pl.compose(fk, f, cap=cap)
+        fk = pl.compose(f, fk, cap=cap)
         g = three_piece_band_approx(fk, band_lo, apex_val)
         worst = max(worst, pl.linf_diff(fk, g))
     return {

@@ -20,7 +20,8 @@ On float maps an orbit value within ``maps.SMOOTH_TOL`` of c is snapped to
 c; that is the walk's only float decision.  The walk takes no cap: level n
 holds at most n lap images (tested on random PL maps), however large M(f^n)
 grows, so only the knot-by-knot builders of f^k (``pl.compose``,
-``relunet.net_to_pl``) are bounded.
+``relunet.net_to_pl``) are bounded.  ``refuse_oversized`` reads the cap's
+verdict off M(f^k) before they run.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import pl
+from .errors import ResourceLimitError
 from .maps import SMOOTH_TOL, UnimodalMap
 
 
@@ -72,6 +74,16 @@ def lap_counts(m: UnimodalMap, k: int) -> list[int]:
     if not m.strictly_unimodal:
         raise ValueError(f"{m.kind} map has no unique maximizer")
     return _walk(m, k)[0]
+
+
+def refuse_oversized(m: UnimodalMap, k: int, cap: int):
+    """Raise ``pl.compose``'s cap error, before f^k is built, if f^k of a
+    strictly unimodal m has more knots than cap: its M(f^k) - 1 turning
+    points and its two ends are knots.  M(f^k) <= 2^k, so the lap walk
+    runs only when 2^k reaches the cap."""
+    if (m.strictly_unimodal and 2**k >= cap
+            and lap_counts(m, k)[-1] + 1 > cap):
+        raise ResourceLimitError(f"composition exceeds {cap} knots")
 
 
 def count_crossings_map(m: UnimodalMap, k: int, a, b) -> int:

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import pkgutil
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -645,10 +646,11 @@ class TestCapBoundsCycleSearch:
 
 
 class TestCapDecidedBeforeBuild:
-    """certify and synth refuse f^k from its lap count, before building it:
-    every turning point of f^k is a knot.  The builder of f^k is patched to
-    fail, so a command that reaches it fails the test (certify's cycle
-    search composes f^p for p <= 3, so there the patch is pl.iterate)."""
+    """certify, synth, cycles and counterexample refuse f^k from its lap
+    count, before building it: every turning point of f^k is a knot.  The
+    function that builds f^k is patched to fail, so a command that reaches
+    it fails the test (certify's cycle search composes f^p for p <= 3, so
+    there the patch is pl.iterate)."""
 
     @staticmethod
     def build(*args, **kwargs):
@@ -679,6 +681,23 @@ class TestCapDecidedBeforeBuild:
         assert (code, captured.out) == (3, "")
         assert captured.err == ("resource cap exceeded: composition exceeds "
                                 f"{pl.DEFAULT_KNOT_CAP} knots\n")
+
+    @pytest.mark.parametrize("argv", [
+        # M(f^27) + 1 of tent:9/10 passes the cap: find_cycles at p_max
+        ["cycles", "--map", "tent:9/10", "--p-max", "60"],
+        # the increasing 3-cycle makes M(f^40) of need_symmetry pass it
+        ["counterexample", "--k-max", "40"],
+    ], ids=["cycles", "counterexample"])
+    def test_exits_3_within_a_second(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(pl, "compose", self.build)
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == ("resource cap exceeded: composition exceeds "
+                                f"{pl.DEFAULT_KNOT_CAP} knots\n")
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("cap, code", [(628, 3), (629, 0)])
     def test_boundary_is_the_built_knot_count(self, cap, code, capsys):

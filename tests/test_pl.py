@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itermaps import maps, pl
+from itermaps import hardness, maps, pl
 from itermaps.errors import ResourceLimitError
 
 from conftest import (crossings, pointwise_l1, random_pl, random_rational,
@@ -447,6 +447,72 @@ class TestKernelOracles:
                 fk = pl.compose(fk, f)
                 assert fk.knots == want
 
+    def test_diff_matches_dict_reference(self, rng):
+        # g's knots inside f's segments, on f's knots, and g larger than f;
+        # pairs of like size take the merge
+        for _ in range(60):
+            f = pl.iterate(random_unit_map(rng), rng.randint(1, 4))
+            on = [(x, random_rational(rng))
+                  for x, _ in sorted(rng.sample(f.knots[1:-1],
+                                                min(3, len(f.knots) - 2)))]
+            for g in (random_pl(rng, max_interior=3),
+                      pl.new([(0, 0), *on, (1, 1)]), random_pl(rng)):
+                for a, b in ((f, g), (g, f)):
+                    got = pl.diff(a, b)
+                    old = pl.combine((a.raw, b.raw), (1, -1), 0)
+                    assert pl.unscale(got) == ref_combine(
+                        (a.knots, b.knots), (1, -1), 0)
+                    assert pl.max_abs(got) == pl.max_abs(old)
+                    assert pl.abs_integral(got) == pl.abs_integral(old)
+
+    def test_compose_both_orders_match_reference(self, rng):
+        # a small map with falling pieces around a large one and inside it;
+        # knotted_inner puts plateaus and knots on the outer's knots
+        for _ in range(30):
+            f = random_unit_map(rng)
+            big = pl.iterate(f, rng.randint(2, 4))
+            for small in (f, random_pl(rng), knotted_inner(rng, big)):
+                for inner, outer in ((small, big), (big, small)):
+                    want = tuple(ref_canon(ref_compose(inner, outer)))
+                    assert pl.compose(inner, outer).knots == want
+
+    def test_iterate_matches_left_fold(self, rng):
+        fs = [maps.TentMap(r).to_pl() for r in (1, F(9, 10), F(1, 2))]
+        fs += [maps.FlatTentMap(r).to_pl() for r in (1, F(3, 4))]
+        fs += [random_unit_map(rng) for _ in range(4)]
+        for f in fs:
+            fk = pl.identity()
+            for k in range(1, 9):
+                fk = pl.compose(fk, f)  # f^k as f after f^(k-1)
+                assert pl.iterate(f, k) == fk
+
+    def test_small_map_inside_builds_no_more_knots(self, rng):
+        # the cap counts knots before canonicalisation: the least cap that
+        # lets compose through is that count
+        def built(inner, outer):
+            lo, hi = 1, 10**4
+            while lo < hi:
+                try:
+                    pl.compose(inner, outer, cap=(lo + hi) // 2)
+                    hi = (lo + hi) // 2
+                except ResourceLimitError:
+                    lo = (lo + hi) // 2 + 1
+            return lo
+
+        same = [maps.TentMap(r).to_pl() for r in (1, F(9, 10))]
+        same += [hardness.build_need_symmetry(4, F(1, 100)).to_pl(),
+                 hardness.build_need_concavity(4, F(1, 10)).to_pl()]
+        flat = [maps.FlatTentMap(r).to_pl() for r in (F(3, 4), F(9, 10))]
+        for f in same + flat + [random_unit_map(rng) for _ in range(4)]:
+            fj = f
+            for k in range(2, 7):
+                new, old = built(f, fj), built(fj, f)
+                assert new == old if f in same else new <= old
+                fj = pl.compose(f, fj)
+        f3 = maps.FlatTentMap(F(3, 4)).to_pl()
+        f3_3 = pl.iterate(f3, 3)
+        assert (built(f3, f3_3), built(f3_3, f3)) == (18, 20)
+
     def test_cap_boundary_is_distinct_knots(self):
         assert len(pl.iterate(TENT, 10, cap=1025).knots) == 1025
         with pytest.raises(ResourceLimitError,
@@ -493,7 +559,11 @@ class TestIntegerKernelLargeDenominators:
     def test_kernel_matches_fraction_references(self, f, g, c, bias, y):
         assert pl.compose(f, g).knots == tuple(ref_canon(ref_compose(f, g)))
         ff = pl.compose(f, f)
-        assert pl.compose(ff, f).knots == tuple(ref_canon(ref_compose(ff, f)))
+        fff = pl.compose(ff, f)
+        assert fff.knots == tuple(ref_canon(ref_compose(ff, f)))
+        assert pl.compose(f, ff).knots == fff.knots
+        assert (pl.unscale(pl.diff(fff, g))
+                == ref_combine((fff.knots, g.knots), (1, -1), 0))
 
         mids = [((x0 + x1) / 2, (y0 + y1) / 2)
                 for (x0, y0), (x1, y1) in zip(f.knots, f.knots[1:])]
