@@ -214,13 +214,18 @@ class Reporter:
         return 1 if self.failures else 0
 
 
-def _write(out_dir: str | None, name: str, text: str):
+def _write(out_dir: str | None, name: str, text):
+    """Write text, one string or an iterable of string chunks written as
+    each is made, to stdout or, given out_dir, to the file out_dir/name."""
+    if isinstance(text, str):
+        text = (text,)
     if out_dir is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    (path / name).write_text(text)
+    with open(path / name, "w") as fh:
+        fh.writelines(text)
     print(f"wrote {path / name}")
 
 
@@ -306,6 +311,9 @@ def cmd_warmup(args) -> int:
 def csv_slice(r: float, tail: list[float]) -> str:
     """The CSV rows "r,x" of one r-slice, byte for byte fmt(r) + "," + fmt(x).
 
+    ``bifurcation`` writes each slice as soon as it is made, so the text of
+    one slice is all of the CSV that is held at once.
+
     With p the first recurrence of tail[0], a tail with tail[p:] ==
     tail[:-p] has its first p rows formatted once and repeated; any other
     tail takes one % call over all its values ("%.12g" and fmt's
@@ -331,13 +339,21 @@ def cmd_bifurcation(args) -> int:
     kind = args.family
     data = bifurcation.sweep(kind, args.r_lo, args.r_hi, steps=args.steps,
                              burn=args.burn, keep=args.keep)
-    csv = "".join(["r,x\n"] + [csv_slice(r, tail) for r, tail in data])
+
+    def csv():
+        # one slice at a time: the sweep's float block and one tail are
+        # held, not every tail or the whole text
+        yield "r,x\n"
+        for r, tail in data:
+            yield csv_slice(r, tail)
+
     meta = {"family": kind, "x0": bifurcation.X0, "burn": args.burn,
             "keep": args.keep, "steps": args.steps}
-    _write(args.out, f"bifurcation_{kind}.csv", csv)
+    _write(args.out, f"bifurcation_{kind}.csv", csv())
     _write(args.out, f"bifurcation_{kind}.json",
            json.dumps(meta, sort_keys=True) + "\n")
     if args.out is not None:
+        # only the SVG needs every point at once: a second pass of the sweep
         pts = [(r, x) for r, tail in data for x in tail]
         _write(args.out, f"bifurcation_{kind}.svg",
                svgplot.scatter(pts, title=f"{kind} bifurcation",

@@ -590,11 +590,37 @@ def values_at(f: PiecewiseLinear, points: Sequence[Fraction]) -> list:
 
 def classification_error(g: PiecewiseLinear, s: SampleSet) -> Fraction:
     """Fraction of sample points where g's threshold label differs from the
-    sample's reference label."""
-    dy = g.raw.dy
+    sample's reference label.
+
+    The sample is sorted, so the points on one piece of g form one slice,
+    found by binary search; a piece holding none is skipped.  On the piece
+    from (x0, y0) of run w and rise h, all on g's scales, g reaches the
+    threshold tn / td at x = a / q exactly when A a >= B q, with A = td dx h
+    and B = tn dy w - td (y0 w - x0 h), so a piece costs one comprehension
+    over its slice.  When g has more than a quarter as many knots as the
+    sample has points, the slices are short and a piece costs more than
+    its points do, so each point takes ``values_at``: against certify's
+    32735-point sample at k = 16, a 9-knot g took 5.9 ms in slices and
+    22.7 ms by points, but a 16385-knot g 51 and 28 ms (Python 3.11,
+    2-core x86-64 host).
+    """
+    xs, dx, ys, dy = g.raw
+    pts, labels = s.points, s.labels
     tn, td = s.threshold.numerator, s.threshold.denominator
-    wrong = 0
-    for (n, d), label in zip(values_at(g, s.points), s.labels):
-        if (n * td >= tn * d * dy) != label:
-            wrong += 1
-    return Fraction(wrong, len(s.points))
+    if 4 * len(xs) > len(pts):
+        wrong = sum([(n * td >= tn * d * dy) != label
+                     for (n, d), label in zip(values_at(g, pts), labels)])
+        return Fraction(wrong, len(pts))
+    wrong, i, j, end = 0, 0, 0, len(xs) - 1
+    while i < len(pts):
+        x = pts[i]  # the first point right of piece j: find its piece
+        j = bisect_right(xs, x.numerator * dx // x.denominator, j + 1, end) - 1
+        # the points up to the piece's right end: ceil(p * dx) <= xs[j + 1]
+        hi = bisect_right(pts, xs[j + 1], i,
+                          key=lambda p: -(-p.numerator * dx // p.denominator))
+        x0, y0, w, h = xs[j], ys[j], xs[j + 1] - xs[j], ys[j + 1] - ys[j]
+        a, b = td * dx * h, tn * dy * w - td * (y0 * w - x0 * h)
+        wrong += sum([(a * p.numerator >= b * p.denominator) != label
+                      for p, label in zip(pts[i:hi], labels[i:hi])])
+        i = hi
+    return Fraction(wrong, len(pts))

@@ -235,6 +235,21 @@ class TestBifurcation:
         meta = json.loads((tmp_path / "bifurcation_logistic.json").read_text())
         assert meta["x0"] == 0.5001
 
+    @pytest.mark.parametrize("kind", ["logistic", "tent"])
+    def test_out_files_hold_the_stdout_bytes(self, kind, tmp_path, capsys):
+        # the tent grid holds its exact members r = 1/2 and r = 1
+        argv = ["bifurcation", "--family", kind, "--r-lo", "0.5", "--steps",
+                "11", "--burn", "100", "--keep", "20"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert main(["--out", str(tmp_path)] + argv) == 0
+        capsys.readouterr()
+        *csv, meta = out.splitlines(keepends=True)
+        assert (tmp_path / f"bifurcation_{kind}.csv").read_bytes() == \
+            "".join(csv).encode()
+        assert (tmp_path / f"bifurcation_{kind}.json").read_bytes() == \
+            meta.encode()
+
 
 def ref_bifurcation_stdout(kind, r_lo, r_hi, steps, burn, keep):
     """bifurcation's stdout as the per-point formatter wrote it: one

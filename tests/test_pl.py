@@ -718,6 +718,29 @@ class TestClassification:
         with pytest.raises(ValueError):
             pl.SampleSet((), F(1, 2), ())
 
+    def test_matches_per_point_reference(self, rng):
+        # samples of 1 to 120 points hold g's knots, 0 and 1 and points in
+        # between; thresholds sit on g's values (ties) and off them; g with
+        # few knots takes the slices, g with many (the iterates) the points
+        cases = [flat_pl(rng) for _ in range(200)] + list(iterates())
+        paths = set()
+        for g in cases:
+            knots = [x for x, _ in g.knots]
+            levels = [y for _, y in g.knots if 0 < y < 1]
+            for _ in range(3):
+                n = rng.randint(1, 120)
+                pts = {random_rational(rng, 300) for _ in range(n)}
+                pts |= set(rng.sample(knots, rng.randint(0, len(knots))))
+                pts = sorted(pts)
+                t = rng.choice(levels + [F(rng.randint(1, 11), 12)])
+                labels = tuple(rng.random() < 0.5 for _ in pts)
+                s = pl.SampleSet(tuple(pts), t, labels)
+                want = F(sum((ref_value(g.knots, x) >= t) != label
+                             for x, label in zip(pts, labels)), len(pts))
+                assert pl.classification_error(g, s) == want
+                paths.add(4 * len(knots) > len(pts))
+        assert paths == {False, True}
+
     def test_one_label_per_point(self):
         with pytest.raises(ValueError, match="one label per sample point"):
             pl.SampleSet((F(1, 4), F(1, 2)), F(1, 2), (True,))
