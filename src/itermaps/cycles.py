@@ -128,39 +128,22 @@ class CycleRecord:
                 "flags": self.flags(), "residual": self.residual}
 
 
-def is_2_extension(child: tuple[int, ...], parent: tuple[int, ...]) -> bool:
-    """Check the doubling identity a_i = ceil(a'_i/2) = ceil(a'_(i+p)/2)."""
-    p = len(parent)
-    if len(child) != 2 * p:
-        raise ValueError("child must have twice the parent's length")
-    return all(
-        parent[i] == -(-child[i] // 2) == -(-child[i + p] // 2)
-        for i in range(p)
-    )
-
-
-def is_primary_power_of_two(itin: tuple[int, ...]) -> bool:
-    """A power-of-two cycle is primary iff it is an iterated 2-extension of 1."""
-    n = len(itin)
-    if n & (n - 1) != 0:
-        raise ValueError("period must be a power of two")
-    while len(itin) > 1:
-        p = len(itin) // 2
-        parent = tuple(-(-a // 2) for a in itin[:p])  # the only candidate
-        if (sorted(parent) != list(range(1, p + 1))
-                or not is_2_extension(itin, parent)):
-            return False
-        itin = parent
-    return True
-
-
 def pattern_regime(itin: tuple[int, ...]) -> str:
     """"doubling" for a primary power-of-two pattern, the only cycle
-    patterns of zero entropy, and "chaotic" for every other one."""
-    n = len(itin)
-    if n & (n - 1) == 0 and is_primary_power_of_two(itin):
-        return "doubling"
-    return "chaotic"
+    patterns of zero entropy, and "chaotic" for every other one.
+
+    A pattern a' of length 2p extends at most one of length p, its parent
+    a_i = ceil(a'_i/2) = ceil(a'_(i+p)/2).  Halving while the parent of
+    both halves is that one permutation reaches length 1 exactly when the
+    pattern is primary."""
+    while len(itin) > 1 and len(itin) % 2 == 0:
+        p = len(itin) // 2
+        parent = tuple(-(-a // 2) for a in itin[:p])
+        if (sorted(parent) != list(range(1, p + 1))
+                or parent != tuple(-(-a // 2) for a in itin[p:])):
+            break
+        itin = parent
+    return "doubling" if len(itin) == 1 else "chaotic"
 
 
 def _smooth_period_roots(m: UnimodalMap, p_max: int) -> list[list[float]]:

@@ -114,9 +114,7 @@ class GrowthSeries:
         the 5%-at-K=14 convergence checks need.
         """
         k_hi = len(self.counts)
-        k_lo = max(1, k_hi // 2)
-        if k_hi == k_lo:
-            return self.rates[-1]
+        k_lo = k_hi // 2  # >= 1: entropy_estimate needs k_max >= 2
         return math.log(self.counts[k_hi - 1] / self.counts[k_lo - 1]) / (
             k_hi - k_lo)
 

@@ -20,14 +20,15 @@ The segment solver ``_at`` finds where a segment meets a level and, with x
 and y swapped, evaluates it.  No other module keeps one.
 
 ``compose`` and ``diff`` sweep in slices.  Over one piece of the small
-operand (inner for ``compose``, the one with fewer knots for ``diff``), the
-large operand's knots that the piece meets form one contiguous slice, and
-one affine map carries the whole slice, so a piece costs one list
-comprehension instead of one Python step per knot.  The exact iterate f^k
-has up to 2^k knots and f a handful, so the small map goes inside:
-``iterate`` builds f^(j+1) as ``compose(f, f^j)``, and each of f's few
-pieces carries all of f^j's knots at once.  Scoring a few-piece candidate g
-against f^k, ``diff`` takes one slice of f^k's knots per piece of g.
+operand (inner for ``compose``, g for ``diff``'s f - g, whose callers pass
+the large operand first), the large operand's knots that the piece meets
+form one contiguous slice, and one affine map carries the whole slice, so a
+piece costs one list comprehension instead of one Python step per knot.
+The exact iterate f^k has up to 2^k knots and f a handful, so the small map
+goes inside: ``iterate`` builds f^(j+1) as ``compose(f, f^j)``, and each of
+f's few pieces carries all of f^j's knots at once.  Scoring a few-piece
+candidate g against f^k, ``diff`` takes one slice of f^k's knots per piece
+of g.
 
 Fractions are made only at the boundary.  A ``PiecewiseLinear`` stores its
 knots once, as ``raw``: ``Knots`` over least denominators, kept only where
@@ -415,27 +416,24 @@ def compose(inner: PiecewiseLinear, outer: PiecewiseLinear,
 
 
 def diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Knots:
-    """Raw knots of f - g at every merged abscissa.
+    """Raw knots of f - g at every merged abscissa; f is the large operand.
 
-    Over a piece of the operand with fewer knots, the other's knots strictly
+    Over a piece of g, the operand with fewer knots, f's knots strictly
     inside it form one slice, and the piece's affine values carry it: one
-    comprehension per piece.  The small operand's own knots take the large
-    one's value there.  ``certify`` scores 9-knot candidates against f^k
-    and ``find_cycles`` takes f^p less the identity, so the slices are long.
-    When the small operand has more than a quarter of the large one's
-    knots, they are short, a piece costs more than its knots do in one
-    merge, and ``combine`` sums the two instead.  Against tent:1's f^10
-    (1025 knots), a PL whose knots fall between f^10's took 0.67 ms in
-    slices and 1.0 ms merged at 130 knots, but 1.7 and 1.1 ms at 629
-    (Python 3.11, 2-core x86-64 host).
+    comprehension per piece.  g's own knots take f's value there.
+    ``certify`` scores 9-knot candidates against f^k, ``counterexample``
+    its band approximant, and ``find_cycles`` takes f^p less the identity,
+    so the slices are long.  When g has more than a quarter of f's knots,
+    they are short, a piece costs more than its knots do in one merge, and
+    ``combine`` sums the two instead, as it does for a g larger than f.
+    Against tent:1's f^10 (1025 knots), a PL whose knots fall between
+    f^10's took 0.67 ms in slices and 1.0 ms merged at 130 knots, but 1.7
+    and 1.1 ms at 629 (Python 3.11, 2-core x86-64 host).
     """
-    fk, gk, sign = f.raw, g.raw, 1
-    if len(fk.xs) < len(gk.xs):
-        fk, gk, sign = gk, fk, -1
-    if 4 * len(gk.xs) > len(fk.xs):
-        return combine((fk, gk), (sign, -sign), 0)
-    bxs, bdx, bys, bdy = fk  # the large operand
-    sxs, sdx, sys_, sdy = gk  # the small one, whose pieces slice bxs
+    if 4 * len(g.raw.xs) > len(f.raw.xs):
+        return combine((f.raw, g.raw), (1, -1), 0)
+    bxs, bdx, bys, bdy = f.raw  # the large operand
+    sxs, sdx, sys_, sdy = g.raw  # the small one, whose pieces slice bxs
     dx, dy = lcm(bdx, sdx), lcm(bdy, sdy)
     if dx != bdx:
         bxs = [x * (dx // bdx) for x in bxs]
@@ -460,19 +458,19 @@ def diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Knots:
             lines.append(None)
     den = lcm(*{d for _, d in ends}, *{p[4] for p in lines if p})
 
-    k = sign * yb * den
+    k = yb * den
     n, d = ends[0]
-    xs, ys = [0], [sign * n * (den // d)]
+    xs, ys = [0], [n * (den // d)]
     for i, p in enumerate(lines):
         if p:
             lo, hi, c, h, w = p
-            m = sign * (den // w)
+            m = den // w
             c, h = c * m, h * m
             xs += bxs[lo:hi]
             ys += [y * k - x * h - c for x, y in zip(bxs[lo:hi], bys[lo:hi])]
         n, d = ends[i + 1]
         xs.append(sxs[i + 1])
-        ys.append(sign * n * (den // d))
+        ys.append(n * (den // d))
     return Knots(xs, dx, ys, dy * den)
 
 
@@ -543,27 +541,19 @@ def linf_diff(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
 @dataclass(frozen=True)
 class SampleSet:
     """Sample abscissae with a decision threshold and the reference labels
-    (value >= threshold) there, for classification error."""
+    (value >= threshold) there, for classification error.
+
+    ``hardness.adversarial_sample`` builds strictly increasing Fraction
+    points in [0, 1], one label each, and a threshold in (0, 1); only an
+    empty sample, which it makes at k = 1, is refused."""
 
     points: tuple[Fraction, ...]
     threshold: Fraction
     labels: tuple[bool, ...]
 
     def __post_init__(self):
-        pts = tuple(rat(x) for x in self.points)
-        t = rat(self.threshold)
-        if not pts:
+        if not self.points:
             raise ValueError("empty sample set")
-        if any(not (0 <= x <= 1) for x in pts):
-            raise ValueError("sample points must lie in [0,1]")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("sample points must strictly increase")
-        if not (0 < t < 1):
-            raise ValueError("threshold must lie in (0,1)")
-        if len(self.labels) != len(pts):
-            raise ValueError("need one label per sample point")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "threshold", t)
 
     def __len__(self):
         return len(self.points)

@@ -741,10 +741,6 @@ class TestClassification:
                 paths.add(4 * len(knots) > len(pts))
         assert paths == {False, True}
 
-    def test_one_label_per_point(self):
-        with pytest.raises(ValueError, match="one label per sample point"):
-            pl.SampleSet((F(1, 4), F(1, 2)), F(1, 2), (True,))
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 10**6))
