@@ -128,11 +128,11 @@ def adversarial_sample(fk: pl.PiecewiseLinear, cert: OscCertificate
     if cert.count < 2:
         raise CertificateError("certificate must witness at least 2 crossings")
     a, b = pl.rat(cert.a), pl.rat(cert.b)
-    touches = pl.crossing_points(fk, a, b)
     n = min(cert.count, int(cert.rate**cert.k) // 2)
-    return pl.SampleSet(points=tuple(x for x, _ in touches[:n]),
+    touches = pl.crossing_points(fk, a, b, limit=n)
+    return pl.SampleSet(points=tuple(x for x, _ in touches),
                         threshold=(a + b) / 2,
-                        labels=tuple(level == b for _, level in touches[:n]))
+                        labels=tuple(level == b for _, level in touches))
 
 
 @dataclass(frozen=True)

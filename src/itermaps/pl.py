@@ -13,9 +13,11 @@ per knot (each Fraction operation reduces by a gcd in Python code, which is
 where the exact engine used to spend its time): ``canon`` keeps a knot where
 the slope changes, ``combine`` sums slope changes of N inputs (an affine
 image of one input only scales and shifts its values, at that input's
-abscissae), ``diff``, f - g, the norms ``max_abs`` and ``abs_integral``,
-``compose``, ``_touches``, where f meets levels (for ``level_set`` and
-``crossing_points``), and ``values_at``, f at sorted points (and at one).
+abscissae) for ``relunet.net_to_pl``'s third and later layers and for
+``diff``'s fallback, ``diff``, f - g, the norms ``max_abs`` and
+``abs_integral``, ``compose``, ``_touches``, where f meets levels, made
+as they are read (for ``level_set`` and ``crossing_points``, which can
+stop early), and ``values_at``, f at sorted points (and at one).
 The segment solver ``_at`` finds where a segment meets a level and, with x
 and y swapped, evaluates it.  No other module keeps one.
 
@@ -52,7 +54,7 @@ from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 
@@ -160,8 +162,9 @@ def _least(xs: list, dx: int, ys: list, dy: int) -> Knots:
 
 def combine(inputs: Sequence[Knots], coeffs: Sequence, bias) -> Knots:
     """Raw knots of sum(c * f_i) + bias at every merged abscissa, for the
-    N-input sums of ``relunet.net_to_pl`` (and ``diff`` when both operands
-    are large).
+    units of ``relunet.net_to_pl``'s third and later layers (its first two
+    take one sweep over the first layer's kinks) and for ``diff`` when both
+    operands are large.
 
     The inputs share one domain.  Every slope is reduced and put over one
     common denominator, so the sweep adds integers.  One sort of the (x,
@@ -191,9 +194,11 @@ def combine(inputs: Sequence[Knots], coeffs: Sequence, bias) -> Knots:
             ys = [v * my for v in ys]
         y += ys[0]
         scaled.append((xs, ys))
-    # every slope rise / run, reduced, has a run that divides q
+    # every slope rise / run, reduced, has a run that divides q (a flat
+    # one's is 1)
     q = lcm(*{w // gcd(h, w) for xs, ys in scaled
-              for w, h in zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))})
+              for w, h in zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))
+              if h})
     events = []
     for xs, ys in scaled:
         prev = 0
@@ -237,10 +242,12 @@ def _value(xs: list, ys: list, x) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _touches(knots: Knots, levels: Sequence) -> list[tuple[int, int, int]]:
+def _touches(knots: Knots, levels: Sequence) -> Iterator[tuple[int, int, int]]:
     """Where f meets the Fraction levels, in order along f, as (n, d, i):
     x = n / (d * dx) lies on levels[i].  A segment meets the levels in its
-    own direction; a flat at a level gives both of its ends."""
+    own direction; a flat at a level gives both of its ends.  The touches
+    are made as they are read, so a reader that stops early sweeps only
+    the knots before its last one."""
     xs, _, ys, dy = knots
     s = lcm(dy, *(v.denominator for v in levels))  # for y and the levels
     if s != dy:
@@ -248,19 +255,16 @@ def _touches(knots: Knots, levels: Sequence) -> list[tuple[int, int, int]]:
     up = sorted((v.numerator * (s // v.denominator), i)
                 for i, v in enumerate(levels))
     down = up[::-1]
-    hits = []
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
         if y0 == y1:
             for level, j in up:
                 if level == y0:
-                    hits.append((xs[i], 1, j))
-                    hits.append((xs[i + 1], 1, j))
+                    yield x0, 1, j
+                    yield x1, 1, j
             continue
         for level, j in (up if y0 < y1 else down):
             if y0 <= level <= y1 or y1 <= level <= y0:
-                hits.append((*_at(xs[i], y0, xs[i + 1], y1, level), j))
-    return hits
+                yield (*_at(x0, y0, x1, y1, level), j)
 
 
 def level_set(knots: Knots, y) -> list[Fraction]:
@@ -513,13 +517,15 @@ def monotone_pieces(f: PiecewiseLinear) -> int:
     return 1 + len(turning_knots(f.raw.ys))
 
 
-def crossing_points(f: PiecewiseLinear, a, b) -> tuple[tuple[Fraction, Fraction], ...]:
+def crossing_points(f: PiecewiseLinear, a, b, limit: int | None = None
+                    ) -> tuple[tuple[Fraction, Fraction], ...]:
     """Alternating (x, level) touch sequence of levels a and b.
 
     Consecutive touches of the same level collapse, so the result strictly
     alternates between a and b; each adjacent pair delimits one full
     traversal of [a,b].  Touches that do not lead to the opposite level
-    (grazing contacts) vanish in the collapse.
+    (grazing contacts) vanish in the collapse.  With a limit, only the
+    first `limit` are made, and the sweep stops at the touch after them.
     """
     a, b = rat(a), rat(b)
     if not (0 <= a < b <= 1):
@@ -528,6 +534,8 @@ def crossing_points(f: PiecewiseLinear, a, b) -> tuple[tuple[Fraction, Fraction]
     touches, last = [], None  # last: the level index of the last touch kept
     for n, d, i in _touches(f.raw, (a, b)):
         if i != last:
+            if len(touches) == limit:
+                break
             touches.append((Fraction(n, d * dx), b if i else a))
             last = i
     return tuple(touches)

@@ -9,19 +9,22 @@ stacking a block k times multiplies depth by k while preserving width.
 Both directions work on a ``PiecewiseLinear``'s integer ``raw`` knots, as
 ``pl`` does.  ``synth_from_pl`` reads runs and rises straight from them and
 makes one ``Fraction`` per emitted weight, never f's Fraction knots or
-slopes.  ``net_to_pl`` propagates every unit as ``pl.Knots``: ``pl.combine``
-forms the unit's affine input (with one input, as in every first layer and
-the first layer of each ``stack`` block, an affine image of that input's
-knots), and ``_raw_relu`` clips it and returns it canonical in the same
-pass, so each unit is canonicalised once.
+slopes.  ``net_to_pl`` propagates every unit as ``pl.Knots``.  The input is
+x, so a first-layer unit is a line clipped at one kink, and the second
+layer's sums are PL with knots at those kinks: ``_kink_sweep`` builds each
+from one integer sweep over the sorted kinks, the inverse of the ramp
+decomposition.  Each later unit's affine input is one ``pl.combine`` over
+the layer before.  ``_raw_relu`` clips a unit's input and returns it
+canonical in the same pass, so each unit is canonicalised once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from operator import sub
+from operator import mul, sub
 
 from . import pl
 from .errors import ResourceLimitError
@@ -146,23 +149,97 @@ def _distinct_abscissae(state: list[pl.Knots]) -> int:
     return len(seen)
 
 
+def _within(abscissae: int, cap: int) -> None:
+    if abscissae > cap:
+        raise ResourceLimitError(f"network PL exceeds {cap} knots")
+
+
+def _kink_sweep(first: tuple[Matrix, Vector], second: tuple[Matrix, Vector],
+                act, cap: int) -> list[pl.Knots]:
+    """The second layer's units after ``act``, from one sweep over the
+    first layer's kinks.
+
+    First-layer unit i is relu(c_i x + b_i): a line with at most one kink,
+    at t_i = -b_i / c_i.  So a second-layer pre-activation, sum_i W_i
+    relu(c_i x + b_i) + B, is PL with knots at 0, at the distinct kinks
+    inside (0, 1) and at 1.  Its value and slope at 0 are those of the
+    units active just right of 0, summed as Fractions; at each kink its
+    slope changes by W_i |c_i|.  The kinks are sorted once, as integers
+    over one denominator; a row's slope changes go over one more, so its
+    slopes and values are running sums of integers.  This inverts
+    ``synth_from_pl``'s ramp decomposition.  The cap bounds the abscissae
+    the second layer reads, 0, 1 and the kinks, so it also holds for the
+    first layer's 0 and 1.
+    """
+    (w1, b1), (w2, b2) = first, second
+    active = []  # units active just right of 0
+    kn, kd, kunit, kc, kcd = [], [], [], [], []  # t = kn / kd, unit, |c|
+    for i, ((c,), b) in enumerate(zip(w1, b1)):
+        cn, cd, bn, bd = c.numerator, c.denominator, b.numerator, b.denominator
+        if cn == 0:  # the constant relu(b)
+            if bn > 0:
+                active.append(i)
+            continue
+        n, d = -bn * cd, bd * cn
+        if d < 0:
+            n, d = -n, -d
+        # a rising unit is active right of its kink, a falling one left
+        if (n <= 0) if cn > 0 else (n > 0):
+            active.append(i)
+        if 0 < n < d:
+            kn.append(n)
+            kd.append(d)
+            kunit.append(i)
+            kc.append(abs(cn))
+            kcd.append(cd)
+    kn, dx = pl._common(kn, kd)
+    kinks = sorted(set(kn))
+    _within(2 + len(kinks), cap)
+    index = dict(zip(kinks, range(len(kinks))))
+    slot = [index[n] for n in kn]
+    sc = lcm(*set(kcd))
+    kc = [c * (sc // d) for c, d in zip(kc, kcd)]  # |c| * sc
+    xs = [0, *kinks, dx]
+    runs = list(map(sub, xs[1:], xs))
+
+    out = []
+    for row, bias in zip(w2, b2):
+        y0 = sum((row[i] * b1[i] for i in active), bias)
+        s0 = sum(row[i] * w1[i][0] for i in active)
+        ws = [row[i] for i in kunit]
+        m = lcm(sc * lcm(*{w.denominator for w in ws}),
+                s0.denominator, y0.denominator)
+        f = m // sc  # the slopes go over m, and y over m * dx
+        bends = [0] * len(kinks)
+        for j, w, c in zip(slot, ws, kc):
+            bends[j] += w.numerator * (f // w.denominator) * c
+        s0 = s0.numerator * (m // s0.denominator)
+        y0 = y0.numerator * (m // y0.denominator) * dx
+        ys = list(accumulate(map(mul, accumulate(bends, initial=s0), runs),
+                             initial=y0))
+        out.append(act(pl.Knots(xs, dx, ys, m * dx)))
+    return out
+
+
 def net_to_pl(n: ReluNetwork, cap: int = pl.DEFAULT_KNOT_CAP
               ) -> pl.PiecewiseLinear:
     """Exact PL computed by a rational-weight network on [0,1].
 
     Every unit's function is propagated as integer ``pl.Knots``, canonical
     after each layer, and the cap bounds the distinct abscissae a layer
-    reads.  The output is audited against the [0,1] codomain; out-of-range
-    values are reported as an error, never clamped silently.
+    reads.  A network of depth 2 or more gets its first two layers from
+    ``_kink_sweep``; later layers each sum their inputs by ``pl.combine``.
+    The output is audited against the [0,1] codomain; out-of-range values
+    are reported as an error, never clamped silently.
     """
     if not n.rational:
         raise ValueError("exact PL propagation needs rational weights")
-    state = [pl.identity().raw]
-    last = len(n.layers) - 1
-    for i, (w, b) in enumerate(n.layers):
-        if _distinct_abscissae(state) > cap:
-            raise ResourceLimitError(f"network PL exceeds {cap} knots")
-        act = _raw_relu if i != last else pl.canon
+    acts = [_raw_relu] * (n.depth - 1) + [pl.canon]
+    state, done = [pl.identity().raw], 0
+    if n.depth > 1:
+        state, done = _kink_sweep(*n.layers[:2], acts[1], cap), 2
+    for (w, b), act in zip(n.layers[done:], acts[done:]):
+        _within(_distinct_abscissae(state), cap)
         state = [act(pl.combine(state, row, bias)) for row, bias in zip(w, b)]
     xs, dx, ys, dy = out = state[0]
     bad = [i for i, y in enumerate(ys) if not (0 <= y <= dy)]

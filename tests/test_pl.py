@@ -677,8 +677,10 @@ class TestOneSweepOracles:
                     assert (pl.crossing_points(f, a, b)
                             == ref_crossing_points(f, a, b))
             for a, b in ((F(4, 9), F(8, 9)), (F(0), F(1))):
-                assert (pl.crossing_points(f, a, b)
-                        == ref_crossing_points(f, a, b))
+                want = ref_crossing_points(f, a, b)
+                assert pl.crossing_points(f, a, b) == want
+                for n in {0, 1, len(want) // 2, len(want), len(want) + 1}:
+                    assert pl.crossing_points(f, a, b, limit=n) == want[:n]
 
     def test_values_at_one_point(self, rng):
         cases = [flat_pl(rng) for _ in range(300)] + list(iterates())

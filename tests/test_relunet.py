@@ -246,6 +246,133 @@ class TestRandomNetworks:
                 assert g(x) == net_eval(net, x)
 
 
+def ref_propagate(layers, last_is_output):
+    """Unit by unit, as ``net_to_pl`` propagated every layer before the
+    kink sweep: each unit's affine input by ``pl.combine`` over the last
+    layer's units, then ``_raw_relu``, or ``pl.canon`` on the output layer.
+    The reference for ``relunet._kink_sweep``."""
+    state = [pl.identity().raw]
+    last = len(layers) - 1 if last_is_output else None
+    for i, (w, b) in enumerate(layers):
+        act = pl.canon if i == last else relunet._raw_relu
+        state = [act(pl.combine(state, row, bias)) for row, bias in zip(w, b)]
+    return state
+
+
+#: kinks of the first-layer units: ints, repeats, the ends and outside
+KINKS = (0, 1, F(1, 4), F(1, 4), F(2, 3), F(5, 16), F(-1, 3), F(5, 4))
+
+
+def kinked_layer(rng, width):
+    """A first layer of `width` units relu(c x + b), with c from WEIGHTS
+    (so c = 0, negative c and ints) and the kink -b / c from KINKS, and
+    the pairs (i, j) of units j that copy or mirror unit i: (c, b) or
+    (-c, -b), with the same kink and the same |c|."""
+    units, pairs = [], []
+    while len(units) < width:
+        c = rng.choice(WEIGHTS)
+        units.append((c, rng.choice(WEIGHTS) if c == 0
+                      else -c * rng.choice(KINKS)))
+        if len(units) < width and c != 0 and rng.random() < 0.25:
+            pairs.append((len(units) - 1, len(units)))
+            s = rng.choice((1, -1))
+            units.append((s * c, s * units[-1][1]))
+    return tuple((c,) for c, _ in units), tuple(b for _, b in units), pairs
+
+
+def kinked_row(rng, width, pairs):
+    """Second-layer weights: from WEIGHTS, with some rows all zero, and
+    each pair's second weight often minus its first, so that the pair's
+    slope changes at their shared kink cancel."""
+    if rng.random() < 0.1:
+        return (0,) * width
+    row = [rng.choice(WEIGHTS) for _ in range(width)]
+    for i, j in pairs:
+        if rng.random() < 0.5:
+            row[j] = -row[i]
+    return tuple(row)
+
+
+class TestKinkSweep:
+    """``net_to_pl``'s first two layers, one sweep over the first layer's
+    kinks, against the unit-by-unit propagation they replaced."""
+
+    def test_matches_unit_by_unit(self, rng):
+        for _ in range(300):
+            width = rng.choice((1, 2, 3, rng.randint(4, 64)))
+            w1, b1, pairs = kinked_layer(rng, width)
+            rows = rng.randint(1, 4)
+            w2 = tuple(kinked_row(rng, width, pairs) for _ in range(rows))
+            b2 = tuple(rng.choice(WEIGHTS) for _ in range(rows))
+            layers = ((w1, b1), (w2, b2))
+            first = ref_propagate(layers[:1], False)
+            cap = relunet._distinct_abscissae(first)
+            for output, act in ((True, pl.canon), (False, relunet._raw_relu)):
+                want = ref_propagate(layers, output)
+                assert relunet._kink_sweep(*layers, act, cap) == want
+            with pytest.raises(ResourceLimitError,
+                               match=f"exceeds {cap - 1} knots"):
+                relunet._kink_sweep(*layers, act, cap - 1)
+
+    def test_deep_nets_match_unit_by_unit(self, rng):
+        # the first two layers of nets of depth 2 to 4, rescaled into [0,1]
+        for _ in range(150):
+            width = rng.choice((1, 2, rng.randint(3, 64)))
+            w1, b1, pairs = kinked_layer(rng, width)
+            bounds = [interval(row, b, [(F(0), F(1))]) for row, b in
+                      zip(w1, b1)]
+            bounds = [(max(lo, 0), max(hi, 0)) for lo, hi in bounds]
+            layers = [(w1, b1)]
+            for _ in range(rng.randint(0, 2)):
+                w, b = zip(*(random_unit(rng, bounds)
+                             for _ in range(rng.randint(1, 4))))
+                if len(layers) == 1:
+                    w = tuple(kinked_row(rng, width, pairs) for _ in w)
+                layers.append((w, b))
+                bounds = [interval(row, bias, bounds)
+                          for row, bias in zip(w, b)]
+                bounds = [(max(lo, 0), max(hi, 0)) for lo, hi in bounds]
+            row, bias = random_unit(rng, bounds)
+            lo, hi = interval(row, bias, bounds)
+            s = hi - lo or F(1)
+            layers.append(((tuple(c / s for c in row),), ((bias - lo) / s,)))
+            net = relunet.ReluNetwork(layers=tuple(layers))
+            (want,) = ref_propagate(net.layers, True)
+            assert relunet.net_to_pl(net).raw == want
+
+    def test_cap_counts_distinct_kinks(self):
+        # kinks 1/4 (three times), 1/2 (twice), 0 and 1: two distinct
+        # inside (0, 1), so the second layer reads 4 abscissae
+        w1 = ((F(1),), (F(2),), (F(-1),), (F(1),), (F(-3),), (F(1),),
+              (F(1),))
+        b1 = (F(-1, 4), F(-1, 2), F(1, 4), F(-1, 2), F(3, 2), F(0),
+              F(-1))
+        w2 = ((F(1, 4), F(1, 8), F(1, 4), F(1, 4), F(1, 12), F(1, 16), 1),)
+        net = relunet.ReluNetwork(layers=((w1, b1), (w2, (F(0),))))
+        (want,) = ref_propagate(net.layers, True)
+        assert relunet.net_to_pl(net, cap=4).raw == want
+        with pytest.raises(ResourceLimitError, match="exceeds 3 knots"):
+            relunet.net_to_pl(net, cap=3)
+        # the input x alone has two abscissae
+        with pytest.raises(ResourceLimitError, match="exceeds 1 knots"):
+            relunet.net_to_pl(net, cap=1)
+
+    def test_shallow_net_takes_no_combine(self, monkeypatch):
+        # the first layer must not go back to one pl.combine per unit
+        calls = []
+        combine = pl.combine
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return combine(*args)
+
+        f9 = pl.iterate(TENT, 9)
+        net = relunet.synth_from_pl(f9)
+        monkeypatch.setattr(pl, "combine", counted)
+        assert relunet.net_to_pl(net) == f9
+        assert calls == []
+
+
 class TestStack:
     def test_stack_identity(self):
         ident = relunet.synth_from_pl(pl.identity())
