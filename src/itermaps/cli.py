@@ -332,10 +332,9 @@ def cmd_bifurcation(args) -> int:
     _write(args.out, f"bifurcation_{kind}.json",
            json.dumps(meta, sort_keys=True) + "\n")
     if args.out is not None:
-        # only the SVG needs every point at once: a second pass of the sweep
-        pts = [(r, x) for r, tail in data for x in tail]
+        # two more passes of the sweep: the SVG's bounds, then its dots
         _write(args.out, f"bifurcation_{kind}.svg",
-               svgplot.scatter(pts, title=f"{kind} bifurcation",
+               svgplot.scatter(data, title=f"{kind} bifurcation",
                                x_label="r", y_label="x"))
     return 0
 

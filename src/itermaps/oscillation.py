@@ -3,11 +3,20 @@
 Both counts come from one walk over the critical orbit c_j = f^j(c),
 c = ``m.apex_x`` (kneading theory; Milnor & Thurston, LNM 1342, 1988).  A
 lap of f^n maps monotonically onto an interval (lo, hi) with ends in {0} and
-{c_j}; laps are kept by image with big-integer multiplicities, starting from
-two onto (0, c_1).  Under f a lap splits into (f(lo), c_1) and (f(hi), c_1)
-exactly when lo < c < hi, and otherwise maps onto the sorted
-(f(lo), f(hi)).  M(f^n) is the total multiplicity of level n, and
+{c_1, ..., c_n}; laps are kept by image with big-integer multiplicities,
+starting from two onto (0, c_1).  Under f a lap splits into (f(lo), c_1)
+and (f(hi), c_1) exactly when lo < c < hi, and otherwise maps onto the
+sorted (f(lo), f(hi)).  M(f^n) is the total multiplicity of level n, and
 ``lap_counts`` returns it for n = 1..k.
+
+So every value the walk compares is one of the at most k + 2 values
+0, c_0, ..., c_k, and every image it takes is f(0) = 0 or
+f(c_j) = c_(j+1).  The walk computes the orbit once, sorts those values
+once and works on their ranks in that order, equal values sharing one: a
+table sends rank(c_j) to rank(c_(j+1)) and rank(0) to itself, and the laps
+run on pairs of small integers, so no value is compared or hashed at a lap
+step.  Only the at most k images of the last level are mapped back to
+values.
 
 The crossings of [a, b] by f^k are the laps of f^k whose image covers
 [a, b].  No crossing spans two laps: at a split, both halves run through
@@ -17,17 +26,17 @@ have the same level.  On a plateau map f is monotone, though not strictly,
 on each side of c, and a monotone surjection keeps the crossings.
 
 On float maps an orbit value within ``maps.SMOOTH_TOL`` of c is snapped to
-c; that is the walk's only float decision.  The walk takes no cap: level n
-holds at most n lap images (tested on random PL maps), however large M(f^n)
-grows, so only the knot-by-knot builders of f^k (``pl.compose``,
-``relunet.net_to_pl``) are bounded.  ``refuse_oversized`` reads the cap's
-verdict off M(f^k) before they run.
+c; that snap and the one sort are the walk's only float decisions.  The
+walk takes no cap: level n holds at most n lap images (tested on random PL
+maps), however large M(f^n) grows, so only the knot-by-knot builders of
+f^k (``pl.compose``, ``relunet.net_to_pl``) are bounded.
+``refuse_oversized`` reads the cap's verdict off M(f^k) before they run.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import pl
@@ -36,33 +45,57 @@ from .maps import SMOOTH_TOL, UnimodalMap
 
 
 def _walk(m: UnimodalMap, k: int) -> tuple[list[int], Counter]:
-    """M(f^n) for n = 1..k, and the lap images of f^k with multiplicities."""
+    """M(f^n) for n = 1..k, and the lap images of f^k with multiplicities.
+
+    The orbit c_0 = c, ..., c_k is computed once, with f(0) = f(1) = 0 and
+    the float snap to c.  One comparison sort of {0, c_0, ..., c_k} gives
+    each value its rank, equal values one rank, and rank(c_j) maps to
+    rank(c_(j+1)).  The laps run on (rank, rank) pairs of small integers,
+    and only the last level's images are mapped back to values.
+    """
     c = m.apex_x
     zero = c - c
-    # f(0) = f(1) = 0 on every map; SineMap(r)(1.0) is r sin(pi), about 1e-16
-    image = {zero: zero, zero + 1: zero}
-
-    def f(v):
-        if v not in image:
+    vals = [zero, c]
+    for _ in range(k):
+        v = vals[-1]
+        if v == zero or v == 1:
+            # f(0) = f(1) = 0 on every map; SineMap(r)(1.0) is about 1e-16
+            y = zero
+        else:
             y = m(v)
-            image[v] = c if not m.is_exact and abs(y - c) <= SMOOTH_TOL else y
-        return image[v]
-
-    c1 = f(c)
-    laps = Counter({(zero, c1): 2})
+            if not m.is_exact and abs(y - c) <= SMOOTH_TOL:
+                y = c
+        vals.append(y)
+    # vals[0] is 0 and vals[j + 1] is c_j; rank[i] is vals[i]'s place in
+    # the sorted distinct values ends, tied values sharing one
+    rank = [0] * len(vals)
+    ends = []
+    for i in sorted(range(len(vals)), key=vals.__getitem__):
+        if not ends or ends[-1] < vals[i]:
+            ends.append(vals[i])
+        rank[i] = len(ends) - 1
+    image = [0] * len(ends)  # c_k's own image is never asked for
+    for i, j in zip(rank[1:-1], rank[2:]):
+        image[i] = j
+    image[rank[0]] = rank[0]
+    rc, r1 = rank[1], rank[2]
+    laps = {(rank[0], r1): 2}
     counts = [2]
     for _ in range(k - 1):
-        nxt = Counter()
+        nxt = defaultdict(int)
         for (lo, hi), mult in laps.items():
-            flo, fhi = f(lo), f(hi)
-            if lo < c < hi:
-                nxt[flo, c1] += mult
-                nxt[fhi, c1] += mult
+            flo, fhi = image[lo], image[hi]
+            if lo < rc < hi:
+                nxt[flo, r1] += mult
+                nxt[fhi, r1] += mult
+            elif flo < fhi:
+                nxt[flo, fhi] += mult
             else:
-                nxt[min(flo, fhi), max(flo, fhi)] += mult
+                nxt[fhi, flo] += mult
         laps = nxt
         counts.append(sum(laps.values()))
-    return counts, laps
+    return counts, Counter({(ends[lo], ends[hi]): mult
+                            for (lo, hi), mult in laps.items()})
 
 
 def lap_counts(m: UnimodalMap, k: int) -> list[int]:

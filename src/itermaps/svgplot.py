@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 
 W, H = 720, 480
 MARGIN = 60
@@ -60,12 +61,14 @@ def _axes(fr: _Frame, title: str, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
+_HEAD = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+         f'viewBox="0 0 {W} {H}">\n<rect width="100%" height="100%" '
+         f'fill="white"/>\n')
+_TAIL = "\n</svg>\n"
+
+
 def _document(body: list[str]) -> str:
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">\n<rect width="100%" height="100%" '
-        f'fill="white"/>\n' + "\n".join(body) + "\n</svg>\n"
-    )
+    return _HEAD + "\n".join(body) + _TAIL
 
 
 def line_plot(series: list[tuple[str, list[tuple[float, float]]]],
@@ -86,15 +89,19 @@ def line_plot(series: list[tuple[str, list[tuple[float, float]]]],
     return _document(body)
 
 
-def scatter(points: list[tuple[float, float]], title: str = "",
-            x_label: str = "", y_label: str = "") -> str:
-    """Dot cloud (bifurcation-style)."""
-    xs = [x for x, _ in points] or [0, 1]
-    ys = [y for _, y in points] or [0, 1]
-    fr = _Frame(min(xs), max(xs), min(ys), max(ys))
-    body = _axes(fr, title, x_label, y_label)
-    dots = "".join(
-        f'<circle cx="{fr.px(x):.2f}" cy="{fr.py(y):.2f}" r="0.7"/>'
-        for x, y in points)
-    body.append(f'<g fill="#1f77b4" fill-opacity="0.5">{dots}</g>')
-    return _document(body)
+def scatter(slices: Iterable[tuple[float, list[float]]], title: str = "",
+            x_label: str = "", y_label: str = "") -> Iterator[str]:
+    """Dot cloud (bifurcation-style) of the points (x, y), y in ys, of each
+    (x, ys) in slices, yielded as the head and then one chunk of circles
+    per slice.  slices is walked twice, for the bounds and for the dots, so
+    no list of points is made."""
+    spans = [(x, min(ys), max(ys)) for x, ys in slices if ys]
+    xs, lows, highs = zip(*spans) if spans else ((0, 1), (0,), (1,))
+    fr = _Frame(min(xs), max(xs), min(lows), max(highs))
+    yield (_HEAD + "\n".join(_axes(fr, title, x_label, y_label))
+           + '\n<g fill="#1f77b4" fill-opacity="0.5">')
+    for x, ys in slices:
+        cx = f"{fr.px(x):.2f}"
+        yield "".join(f'<circle cx="{cx}" cy="{fr.py(y):.2f}" r="0.7"/>'
+                      for y in ys)
+    yield "</g>" + _TAIL

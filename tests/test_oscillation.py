@@ -1,9 +1,10 @@
-"""Lap and crossing counts vs exact PL iteration, exact rationals and the
-float preimage tree; growth series, entropy."""
+"""Lap and crossing counts vs exact PL iteration, exact rationals, the
+float preimage tree and the memo walk on values; growth series, entropy."""
 
 import bisect
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from conftest import crossings, kneading_laps, random_unit_map, tent_near
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itermaps import cycles, maps, oscillation, pl, warmup
+from itermaps import cycles, hardness, maps, oscillation, pl, warmup
 
 SS_12 = 0.8090169943749474  # logistic two-cycle through the critical point
 SS_1324 = 0.8671
@@ -214,6 +215,93 @@ def test_walk_holds_at_most_n_lap_images(seed):
         assert len(oscillation._walk(m, n)[1]) <= n
 
 
+def ref_walk(m, k: int) -> tuple[list[int], Counter]:
+    """The lap walk on values, each image memoised by value: the walk that
+    the rank table replaced, with the same seeds f(0) = f(1) = 0 and the
+    same ``SMOOTH_TOL`` snap."""
+    c = m.apex_x
+    zero = c - c
+    image = {zero: zero, zero + 1: zero}
+
+    def f(v):
+        if v not in image:
+            y = m(v)
+            image[v] = c if not m.is_exact and abs(y - c) <= (
+                maps.SMOOTH_TOL) else y
+        return image[v]
+
+    c1 = f(c)
+    laps = Counter({(zero, c1): 2})
+    counts = [2]
+    for _ in range(k - 1):
+        nxt = Counter()
+        for (lo, hi), mult in laps.items():
+            flo, fhi = f(lo), f(hi)
+            if lo < c < hi:
+                nxt[flo, c1] += mult
+                nxt[fhi, c1] += mult
+            else:
+                nxt[min(flo, fhi), max(flo, fhi)] += mult
+        laps = nxt
+        counts.append(sum(laps.values()))
+    return counts, laps
+
+
+#: tents, flat tents (whose walk only counts crossings), float maps whose
+#: orbit is snapped to c (SS_12) or meets the f(1) = 0 seed (sine:1), and
+#: the two counterexample maps
+REF_WALK_MAPS = [maps.TentMap(r) for r in (1, F(9, 10), F(4, 5), F(1, 2))]
+REF_WALK_MAPS += [maps.FlatTentMap(r) for r in (1, F(3, 4), F(1, 2))]
+REF_WALK_MAPS += [maps.LogisticMap(SS_1324), maps.LogisticMap(SS_12),
+                  maps.SineMap(1.0), hardness.build_need_symmetry(3, F(1, 10)),
+                  hardness.build_need_concavity(3, F(1, 10))]
+
+
+class TestRankWalk:
+    """The walk on the ranks of the critical orbit against ``ref_walk``:
+    the same counts and the same level-k images, value for value."""
+
+    @pytest.mark.parametrize("m", REF_WALK_MAPS, ids=repr)
+    def test_matches_memo_walk_to_40(self, m):
+        for k in range(1, 41):
+            assert oscillation._walk(m, k) == ref_walk(m, k), k
+
+    def test_snap_and_seed_are_exercised(self):
+        # SS_12's orbit returns within SMOOTH_TOL of 1/2 without landing
+        # on it, and sine:1 sends 1/2 to 1.0, whose image is the seed 0
+        m = maps.LogisticMap(SS_12)
+        assert 0 < abs(m(m(0.5)) - 0.5) <= maps.SMOOTH_TOL
+        assert maps.SineMap(1.0)(0.5) == 1.0 != maps.SineMap(1.0)(1.0)
+
+    def test_hashes_no_fraction_per_lap_step(self, monkeypatch):
+        # the memo walk hashes a Fraction at every lap step, thousands at
+        # k = 60; the rank walk hashes only the last level's images
+        m = maps.TentMap(F(9, 10))
+        oscillation.lap_counts(m, 2)  # f and apex_x are built on first use
+        calls = []
+        fraction_hash = F.__hash__
+
+        def counting_hash(self):
+            calls.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(F, "__hash__", counting_hash)
+        counts = oscillation.lap_counts(m, 60)
+        monkeypatch.undo()
+        assert counts[-1] == 3684663081488486
+        assert len(calls) <= 4 * 60
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40))
+def test_rank_walk_matches_memo_walk_on_random_maps(seed, k):
+    try:
+        m = maps.CustomPLMap(random_unit_map(random.Random(seed)))
+    except ValueError:
+        return
+    assert oscillation._walk(m, k) == ref_walk(m, k)
+
+
 KNEADING_MAPS = [maps.TentMap(r) for r in (F(9, 10), F(4, 5), F(3, 4), 1)]
 KNEADING_MAPS += [maps.LogisticMap(0.99), maps.LogisticMap(0.958),
                   maps.SineMap(0.97)]
@@ -233,6 +321,10 @@ class TestKneadingOracle:
             m = warmup.toy_map(name)
             assert list(oscillation.entropy_estimate(m, 60).counts) == (
                 kneading_laps(m, 60)), name
+
+    def test_tent_matches_closed_form_to_300(self):
+        m = maps.TentMap(F(9, 10))
+        assert oscillation.lap_counts(m, 300) == kneading_laps(m, 300)
 
     def test_closed_form_values(self):
         assert kneading_laps(maps.TentMap(1), 60)[-1] == 2**60
