@@ -15,13 +15,15 @@ counterexample and warmup build knot by knot: f^k in ``pl.iterate``, in
 map included) and in ``hardness.counterexample_report``, and
 ``relunet.net_to_pl``.  Lap and crossing counts take no cap, so
 certificates, phase counts and warmup's growth series reach any depth.
-certify, synth, find_cycles (at p_max) and counterexample_report (at
+certify, synth, the cycle search (at p_max) and counterexample_report (at
 k_max) refuse f^k of a strictly unimodal map before building it when its
 lap count alone passes the cap (``oscillation.refuse_oversized``): every
 turning point of f^k is a knot, so f^k holds at least M(f^k) + 1 knots,
-and the refusal is the error ``pl.compose`` would raise.  When the cap
-stops certify's candidate stage, the certificate is written with no
-candidates before the command exits 3.
+and the refusal is the error ``pl.compose`` would raise.  phase reads the
+search only up to its first chaotic cycle, but its cap is still decided
+at p_max, before the first period.  When the cap stops certify's
+candidate stage, the certificate is written with no candidates before the
+command exits 3.
 
 This module is the only JSON writer.  The library's records return plain
 data from ``to_dict``, with exact values left as Fractions.  ``dump`` writes
@@ -409,8 +411,8 @@ def cmd_phase(args) -> int:
             return 2
     out = []
     for m in args.maps:
-        found = cycles.find_cycles(m, args.p_max, cap=args.cap)
-        report = cycles.classify_regime(found)
+        report = cycles.classify_regime(
+            cycles.cycles_by_period(m, args.p_max, cap=args.cap))
         series = oscillation.entropy_estimate(m, args.k_max)
         entry = {
             "map": m.to_dict(),
@@ -421,8 +423,8 @@ def cmd_phase(args) -> int:
             "counts": list(series.counts),
         }
         if report.regime == "doubling":
-            p = max(c.period for c in found)
-            entry["vc_bound"] = vcbounds.doubling_vc_bound(p)
+            entry["vc_bound"] = vcbounds.doubling_vc_bound(
+                report.witness.period)
             if args.k_max >= 9:  # rates from k=8 need two to compare
                 tail = series.rates[7:]
                 rep.check(f"doubling_rates_decrease_{fmt(m.r)}",

@@ -9,15 +9,19 @@ Misiurewicz, *Combinatorial Dynamics and Entropy in Dimension One*).  Those
 patterns are "doubling" and every other one, the increasing "12...p"
 included, is "chaotic".
 
+The search runs period by period and is read in that order
+(``cycles_by_period``): period p is searched only when the records before
+it have been read, so ``classify_regime`` stops at the first chaotic cycle.
 Cycles of a PL map come from the exact roots of f^p(x) = x.  f maps those
 roots onto themselves, and the ends of a flat piece of f^p - id onto ends,
 so the p-cycles are the cycles of length p of the permutation f makes of
-the roots.  A smooth map's roots are bisected from grid brackets, and the
-grid need not bracket every point of a cycle, so each root's orbit is
-stepped out from the root itself.  A root within FLOAT_MATCH_TOL of a point
-of an orbit already taken is skipped; an orbit is dropped when two of its
-points meet within FLOAT_MATCH_TOL (its minimal period is smaller) or when
-it misses closing by more than RESIDUAL_TOL (a spurious bracket).
+the roots.  A smooth map's roots are bisected from grid brackets, one
+period at a time, and the grid need not bracket every point of a cycle, so
+each root's orbit is stepped out from the root itself.  A root within
+FLOAT_MATCH_TOL of a point of an orbit already taken is skipped; an orbit
+is dropped when two of its points meet within FLOAT_MATCH_TOL (its minimal
+period is smaller) or when it misses closing by more than RESIDUAL_TOL (a
+spurious bracket).
 
 A logistic super-stable parameter is solved from the itinerary alone: the
 cycle's kneading word, in the unimodal order, bisects r on [1/2, 1].  The
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -146,57 +150,47 @@ def pattern_regime(itin: tuple[int, ...]) -> str:
     return "doubling" if len(itin) == 1 else "chaotic"
 
 
-def _smooth_period_roots(m: UnimodalMap, p_max: int) -> list[list[float]]:
-    """Roots of f^p(x) = x for p = 1..p_max, one sorted list per period.
+def _smooth_period_roots(m: UnimodalMap, p: int) -> list[float]:
+    """Roots of f^p(x) = x, sorted.
 
-    Each period's sign changes are bracketed on its own grid; then every
-    bracket of every period is bisected in one vector.  A round applies
-    p_max masked steps, so each bracket takes exactly its own p steps, and
-    the rounds stop after 60 or as soon as one moves no bracket: such a
-    round is a fixed point, so later ones would change nothing.
+    The sign changes of f^p(x) - x are bracketed on a grid of
+    GRID_PER_PERIOD * p cells, and every bracket is bisected in one vector,
+    p steps of f a round.  Each bracket's bisection reads only that
+    bracket, so the rounds stop after 60 or as soon as one moves no
+    bracket: such a round is a fixed point, so later ones would change
+    nothing.
     """
-    fixed, ps, los, his, g_lo = [], [], [], [], []
-    for p in range(1, p_max + 1):
-        xs = np.linspace(0.0, 1.0, GRID_PER_PERIOD * p + 1)
-        ys = xs.copy()
-        for _ in range(p):
-            ys = m(ys)
-        gs = ys - xs
-        sign = np.sign(gs)
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        # the origin is always fixed
-        fixed.append([0.0] + xs[sign == 0].tolist())
-        ps.append(np.full(idx.size, p))
-        los.append(xs[idx])
-        his.append(xs[idx + 1])
-        g_lo.append(gs[idx])
-    sizes = [a.size for a in ps]
-    ps, lo, hi, g_lo = map(np.concatenate, (ps, los, his, g_lo))
+    xs = np.linspace(0.0, 1.0, GRID_PER_PERIOD * p + 1)
+    ys = xs.copy()
+    for _ in range(p):
+        ys = m(ys)
+    gs = ys - xs
+    sign = np.sign(gs)
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    lo, hi, g_lo = xs[idx], xs[idx + 1], gs[idx]
     for _ in range(60):
         mid = (lo + hi) / 2
         y = mid
-        for s in range(p_max):
-            y = np.where(ps > s, m(y), y)
+        for _ in range(p):
+            y = m(y)
         left = g_lo * (y - mid) < 0
-        lo2, hi2 = np.where(left, lo, mid), np.where(left, mid, hi)
-        if np.array_equal(lo2, lo) and np.array_equal(hi2, hi):
+        # a bracket moves unless mid is the end it would replace
+        if not np.where(left, mid != hi, mid != lo).any():
             break
-        lo, hi = lo2, hi2
-    mids = ((lo + hi) / 2).tolist()
-    out, i = [], 0
-    for roots, n in zip(fixed, sizes):
-        out.append(sorted(set(roots + mids[i:i + n])))
-        i += n
-    return out
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    # the origin is always fixed
+    return sorted(set([0.0] + xs[sign == 0].tolist()
+                      + ((lo + hi) / 2).tolist()))
 
 
-def _pl_cycles(m: UnimodalMap, p_max: int, cap: int) -> list[CycleRecord]:
-    """The cycles of f on the roots of f^p(x) = x, of length p."""
+def _pl_cycles(m: UnimodalMap, p_max: int,
+               cap: int) -> Iterator[CycleRecord]:
+    """The cycles of f on the roots of f^p(x) = x, of length p, one period
+    per composition."""
     oscillation.refuse_oversized(m, p_max, cap)
     f1 = m.to_pl()
     dy = f1.raw.dy
     fp = ident = pl.identity()
-    records = []
     for p in range(1, p_max + 1):
         fp = pl.compose(f1, fp, cap=cap)
         roots = pl.level_set(pl.diff(fp, ident), 0)
@@ -214,19 +208,20 @@ def _pl_cycles(m: UnimodalMap, p_max: int, cap: int) -> list[CycleRecord]:
             while (j := succ[cyc[-1]]) > i:
                 cyc.append(j)
             if j == i and len(cyc) == p:  # i is the cycle's least root
-                # roots are sorted, so indices rank as the points do
-                records.append(CycleRecord(
+                # roots are sorted, so indices rank as the points do, and
+                # the records come in order of their least points
+                yield CycleRecord(
                     period=p, orbit=tuple(roots[j] for j in cyc),
-                    itinerary=itinerary_of_points(cyc), residual=0.0))
-    return records
+                    itinerary=itinerary_of_points(cyc), residual=0.0)
 
 
-def _smooth_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
-    """The orbits of the bracketed roots of f^p(x) = x, deduplicated."""
-    records = []
+def _smooth_cycles(m: UnimodalMap, p_max: int) -> Iterator[CycleRecord]:
+    """The orbits of the bracketed roots of f^p(x) = x, deduplicated, one
+    period at a time."""
     taken: list[float] = []  # sorted points of the orbits taken
-    for p, roots in enumerate(_smooth_period_roots(m, p_max), 1):
-        for x in roots:
+    for p in range(1, p_max + 1):
+        records = []
+        for x in _smooth_period_roots(m, p):
             i = bisect_left(taken, x - FLOAT_MATCH_TOL)
             if i < len(taken) and taken[i] <= x + FLOAT_MATCH_TOL:
                 continue  # on an orbit taken already
@@ -246,21 +241,28 @@ def _smooth_cycles(m: UnimodalMap, p_max: int) -> list[CycleRecord]:
             records.append(CycleRecord(
                 period=p, orbit=canon, itinerary=itinerary_of_points(canon),
                 residual=residual))
-    return records
+        # a root need not be its orbit's least point
+        records.sort(key=lambda c: c.orbit[0])
+        yield from records
+
+
+def cycles_by_period(m: UnimodalMap, p_max: int,
+                     cap: int = pl.DEFAULT_KNOT_CAP) -> Iterator[CycleRecord]:
+    """The distinct cycles of minimal period <= p_max, in order of period
+    and least point; period p is searched only when the records before it
+    have been read.  On PL maps (``m.is_exact``) f^p may hold `cap` knots,
+    and the cap's verdict is reached at p_max before the first period."""
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+    if m.is_exact:
+        return _pl_cycles(m, p_max, cap)
+    return _smooth_cycles(m, p_max)
 
 
 def find_cycles(m: UnimodalMap, p_max: int,
                 cap: int = pl.DEFAULT_KNOT_CAP) -> list[CycleRecord]:
-    """All distinct cycles of minimal period <= p_max, sorted by period and
-    least point; on PL maps (``m.is_exact``) f^p may hold `cap` knots."""
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    if m.is_exact:
-        records = _pl_cycles(m, p_max, cap)
-    else:
-        records = _smooth_cycles(m, p_max)
-    records.sort(key=lambda c: (c.period, float(c.orbit[0])))
-    return records
+    """Every record of ``cycles_by_period``."""
+    return list(cycles_by_period(m, p_max, cap))
 
 
 @dataclass(frozen=True)
@@ -272,18 +274,23 @@ class RegimeReport:
     max_power_of_two: int | None
 
 
-def classify_regime(cycles: Sequence[CycleRecord]) -> RegimeReport:
+def classify_regime(cycles: Iterable[CycleRecord]) -> RegimeReport:
     """Chaotic iff a non-power-of-two period or a non-primary power-of-two
-    itinerary was detected; otherwise doubling with q = log2(max period)."""
-    if not cycles:
-        # the endpoint 0 is always fixed, so the doubling floor is q = 0
-        return RegimeReport("doubling", None, 0)
-    for c in sorted(cycles, key=lambda c: c.period):
+    itinerary was detected; otherwise doubling with q = log2(max period).
+
+    The cycles come in period order, and they are read only up to the
+    first chaotic one, the witness; a doubling call reads them all and
+    takes the first cycle of the largest period as its witness."""
+    witness = None
+    for c in cycles:
         if pattern_regime(c.itinerary) == "chaotic":
             return RegimeReport("chaotic", c, None)
-    q = max(int(math.log2(c.period)) for c in cycles)
-    witness = max(cycles, key=lambda c: c.period)
-    return RegimeReport("doubling", witness, q)
+        if witness is None or c.period > witness.period:
+            witness = c
+    if witness is None:
+        # the endpoint 0 is always fixed, so the doubling floor is q = 0
+        return RegimeReport("doubling", None, 0)
+    return RegimeReport("doubling", witness, int(math.log2(witness.period)))
 
 
 # MSS forcing order for the logistic family: cycles are super-stable in this

@@ -15,8 +15,9 @@ f(c_j) = c_(j+1).  The walk computes the orbit once, sorts those values
 once and works on their ranks in that order, equal values sharing one: a
 table sends rank(c_j) to rank(c_(j+1)) and rank(0) to itself, and the laps
 run on pairs of small integers, so no value is compared or hashed at a lap
-step.  Only the at most k images of the last level are mapped back to
-values.
+step.  On exact maps the sort itself compares integers: each value's
+numerator over the values' least common denominator.  Only the at most k
+images of the last level are mapped back to values.
 
 The crossings of [a, b] by f^k are the laps of f^k whose image covers
 [a, b].  No crossing spans two laps: at a split, both halves run through
@@ -44,12 +45,31 @@ from .errors import ResourceLimitError
 from .maps import SMOOTH_TOL, UnimodalMap
 
 
+def _ranks(vals: list, exact: bool) -> tuple[list[int], list[int]]:
+    """Each value's rank among the distinct values, smallest first, equal
+    values sharing one, and for each rank the index of a value of it.
+
+    Exact values are sorted as integer keys over their least common
+    denominator, so the sort compares ints, not Fractions; floats are
+    sorted as they are."""
+    keys = vals
+    if exact:
+        d = math.lcm(*(v.denominator for v in vals))
+        keys = [v.numerator * (d // v.denominator) for v in vals]
+    rank, ends = [0] * len(vals), []
+    for i in sorted(range(len(vals)), key=keys.__getitem__):
+        if not ends or keys[ends[-1]] < keys[i]:
+            ends.append(i)
+        rank[i] = len(ends) - 1
+    return rank, ends
+
+
 def _walk(m: UnimodalMap, k: int) -> tuple[list[int], Counter]:
     """M(f^n) for n = 1..k, and the lap images of f^k with multiplicities.
 
     The orbit c_0 = c, ..., c_k is computed once, with f(0) = f(1) = 0 and
-    the float snap to c.  One comparison sort of {0, c_0, ..., c_k} gives
-    each value its rank, equal values one rank, and rank(c_j) maps to
+    the float snap to c.  One sort of {0, c_0, ..., c_k} gives each value
+    its rank (``_ranks``), equal values one rank, and rank(c_j) maps to
     rank(c_(j+1)).  The laps run on (rank, rank) pairs of small integers,
     and only the last level's images are mapped back to values.
     """
@@ -66,14 +86,8 @@ def _walk(m: UnimodalMap, k: int) -> tuple[list[int], Counter]:
             if not m.is_exact and abs(y - c) <= SMOOTH_TOL:
                 y = c
         vals.append(y)
-    # vals[0] is 0 and vals[j + 1] is c_j; rank[i] is vals[i]'s place in
-    # the sorted distinct values ends, tied values sharing one
-    rank = [0] * len(vals)
-    ends = []
-    for i in sorted(range(len(vals)), key=vals.__getitem__):
-        if not ends or ends[-1] < vals[i]:
-            ends.append(vals[i])
-        rank[i] = len(ends) - 1
+    # vals[0] is 0 and vals[j + 1] is c_j
+    rank, ends = _ranks(vals, m.is_exact)
     image = [0] * len(ends)  # c_k's own image is never asked for
     for i, j in zip(rank[1:-1], rank[2:]):
         image[i] = j
@@ -94,7 +108,7 @@ def _walk(m: UnimodalMap, k: int) -> tuple[list[int], Counter]:
                 nxt[fhi, flo] += mult
         laps = nxt
         counts.append(sum(laps.values()))
-    return counts, Counter({(ends[lo], ends[hi]): mult
+    return counts, Counter({(vals[ends[lo]], vals[ends[hi]]): mult
                             for (lo, hi), mult in laps.items()})
 
 

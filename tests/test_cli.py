@@ -457,6 +457,31 @@ class TestPhase:
         assert code == 0
         assert ("doubling_rates_decrease_0.8671" in out) == printed
 
+    @pytest.mark.parametrize("spec, last", [
+        ("logistic:0.99", 3), ("sine:0.97", 3), ("tent:1", 3),
+        ("logistic:0.9347", 5)])
+    def test_search_stops_at_first_chaotic_cycle(self, spec, last,
+                                                 monkeypatch, capsys):
+        # the smooth search's periods are its root calls; the PL search
+        # composes f^p once per period, and nothing else in phase composes
+        searched = []
+        roots, compose = cycles._smooth_period_roots, pl.compose
+
+        def counted_roots(m, p):
+            searched.append(p)
+            return roots(m, p)
+
+        def counted_compose(*args, **kwargs):
+            searched.append(len(searched) + 1)
+            return compose(*args, **kwargs)
+
+        monkeypatch.setattr(cycles, "_smooth_period_roots", counted_roots)
+        monkeypatch.setattr(pl, "compose", counted_compose)
+        code, _ = run(["phase", "--maps", spec, "--p-max", "8",
+                       "--k-max", "9"], capsys)
+        assert code == 0
+        assert searched == list(range(1, last + 1))
+
 
 class TestSynthVcCounterexample:
     def test_synth(self, tmp_path, capsys):
@@ -657,6 +682,17 @@ class TestCapBoundsCycleSearch:
         assert captured.out == ""
         assert captured.err == ("resource cap exceeded: "
                                 "composition exceeds 10 knots\n")
+
+
+    def test_phase_cap_decided_at_p_max(self, capsys):
+        # the search would stop at tent:1's 3-cycles, but f^10 has 1025
+        # knots, and phase's cap is decided at p_max
+        assert main(["--cap", "600", "phase", "--maps", "tent:1",
+                     "--k-max", "9", "--p-max", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("resource cap exceeded: "
+                                "composition exceeds 600 knots\n")
 
 
 class TestCapDecidedBeforeBuild:

@@ -312,8 +312,8 @@ class TestFindCyclesSmooth:
 
 
 def ref_smooth_period_roots(m, p):
-    """The per-period bisection that the batched one replaced: one period's
-    brackets, 60 rounds of p steps each, no early stop."""
+    """One period's bisection without the early stop: its brackets, 60
+    rounds of p steps each."""
     xs = np.linspace(0.0, 1.0, cycles.GRID_PER_PERIOD * p + 1)
     ys = xs.copy()
     for _ in range(p):
@@ -355,15 +355,13 @@ def ref_find_cycles(m, p_max):
 
     records, seen, on_orbit = [], [], set()
     fp = pl.identity()
-    if not exact:
-        smooth_roots = cycles._smooth_period_roots(m, p_max)
     for p in range(1, p_max + 1):
         if exact:
             fp = pl.compose(fp, f1)
             g = pl.combine((fp.raw, pl.identity().raw), (1, -1), 0)
             roots = pl.level_set(g, 0)
         else:
-            roots = smooth_roots[p - 1]
+            roots = cycles._smooth_period_roots(m, p)
         for x in roots:
             if x in on_orbit:
                 continue
@@ -446,34 +444,74 @@ SMOOTH_MAPS = [
 
 
 class TestSmoothRootsOracle:
-    """The batched bisection against the per-period one, float for float.
+    """Each period's bisection, with its early stop, against the one that
+    runs all 60 rounds, float for float.
 
-    The sine rows check that np.sin over the longer concatenated vector of
-    all periods gives each element the bits it gets in its own period's
-    vector.  The record digests (one record_json line per record, p_max = 8)
-    were recorded with the per-period bisection.
+    The record digests (one record_json line per record, p_max = 8) were
+    recorded with this per-period bisection, and held while all periods
+    were bisected in one masked vector.
     """
 
     @pytest.mark.parametrize("cls, r, digest", SMOOTH_MAPS,
                              ids=[f"{c.kind}:{r}" for c, r, _ in SMOOTH_MAPS])
     def test_roots_and_records_unchanged(self, cls, r, digest):
         m = cls(r)
-        got = cycles._smooth_period_roots(m, 8)
-        assert len(got) == 8
-        for p, roots in enumerate(got, 1):
+        for p in range(1, 9):
+            got = cycles._smooth_period_roots(m, p)
             want = ref_smooth_period_roots(m, p)
             # float for float: equal values and equal bits
-            assert np.array(roots).tobytes() == np.array(want).tobytes()
+            assert np.array(got).tobytes() == np.array(want).tobytes()
         text = "\n".join(record_json(c) for c in cycles.find_cycles(m, 8))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_each_period_matches_its_own_call(self):
-        # the roots of period p do not depend on which longer periods share
-        # the vector
-        m = maps.SineMap(0.97)
-        full = cycles._smooth_period_roots(m, 8)
-        for p_max in range(1, 8):
-            assert cycles._smooth_period_roots(m, p_max) == full[:p_max]
+
+class TestLazySearch:
+    """cycles_by_period searches period p only when it is read, and
+    classify_regime stops reading at the first chaotic cycle."""
+
+    def test_stream_classifies_as_the_list(self):
+        def call(report):
+            w = report.witness
+            return (report.regime, report.max_power_of_two,
+                    None if w is None else record_json(w))
+
+        cases = oracle_cases()
+        assert len(cases) == 120
+        for m, p_max in cases:
+            stream = cycles.classify_regime(cycles.cycles_by_period(m, p_max))
+            full = cycles.classify_regime(cycles.find_cycles(m, p_max))
+            assert call(stream) == call(full), (m, p_max)
+
+    @pytest.mark.parametrize("m", [maps.SineMap(0.97), tent(1)],
+                             ids=["sine:0.97", "tent:1"])
+    def test_period_searched_when_read(self, m, monkeypatch):
+        searched = []
+        if m.is_exact:
+            compose = pl.compose
+
+            def counted(*args, **kwargs):
+                searched.append(len(searched) + 1)
+                return compose(*args, **kwargs)
+
+            monkeypatch.setattr(pl, "compose", counted)
+        else:
+            roots = cycles._smooth_period_roots
+
+            def counted(m, p):
+                searched.append(p)
+                return roots(m, p)
+
+            monkeypatch.setattr(cycles, "_smooth_period_roots", counted)
+        stream = cycles.cycles_by_period(m, 8)
+        assert searched == []
+        assert next(stream).period == 1
+        assert searched == [1]
+        first_of_4 = next(c for c in stream if c.period == 4)
+        assert searched == [1, 2, 3, 4]
+        rest = list(stream)
+        assert searched == list(range(1, 9))
+        assert [first_of_4, *rest] == [
+            c for c in cycles.find_cycles(m, 8) if c.period >= 4]
 
 
 class TestRegime:

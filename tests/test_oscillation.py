@@ -8,7 +8,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from conftest import crossings, kneading_laps, random_unit_map, tent_near
+from conftest import (crossings, kneading_laps, orbit, random_unit_map,
+                      tent_near)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,6 +258,23 @@ REF_WALK_MAPS += [maps.LogisticMap(SS_1324), maps.LogisticMap(SS_12),
                   hardness.build_need_concavity(3, F(1, 10))]
 
 
+def ref_ranks(vals) -> list[int]:
+    """Each value's rank by a comparison sort of the distinct values."""
+    distinct = sorted(set(vals))
+    return [bisect.bisect_left(distinct, v) for v in vals]
+
+
+def assert_ranks_and_walk_match(m, k):
+    """The integer-key ranks of {0, c_0, ..., c_k} against the comparison
+    sort, and the counts and level-k images against ``ref_walk``."""
+    c = m.apex_x
+    vals = [c - c, *orbit(m, c, k)]
+    rank, ends = oscillation._ranks(vals, True)
+    assert rank == ref_ranks(vals)
+    assert [vals[i] for i in ends] == sorted(set(vals))
+    assert oscillation._walk(m, k) == ref_walk(m, k)
+
+
 class TestRankWalk:
     """The walk on the ranks of the critical orbit against ``ref_walk``:
     the same counts and the same level-k images, value for value."""
@@ -299,7 +317,17 @@ def test_rank_walk_matches_memo_walk_on_random_maps(seed, k):
         m = maps.CustomPLMap(random_unit_map(random.Random(seed)))
     except ValueError:
         return
-    assert oscillation._walk(m, k) == ref_walk(m, k)
+    assert_ranks_and_walk_match(m, k)
+
+
+@pytest.mark.parametrize("m", [maps.TentMap(1), maps.TentMap(F(1, 2)),
+                               warmup.toy_map("1324")],
+                         ids=["tent:1", "tent:1/2", "toy:1324"])
+def test_integer_key_ranks_share_ties(m):
+    # tent:1's orbit 1/2, 1, 0, 0, ... and tent:1/2's 1/2, 1/2, ... repeat
+    # values, and the toy map's critical orbit is a 4-cycle
+    for k in range(1, 41):
+        assert_ranks_and_walk_match(m, k)
 
 
 KNEADING_MAPS = [maps.TentMap(r) for r in (F(9, 10), F(4, 5), F(3, 4), 1)]
