@@ -7,23 +7,21 @@ configuration; floats are printed at 12 significant digits and --seed only
 affects random candidate sweeps.  The shared options --out, --cap and
 --seed may be given before or after the subcommand.
 
-certify takes the first increasing p-cycle, or failing that the first Stefan
-p-cycle, and the cycle's kind picks the certificate rule, its width floor and
-its width threshold.  --cap bounds what certify, cycles, phase, synth,
-counterexample and warmup build knot by knot: f^k in ``pl.iterate``, in
-``cycles.find_cycles`` on PL maps (warmup's maximality check of the 1324
-map included) and in ``hardness.counterexample_report``, and
-``relunet.net_to_pl``.  Lap and crossing counts take no cap, so
-certificates, phase counts and warmup's growth series reach any depth.
-certify, synth, the cycle search (at p_max) and counterexample_report (at
-k_max) refuse f^k of a strictly unimodal map before building it when its
-lap count alone passes the cap (``oscillation.refuse_oversized``): every
-turning point of f^k is a knot, so f^k holds at least M(f^k) + 1 knots,
-and the refusal is the error ``pl.compose`` would raise.  phase reads the
-search only up to its first chaotic cycle, but its cap is still decided
-at p_max, before the first period.  When the cap stops certify's
-candidate stage, the certificate is written with no candidates before the
-command exits 3.
+certify's certificate rule is ``hardness.certificate``'s.  --cap bounds what
+certify, cycles, phase, synth, counterexample and warmup build knot by knot:
+f^k in ``pl.iterate``, in ``cycles.find_cycles`` on PL maps (warmup's
+maximality check of the 1324 map included) and in
+``hardness.counterexample_report``, and ``relunet.net_to_pl``.  Lap and
+crossing counts take no cap, so certificates, phase counts and warmup's
+growth series reach any depth.  certify, synth, the cycle search (at p_max)
+and counterexample_report (at k_max) refuse f^k of a strictly unimodal map
+before building it when its lap count alone passes the cap
+(``oscillation.refuse_oversized``): every turning point of f^k is a knot, so
+f^k holds at least M(f^k) + 1 knots, and the refusal is the error
+``pl.compose`` would raise.  phase reads the search only up to its first
+chaotic cycle, but its cap is still decided at p_max, before the first
+period.  When the cap stops certify's candidate stage, the certificate is
+written with no candidates before the command exits 3.
 
 This module is the only JSON writer.  The library's records return plain
 data from ``to_dict``, with exact values left as Fractions.  ``dump`` writes
@@ -354,15 +352,8 @@ def cmd_certify(args) -> int:
         # the adversarial sample round down to none at k = 1
         print(f"certify needs k >= 2, got k {k}", file=sys.stderr)
         return 2
-    found = [c for c in cycles.find_cycles(m, p, cap=args.cap)
-             if c.period == p]
-    # 123 is both increasing and Stefan: it takes the increasing rule
-    usable = ([c for c in found if c.increasing]
-              + [c for c in found if c.stefan])
-    if not usable:
-        print(f"no increasing or Stefan {p}-cycle detected", file=sys.stderr)
-        return 1
-    cert = hardness.certificate(m, usable[0], k)
+    cert = hardness.certificate(m, cycles.find_cycles(m, p, cap=args.cap),
+                                p, k)
     u_max = hardness.width_threshold(cert, depth)
     payload = {"certificate": cert.to_dict(),
                "width_threshold": {"u_max": u_max, "vacuous": u_max < 1},

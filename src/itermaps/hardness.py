@@ -38,10 +38,10 @@ class OscCertificate:
     def width(self):
         return self.b - self.a
 
-    def required_count(self) -> float:
-        if self.mode == "increasing":
-            return self.rate**self.k / 2
-        return self.rate ** (self.k - self.p)
+    @property
+    def exponent(self) -> int:
+        """e in the certificate's rule: k, or k - p for Stefan."""
+        return self.k - self.p if self.mode == "stefan" else self.k
 
     def floors(self) -> dict:
         w = float(self.width)
@@ -54,9 +54,12 @@ class OscCertificate:
                 "floors": self.floors()}
 
 
-def certificate(m: UnimodalMap, c: CycleRecord, k: int) -> OscCertificate:
-    """Certificate from an increasing or Stefan p-cycle of a symmetric
-    concave map; the cycle's kind picks the rule.
+def certificate(m: UnimodalMap, found: list[CycleRecord], p: int, k: int
+                ) -> OscCertificate:
+    """Certificate from the first increasing p-cycle among the cycles
+    found, or failing that the first Stefan one, of a symmetric concave
+    map; the cycle's kind picks the rule, its width floor and its width
+    threshold.
 
     An increasing cycle offers its consecutive gaps and needs crossings
     >= rho_inc(p)^k / 2.  A Stefan cycle (odd p, points nested and
@@ -66,25 +69,25 @@ def certificate(m: UnimodalMap, c: CycleRecord, k: int) -> OscCertificate:
     least ``WIDTH_FLOOR`` wide are counted widest first by the lap walk of
     ``count_crossings_map``, which builds no f^k and so takes no cap.
     """
+    usable = [c for c in found if c.period == p and c.increasing]
+    usable += [c for c in found if c.period == p and c.stefan]
+    if not usable:
+        raise CertificateError(f"no increasing or Stefan {p}-cycle detected")
     if not m.symmetric:
         raise CertificateError(f"{m.kind} map is not symmetric")
     if not m.concave:
         raise CertificateError(f"{m.kind} map is not concave")
-    p = c.period
+    c = usable[0]
     pts = sorted(c.orbit)
     if c.increasing:
-        if p < 3:
-            raise CertificateError("need p >= 3")
-        mode, rate = "increasing", spectra.rho_inc(p)
+        mode, rate, halves = "increasing", spectra.rho_inc(p), 2
         candidates = list(zip(pts, pts[1:]))
-    elif c.stefan:
+    else:
         if k <= p:
             raise CertificateError("need k > p")
-        mode, rate = "stefan", spectra.rho_odd(p)
+        mode, rate, halves = "stefan", spectra.rho_odd(p), 1
         mid_lo, mid_hi = pts[(p - 1) // 2], pts[(p + 1) // 2]
         candidates = [(pts[0], mid_lo), (mid_lo, mid_hi), (mid_hi, pts[-1])]
-    else:
-        raise CertificateError("cycle is neither increasing nor Stefan")
     floor = WIDTH_FLOOR[mode]
     wide = [(a, b) for a, b in sorted(candidates, key=lambda g: g[1] - g[0],
                                       reverse=True)
@@ -98,11 +101,12 @@ def certificate(m: UnimodalMap, c: CycleRecord, k: int) -> OscCertificate:
         cert = OscCertificate(
             mode=mode, p=p, k=k, a=a, b=b, rate=rate,
             count=oscillation.count_crossings_map(m, k, a, b))
-        if cert.count >= cert.required_count():
+        # exact: a float rate^e overflows past e of about 1475 at rate phi
+        if halves * cert.count >= Fraction(rate) ** cert.exponent:
             return cert
         shortfall.append(cert.count)
     raise CertificateError(
-        f"count shortfall: need >= {cert.required_count():.3f}, "
+        f"count shortfall: need {halves} * count >= {rate}^{cert.exponent}, "
         f"measured {max(shortfall)}")
 
 
@@ -113,8 +117,7 @@ def width_threshold(cert: OscCertificate, depth: int) -> float:
     under 1 is vacuous."""
     if not 1 <= depth <= cert.k:
         raise ValueError("need 1 <= depth <= k")
-    e = cert.k - cert.p if cert.mode == "stefan" else cert.k
-    return 0.125 * cert.rate ** (e / depth)
+    return 0.125 * cert.rate ** (cert.exponent / depth)
 
 
 def adversarial_sample(fk: pl.PiecewiseLinear, cert: OscCertificate

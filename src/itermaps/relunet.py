@@ -14,8 +14,9 @@ x, so a first-layer unit is a line clipped at one kink, and the second
 layer's sums are PL with knots at those kinks: ``_kink_sweep`` builds each
 from one integer sweep over the sorted kinks, the inverse of the ramp
 decomposition.  Each later unit's affine input is one ``pl.combine`` over
-the layer before.  ``_raw_relu`` clips a unit's input and returns it
-canonical in the same pass, so each unit is canonicalised once.
+the layer before.  ``_raw_relu`` clips a unit's input in one pass and
+canonicalises it once, by ``pl.canon``.  A layer's cap is read off its
+first sum, which holds one knot per abscissa of the layer before.
 """
 
 from __future__ import annotations
@@ -108,45 +109,22 @@ def stack(block: ReluNetwork, k: int) -> ReluNetwork:
 
 def _raw_relu(k: pl.Knots) -> pl.Knots:
     """ReLU of raw knots, canonical: zero crossings become knots, negatives
-    clip to 0.
-
-    On knots with no collinear interior knot (any two knots are such), the
-    result's slope changes at each crossing and end, at each knot above 0,
-    and at each knot at 0 beside one above 0; every other knot lies inside
-    a flat run at 0 and is dropped.
-    """
+    clip to 0, and ``pl.canon`` keeps the knots where the slope changes."""
     xs, dx, ys, dy = k
     if min(ys) >= 0:
         return pl.canon(k)
-    if len(xs) > 2:
-        xs, dx, ys, dy = pl.canon(k)
-    last = len(xs) - 1
-    xn, xd, out = [], [], []
-    y0 = None
-    for i, y in enumerate(ys):
-        if i and y * y0 < 0:
-            n, d = pl._at(xs[i - 1], y0, xs[i], y, 0)
+    xn, xd, out = [xs[0]], [1], [max(ys[0], 0)]  # knot x = xn / (xd * dx)
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+        if y0 * y1 < 0:
+            n, d = pl._at(x0, y0, x1, y1, 0)
             xn.append(n)
             xd.append(d)
             out.append(0)
-        if (y > 0 or i == 0 or i == last
-                or (y == 0 and (y0 > 0 or ys[i + 1] > 0))):
-            xn.append(xs[i])
-            xd.append(1)
-            out.append(max(y, 0))
-        y0 = y
+        xn.append(x1)
+        xd.append(1)
+        out.append(max(y1, 0))
     xs, m = pl._common(xn, xd)
-    return pl._least(xs, dx * m, out, dy)
-
-
-def _distinct_abscissae(state: list[pl.Knots]) -> int:
-    """Number of distinct knot abscissae over all of state's knot lists."""
-    dx = lcm(*(k.dx for k in state))
-    seen = set()
-    for k in state:
-        m = dx // k.dx
-        seen.update(x * m for x in k.xs)
-    return len(seen)
+    return pl.canon(pl.Knots(xs, dx * m, out, dy))
 
 
 def _within(abscissae: int, cap: int) -> None:
@@ -239,8 +217,10 @@ def net_to_pl(n: ReluNetwork, cap: int = pl.DEFAULT_KNOT_CAP
     if n.depth > 1:
         state, done = _kink_sweep(*n.layers[:2], acts[1], cap), 2
     for (w, b), act in zip(n.layers[done:], acts[done:]):
-        _within(_distinct_abscissae(state), cap)
-        state = [act(pl.combine(state, row, bias)) for row, bias in zip(w, b)]
+        sums = (pl.combine(state, row, bias) for row, bias in zip(w, b))
+        first = next(sums)  # one knot per abscissa of the layer before
+        _within(len(first.xs), cap)
+        state = [act(first), *map(act, sums)]
     xs, dx, ys, dy = out = state[0]
     bad = [i for i, y in enumerate(ys) if not (0 <= y <= dy)]
     if bad:

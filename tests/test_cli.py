@@ -4,10 +4,14 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -325,7 +329,7 @@ class TestCertify:
         code = main(["certify", "--map", "tent:51/100", "--p", "3", "--k", "4"])
         assert code == 1
         assert capsys.readouterr().err == (
-            "no increasing or Stefan 3-cycle detected\n")
+            "certificate failure: no increasing or Stefan 3-cycle detected\n")
 
     def test_stefan_cycle_when_no_increasing_one(self, tmp_path, capsys):
         code, out = run(["--out", str(tmp_path), "certify", "--map",
@@ -343,12 +347,12 @@ class TestCertify:
     # the certificate and its width threshold are written
 
     @staticmethod
-    def capped(argv, capsys):
-        code = main(["--cap", "500", *argv])
+    def capped(argv, capsys, cap=500):
+        code = main(["--cap", str(cap), *argv])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == ("resource cap exceeded: "
-                                "composition exceeds 500 knots\n")
+                                f"composition exceeds {cap} knots\n")
         payload = json.loads(captured.out)
         assert payload["candidates"] == []
         return payload
@@ -381,14 +385,41 @@ class TestCertify:
         # prints before it comes from the library calls it makes
         got = self.capped(["certify", "--map", "tent:1", "--k", "60"], capsys)
         m = maps.TentMap(1)
-        cycle = next(c for c in cycles.find_cycles(m, 3)
-                     if c.period == 3 and c.increasing)
-        cert = hardness.certificate(m, cycle, 60)
+        cert = hardness.certificate(m, cycles.find_cycles(m, 3), 3, 60)
         u_max = hardness.width_threshold(cert, 2)
         assert got["certificate"]["count"] == 2**60
         assert got["certificate"] == json.loads(dump(cert.to_dict()))
         assert got["width_threshold"] == {"u_max": u_max,
                                           "vacuous": u_max < 1}
+
+    @pytest.mark.parametrize("r", [F(1), F(9, 10)])
+    def test_deep_certificate_then_cap(self, r, capsys):
+        # rate^1500 / 2 is past the largest float, so the count is checked
+        # exactly; the certificate is written before the candidate stage
+        # meets the cap
+        got = self.capped(["certify", "--map", f"tent:{r}", "--k", "1500"],
+                          capsys, cap=100)
+        m = maps.TentMap(r)
+        cert = hardness.certificate(m, cycles.find_cycles(m, 3), 3, 1500)
+        assert got["certificate"] == json.loads(dump(cert.to_dict()))
+        if r == 1:
+            assert got["certificate"]["count"] == 2**1500
+
+    def test_fresh_interpreter_prints_no_traceback(self):
+        # every other test runs main in-process; here an exception that
+        # escaped main would reach stderr as a traceback
+        src = str(Path(itermaps.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src if not path else src + os.pathsep + path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "itermaps.cli", "--cap", "100", "certify",
+             "--map", "tent:1", "--k", "1500"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "resource cap exceeded: composition exceeds 100 knots"]
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("extra, depth, k", [
         (["--depth", "0"], 0, 10),
@@ -717,9 +748,7 @@ class TestCapDecidedBeforeBuild:
         assert captured.err == ("resource cap exceeded: composition exceeds "
                                 f"{pl.DEFAULT_KNOT_CAP} knots\n")
         m = maps.TentMap(F(9, 10))
-        cycle = next(c for c in cycles.find_cycles(m, 3)
-                     if c.period == 3 and c.increasing)
-        cert = hardness.certificate(m, cycle, 60)
+        cert = hardness.certificate(m, cycles.find_cycles(m, 3), 3, 60)
         got = json.loads(captured.out)
         assert got["certificate"] == json.loads(dump(cert.to_dict()))
         assert got["candidates"] == []

@@ -32,16 +32,20 @@ def stefan_cycle(m, p):
 
 
 def meets_floors(cert):
-    """The certificate's postcondition: the count reaches
-    ``required_count()`` and the width its floor."""
-    assert cert.count >= cert.required_count()
+    """The certificate's postcondition, exactly: 2 count >= rate^k for an
+    increasing cycle, count >= rate^(k-p) for a Stefan one, and the width
+    reaches its floor."""
+    halves, e = {"increasing": (2, cert.k),
+                 "stefan": (1, cert.k - cert.p)}[cert.mode]
+    assert halves * cert.count >= F(cert.rate) ** e
     assert cert.width >= hardness.WIDTH_FLOOR[cert.mode]
     return cert
 
 
 def certificate(m, c, k):
-    """``hardness.certificate`` with its postcondition checked."""
-    return meets_floors(hardness.certificate(m, c, k))
+    """``hardness.certificate`` from the one cycle c, with its
+    postcondition checked."""
+    return meets_floors(hardness.certificate(m, [c], c.period, k))
 
 
 class TestIncreasingCertificate:
@@ -75,14 +79,14 @@ class TestIncreasingCertificate:
                                  orbit=(F(1, 5), F(3, 5), F(2, 5), F(4, 5)),
                                  itinerary=(1, 3, 2, 4), residual=0.0)
         with pytest.raises(CertificateError):
-            hardness.certificate(m, rec, 5)
+            hardness.certificate(m, [rec], 4, 5)
         del two
 
     def test_asymmetric_map_rejected(self):
         m = hardness.build_need_symmetry(3, F(1, 10))
         c = increasing_cycle(m, 3)
         with pytest.raises(CertificateError, match="symmetric"):
-            hardness.certificate(m, c, 4)
+            hardness.certificate(m, [c], 3, 4)
 
     def test_p4_and_p5_tents(self):
         for p in (4, 5):
@@ -101,7 +105,7 @@ class TestIncreasingCertificate:
                                  itinerary=(1, 2, 3), residual=0.0)
         assert float(d) == float(F(1, 18))
         with pytest.raises(CertificateError, match="no qualifying gap"):
-            hardness.certificate(m, rec, 10)
+            hardness.certificate(m, [rec], 3, 10)
 
 
 class TestStefanCertificate:
@@ -128,15 +132,15 @@ class TestStefanCertificate:
                                  orbit=(F(1, 5), F(3, 5), F(2, 5), F(4, 5)),
                                  itinerary=(1, 3, 2, 4), residual=0.0)
         with pytest.raises(CertificateError,
-                           match="neither increasing nor Stefan"):
-            hardness.certificate(m, rec, 10)
+                           match="no increasing or Stefan 4-cycle detected"):
+            hardness.certificate(m, [rec], 4, 10)
 
     def test_k_must_exceed_p(self):
         m = maps.LogisticMap(0.9347)
         c = stefan_cycle(m, 5)
         assert not c.increasing
         with pytest.raises(CertificateError, match="need k > p"):
-            hardness.certificate(m, c, 5)
+            hardness.certificate(m, [c], 5, 5)
 
     def test_tent_stefan_only_cycle(self):
         m = maps.TentMap(F(9, 10))
@@ -155,6 +159,48 @@ class TestStefanCertificate:
         m = maps.TentMap(F(9, 10))
         cert = certificate(m, stefan_cycle(m, 5), 60)
         assert (cert.mode, cert.count) == ("stefan", 2764928047141460)
+
+
+class TestCertificateRule:
+    """``hardness.certificate`` picks its cycle from all the cycles found."""
+
+    def test_increasing_before_stefan(self):
+        # the full tent has an increasing and a Stefan 5-cycle; reversed,
+        # the Stefan one comes first in the list
+        m = maps.TentMap(1)
+        found = cycles.find_cycles(m, 5)[::-1]
+        first = next(c for c in found if c.period == 5 and c.increasing)
+        assert any(c.period == 5 and c.stefan and not c.increasing
+                   for c in found[:found.index(first)])
+        cert = meets_floors(hardness.certificate(m, found, 5, 10))
+        assert cert.mode == "increasing"
+        assert cert == certificate(m, first, 10)
+
+    def test_only_cycles_of_period_p(self):
+        m = maps.TentMap(F(9, 10))
+        found = cycles.find_cycles(m, 5)
+        cert = meets_floors(hardness.certificate(m, found, 5, 12))
+        assert (cert.mode, cert.p) == ("stefan", 5)
+        with pytest.raises(CertificateError,
+                           match="no increasing or Stefan 4-cycle detected"):
+            hardness.certificate(m, found, 4, 12)
+
+
+class TestDeepCertificates:
+    """At k = 1500 the rule's rate^k is past the largest float, so only an
+    exact comparison can check it."""
+
+    def test_full_tent_k1500(self):
+        m = maps.TentMap(1)
+        cert = meets_floors(
+            hardness.certificate(m, cycles.find_cycles(m, 3), 3, 1500))
+        assert cert.count == 2**1500
+
+    def test_tent_9_10_k1500(self):
+        m = maps.TentMap(F(9, 10))
+        cert = meets_floors(
+            hardness.certificate(m, cycles.find_cycles(m, 3), 3, 1500))
+        assert (cert.mode, cert.k) == ("increasing", 1500)
 
 
 class TestWidthThreshold:

@@ -179,16 +179,17 @@ def random_unit(rng, bounds):
     return row, -lo - (hi - lo) * F(rng.randint(1, 7), 8)
 
 
-def random_net(rng):
+def random_net(rng, hidden=None):
     """Random rational network rescaled into [0,1].
 
-    One to three hidden layers of width 1 to 4 take weights from WEIGHTS.
+    `hidden` (one to three if None) hidden layers of width 1 to 4 take
+    weights from WEIGHTS.
     Interval bounds of each layer's units bound the raw output g in
     [lo, hi]; the output layer computes (g - lo) / (hi - lo), or g - lo
     when g is constant, so the network maps into [0,1].
     """
     layers, bounds = [], [(F(0), F(1))]
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(hidden or rng.randint(1, 3)):
         w, b = zip(*(random_unit(rng, bounds)
                      for _ in range(rng.randint(1, 4))))
         layers.append((w, b))
@@ -234,6 +235,40 @@ class TestRandomNetworks:
                       pl.combine([f.raw, g.raw], cs, bias)):
                 assert relunet._raw_relu(k) == relu_reference(k)
 
+    @pytest.mark.parametrize("pts, want", [
+        # knots that touch 0 without crossing it
+        ([(0, 1), (F(1, 3), 0), (F(2, 3), 1), (1, F(1, 2))], None),
+        ([(0, -1), (F(1, 2), 0), (1, -1)], [(0, 0), (1, 0)]),
+        # flat runs at 0 between positive parts
+        ([(0, 1), (F(1, 4), 0), (F(1, 2), 0), (F(3, 4), 0), (1, 1)],
+         [(0, 1), (F(1, 4), 0), (F(3, 4), 0), (1, 1)]),
+        ([(0, 1), (F(1, 4), 0), (F(1, 2), -1), (F(3, 4), 0), (1, 1)],
+         [(0, 1), (F(1, 4), 0), (F(3, 4), 0), (1, 1)]),
+        ([(0, 1), (F(1, 8), -1), (F(1, 4), 0), (F(1, 2), -1),
+          (F(5, 8), F(1, 2)), (1, -1)],
+         [(0, 1), (F(1, 16), 0), (F(7, 12), 0), (F(5, 8), F(1, 2)),
+          (F(3, 4), 0), (1, 0)]),
+        # a crossing exactly at a knot
+        ([(0, 1), (F(1, 2), 0), (1, -1)], [(0, 1), (F(1, 2), 0), (1, 0)]),
+        ([(0, -1), (F(1, 2), 0), (1, 1)], [(0, 0), (F(1, 2), 0), (1, 1)]),
+        # an all-negative input is the zero function
+        ([(0, -1), (F(1, 2), -2), (1, F(-1, 3))], [(0, 0), (1, 0)]),
+        # collinear interior knots, through and beside the crossing
+        ([(0, -1), (F(1, 4), F(-1, 2)), (F(1, 2), 0), (F(3, 4), F(1, 2)),
+          (1, 1)], [(0, 0), (F(1, 2), 0), (1, 1)]),
+        ([(0, 1), (F(1, 3), F(1, 3)), (F(2, 3), F(-1, 3)), (1, -1)],
+         [(0, 1), (F(1, 2), 0), (1, 0)]),
+        ([(0, 0), (F(1, 2), F(1, 2)), (1, 1)], [(0, 0), (1, 1)]),
+    ], ids=["touch_above", "touch_below", "flat_zero", "dip_between",
+            "mixed", "knot_to_below", "knot_to_above", "all_negative",
+            "collinear_crossing", "collinear_beside", "collinear_positive"])
+    def test_raw_relu_edge_cases(self, pts, want):
+        k = pl.scale([(F(x), F(y)) for x, y in pts])
+        got = relunet._raw_relu(k)
+        assert got == relu_reference(k)
+        # want None: the input is its own canonical ReLU
+        assert got == pl.new(pts if want is None else want).raw
+
     def test_net_to_pl_matches_pointwise_forward_pass(self, rng):
         for _ in range(150):
             net = random_net(rng)
@@ -244,6 +279,17 @@ class TestRandomNetworks:
             xs += [F(rng.randint(0, 997), 997) for _ in range(10)]
             for x in xs:
                 assert g(x) == net_eval(net, x)
+
+
+def distinct_abscissae(state):
+    """Number of distinct knot abscissae over all of state's knot lists: the
+    knots a unit's affine input over state can have."""
+    dx = lcm(*(k.dx for k in state))
+    seen = set()
+    for k in state:
+        m = dx // k.dx
+        seen.update(x * m for x in k.xs)
+    return len(seen)
 
 
 def ref_propagate(layers, last_is_output):
@@ -306,7 +352,7 @@ class TestKinkSweep:
             b2 = tuple(rng.choice(WEIGHTS) for _ in range(rows))
             layers = ((w1, b1), (w2, b2))
             first = ref_propagate(layers[:1], False)
-            cap = relunet._distinct_abscissae(first)
+            cap = distinct_abscissae(first)
             for output, act in ((True, pl.canon), (False, relunet._raw_relu)):
                 want = ref_propagate(layers, output)
                 assert relunet._kink_sweep(*layers, act, cap) == want
@@ -371,6 +417,48 @@ class TestKinkSweep:
         monkeypatch.setattr(pl, "combine", counted)
         assert relunet.net_to_pl(net) == f9
         assert calls == []
+
+
+def layer_reads(net):
+    """Distinct abscissae that layers 1, 2, ... read, from the unit-by-unit
+    propagation: the counts ``net_to_pl`` holds against its cap."""
+    return [distinct_abscissae(ref_propagate(net.layers[:i], False))
+            for i in range(1, net.depth)]
+
+
+class TestDeepCap:
+    """The cap on the third and later layers, which ``net_to_pl`` reads off
+    each layer's first ``pl.combine`` sum."""
+
+    @staticmethod
+    def assert_cap_boundary(net):
+        reads = layer_reads(net)
+        cap = max(reads)
+        assert relunet.net_to_pl(net, cap=cap) == relunet.net_to_pl(net)
+        with pytest.raises(ResourceLimitError,
+                           match=f"network PL exceeds {cap - 1} knots"):
+            relunet.net_to_pl(net, cap=cap - 1)
+        return reads
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_stacked_tent(self, k):
+        reads = self.assert_cap_boundary(
+            relunet.stack(relunet.synth_from_pl(TENT), k))
+        # the largest read is a pl.combine layer's, past the kink sweep
+        assert reads.index(max(reads)) >= 1
+
+    def test_stacked_random_blocks(self, rng):
+        for _ in range(20):
+            f = random_pl(rng, max_interior=4)
+            reads = self.assert_cap_boundary(
+                relunet.stack(relunet.synth_from_pl(f), rng.randint(2, 3)))
+            assert len(reads) >= 3
+
+    def test_random_deep_nets(self, rng):
+        for _ in range(60):
+            net = random_net(rng, hidden=rng.randint(2, 3))
+            assert net.depth in (3, 4)
+            self.assert_cap_boundary(net)
 
 
 class TestStack:
