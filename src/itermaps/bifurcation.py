@@ -11,24 +11,26 @@ whose slope 2r is an integer (r = 1/2 and r = 1): there the float step is
 exact in binary and each doubling shifts one bit out of the mantissa, so the
 float orbit of 0.5001 reaches 0 within about 55 steps.  Those members are
 iterated exactly from the rational 5001/10000: an integer slope keeps the
-denominator 10000, so the orbit runs on integer numerators and each value is
-converted to float only when emitted.
+denominator 10000, so the orbit runs on integer numerators and each kept
+value is converted to float.
 
-A sweep steps all its float members when it is made and keeps their
-keep x n block of floats (1.6 MB at the defaults); nothing else grows with
-the grid.  Iterating it gives one (r, tail) at a time, and a tail becomes a
-Python list only when it is reached: a column of the block, or an exact
-tail computed then.  So a consumer that writes each slice and drops it
-holds the block and one tail, not every tail at once.  A sweep can be
-iterated more than once; each pass makes its lists afresh.  The
-``bifurcation`` command writes the CSV one r-slice at a time
-(``cli.csv_slice``): a tail that repeats with period p has its first p rows
-formatted once and repeated, and any other tail, or a period holding a
-zero, is one ``%`` format of the row "r,%.12g" repeated once per tail value.
+A sweep steps all its members when it is made and keeps one members x keep
+block of floats (1.6 MB at the defaults), a row per member: each kept step
+of the vector is written straight into a column, and the exact tent members'
+rows are then overwritten with their exact tails; nothing else grows with
+the grid.  Iterating it gives one (r, tail) at a time, a row made a Python
+list only when it is reached, so a consumer that drops each tail holds the
+block and one tail.  A sweep can be iterated more than once; each pass makes
+its lists afresh.  The ``bifurcation`` command writes the CSV from the block
+itself (``_Sweep.csv``): about 32 rows at a time go through ``_fmt12``,
+which prints in numpy what ``b"%.12g" % x`` prints, and each r-slice is one
+join of its rows' bytes, so one slice's text is all of the CSV held at once.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +89,107 @@ def _rational(r: float) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
+#: 10**(11 - E) for the exponent E = -1 - e of x in [1e-4, 1), e = 0..3:
+#: x times it holds x's 12 significant digits before the point
+_SCALE = np.array([1e12, 1e13, 1e14, 1e15])
+#: 10**(5 + E): the 12 digits widened to the 16 that follow "0."
+_WIDEN = np.array([10**4, 10**3, 10**2, 10], dtype=np.int64)
+#: "0." and four groups of 4 ASCII digits: S18 when viewed whole
+_DIGITS = np.dtype([("head", "S2"), ("groups", "<u4", (4,))])
+#: r-slices per ``_fmt12`` call in ``_csv``
+_CHUNK = 32
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """The 4 ASCII digits of i < 10000 as one little-endian uint32, and at
+    10000 + i the same digits with the trailing zeros as NUL bytes."""
+    i = np.arange(10000, dtype=np.uint32)
+    full, cut = np.zeros_like(i), np.zeros_like(i)
+    for j, unit in enumerate((1000, 100, 10, 1)):
+        char = (48 + i // unit % 10) << 8 * j
+        full |= char
+        # this digit stays unless it and every later one is 0
+        cut |= char * (i % (10 * unit) != 0)
+    return np.concatenate([full, cut]).astype("<u4")
+
+
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """"0." and 16 digits of each float in [1e-4, 1) of the 1-D array x,
+    as S18 rows NUL-padded where %.12g drops trailing zeros, and the mask
+    of the rows that hold its text.
+
+    The exponent E of such an x, -4 to -1, comes from three comparisons,
+    and y = x * 10**(11 - E) is one rounding of the exact product: the
+    power is an exact double.  As y < 1e12 < 2**40, that rounding is off
+    by at most ulp(y)/2 <= 2**-14.  So when 1e11 < floor(y) < 1e12 - 1 and
+    y's fraction is more than 2**-14 from 1/2, the exact product lies in
+    (1e11, 1e12) and rounds to the nearest integer the way y does:
+    n = rint(y) is the exact decimal value of x rounded to 12 significant
+    digits, the digits dtoa prints for %.12g, with no carry into a 13th.
+    m = n * 10**(5 + E) is those digits as the 16 after "0.", split into
+    four groups of 4 and looked up in ``_digit_table``, whose second half,
+    used where every later group is 0, drops the trailing zeros.  The
+    range test on x only keeps the products finite: off [1e-4, 1), floor(y)
+    is off its bounds.  The mask is False on 0, -0.0, 1, every value off
+    [1e-4, 1) and the near-ties, about 1 value in 2000 of a bifurcation
+    sweep.
+    """
+    fast = (x >= 1e-4) & (x < 1)
+    e = (x < 0.1).astype(np.intp) + (x < 0.01) + (x < 0.001)
+    y = np.where(fast, x, 0.5) * _SCALE[e]
+    f = np.floor(y)
+    fast &= (f > 1e11) & (f < 1e12 - 1) & (np.abs(y - f - 0.5) > 2.0**-14)
+    m = np.where(fast, np.rint(y), 1e11).astype(np.int64) * _WIDEN[e]
+    q, g4 = np.divmod(m, 10000)
+    q, g3 = np.divmod(q, 10000)
+    g1, g2 = np.divmod(q, 10000)
+    z4 = g4 == 0
+    z3 = z4 & (g3 == 0)
+    z2 = z3 & (g2 == 0)
+    table = _digit_table()
+    rows = np.empty(x.size, _DIGITS)
+    rows["head"] = b"0."
+    groups = rows["groups"]
+    groups[:, 0] = table[g1 + 10000 * z2]
+    groups[:, 1] = table[g2 + 10000 * z3]
+    groups[:, 2] = table[g3 + 10000 * z4]
+    groups[:, 3] = table[g4 + 10000]
+    return rows.view("S18"), fast
+
+
+def _fmt12(x: np.ndarray) -> list[bytes]:
+    """``b"%.12g" % v`` for each float v of the 1-D array x: the rows of
+    ``_digits``, whose tolist strips the NUL padding in C, and the %
+    format where they do not hold the text.  ``_digits``' integer arrays
+    are freed before the list is made, which keeps the peak of the CSV
+    writer down."""
+    rows, fast = _digits(x)
+    out = rows.tolist()
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = b"%.12g" % float(x[i])
+    return out
+
+
+def _csv(rs: list[float], block: np.ndarray) -> Iterator[str]:
+    """The CSV rows "r,x" of the tails block[i] at rs[i], byte for byte
+    f"{r:.12g},{x:.12g}" per point: the header "r,x", one string per
+    r-slice, each row led by its newline, and the last newline.
+
+    ``_fmt12`` takes ``_CHUNK`` rows of the block at a time, and a slice
+    is one join of its values' bytes with b"\\n" + r + b"," between them.
+    """
+    yield "r,x"
+    keep = block.shape[1]
+    for lo in range(0, len(rs), _CHUNK):
+        nums = _fmt12(block[lo:lo + _CHUNK].ravel())
+        for i, r in enumerate(rs[lo:lo + _CHUNK]):
+            sep = b"\n" + f"{r:.12g}".encode() + b","
+            yield sep.join([b""] + nums[i * keep:(i + 1) * keep]).decode()
+        del nums  # before the next chunk's are made
+    yield "\n"
+
+
 class _Sweep:
     """The (r, orbit tail) pairs of the family members at rs, in the order
     of rs.
@@ -95,37 +198,41 @@ class _Sweep:
     ``_rational(r)``, Fraction(r).limit_denominator(10**9), which an exact
     map of r would hold, as a float, and a tent whose rational p/q has an
     integer slope 2p/q (q <= 2) takes ``_exact_tail``; the smooth families
-    step at r itself.  The float members advance together in one vector
-    here, and their tails stay as the columns of one keep x n block until
-    iteration makes each a list.
+    step at r itself.  Every member advances in one vector here, its j-th
+    kept step written to column j of its row of the len(rs) x keep block,
+    and then the rows of the exact tent members are overwritten with their
+    exact tails.
     """
 
     def __init__(self, kind: str, rs: list[float], burn: int, keep: int):
-        self.rs, self.burn, self.keep = rs, burn, keep
+        self.rs = rs
         # the integer slope of each exact tent member, None for the rest
         self.slopes = [None] * len(rs)
         if FAMILIES[kind].is_exact:
             qs = [_rational(r) for r in rs]
             if kind == "tent":
                 self.slopes = [2 * p // q if q <= 2 else None for p, q in qs]
-            r = np.array([p / q for (p, q), s in zip(qs, self.slopes)
-                          if s is None])
-        else:
-            r = np.array(rs)
+            rs = [p / q for p, q in qs]
+        self.block = np.empty((len(rs), keep))
+        r = np.array(rs)
         step = FAMILIES[kind].float_step
         x = np.full(r.shape, X0)
         for _ in range(burn):
             x = step(r, x)
-        self.block = np.empty((keep, r.size))
-        for row in self.block:
+        for j in range(keep):
             x = step(r, x)
-            row[:] = x
+            self.block[:, j] = x
+        for i, s in enumerate(self.slopes):
+            if s is not None:
+                self.block[i] = _exact_tail(s, burn, keep)
 
     def __iter__(self):
-        columns = iter(self.block.T)
-        for r, s in zip(self.rs, self.slopes):
-            yield r, (next(columns).tolist() if s is None
-                      else _exact_tail(s, self.burn, self.keep))
+        for r, row in zip(self.rs, self.block):
+            yield r, row.tolist()
+
+    def csv(self) -> Iterator[str]:
+        """The CSV of the sweep as ``_csv`` writes it."""
+        return _csv(self.rs, self.block)
 
 
 def sweep(kind: str, r_lo: float, r_hi: float, steps: int = DEFAULT_STEPS,

@@ -52,7 +52,7 @@ from .errors import CertificateError, ResourceLimitError
 
 def fmt(x) -> str:
     # float first: the isinstance check against Fraction goes through the
-    # numbers ABCs and is several times slower, per CSV point
+    # numbers ABCs and is several times slower
     if isinstance(x, float):
         return f"{x:.12g}"
     if isinstance(x, Fraction):
@@ -287,29 +287,6 @@ def cmd_warmup(args) -> int:
     return rep.exit_code
 
 
-def csv_slice(r: float, tail: list[float]) -> str:
-    """The CSV rows "r,x" of one r-slice, byte for byte fmt(r) + "," + fmt(x).
-
-    ``bifurcation`` writes each slice as soon as it is made, so the text of
-    one slice is all of the CSV that is held at once.
-
-    With p the first recurrence of tail[0], a tail with tail[p:] ==
-    tail[:-p] has its first p rows formatted once and repeated; any other
-    tail takes one % call over all its values ("%.12g" and fmt's
-    f"{x:.12g}" are the same float conversion).  Equal floats print alike
-    except 0.0 and -0.0, so a period holding a zero takes the one call.
-    """
-    row = fmt(r) + ",%.12g\n"
-    try:
-        p = tail.index(tail[0], 1)
-    except (IndexError, ValueError):  # empty, or tail[0] does not recur
-        p = 0
-    if not p or tail[p:] != tail[:-p] or 0.0 in tail[:p]:
-        return row * len(tail) % tuple(tail)
-    q, rest = divmod(len(tail), p)
-    return row * p % tuple(tail[:p]) * q + row * rest % tuple(tail[:rest])
-
-
 def cmd_bifurcation(args) -> int:
     if not 0 < args.r_lo <= args.r_hi <= 1:
         print(f"bifurcation needs 0 < r_lo <= r_hi <= 1, got r_lo "
@@ -318,17 +295,11 @@ def cmd_bifurcation(args) -> int:
     kind = args.family
     data = bifurcation.sweep(kind, args.r_lo, args.r_hi, steps=args.steps,
                              burn=args.burn, keep=args.keep)
-
-    def csv():
-        # one slice at a time: the sweep's float block and one tail are
-        # held, not every tail or the whole text
-        yield "r,x\n"
-        for r, tail in data:
-            yield csv_slice(r, tail)
-
     meta = {"family": kind, "x0": bifurcation.X0, "burn": args.burn,
             "keep": args.keep, "steps": args.steps}
-    _write(args.out, f"bifurcation_{kind}.csv", csv())
+    # one r-slice at a time: the sweep's block and one slice's text are
+    # held, not the whole text
+    _write(args.out, f"bifurcation_{kind}.csv", data.csv())
     _write(args.out, f"bifurcation_{kind}.json",
            json.dumps(meta, sort_keys=True) + "\n")
     if args.out is not None:

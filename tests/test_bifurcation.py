@@ -1,10 +1,12 @@
 """Bifurcation sweeps: attractor cluster counts, the vector kernel against
-the scalar per-r loop it replaced, the tent grid's integer rationals, and
-the memory a consumed sweep holds."""
+the scalar per-r loop it replaced, the tent grid's integer rationals, the
+CSV's numpy formatter against %.12g, and the memory a consumed sweep and
+its CSV hold."""
 
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,7 +192,8 @@ class TestTentRational:
 class TestMemory:
     """What a consumed sweep holds, under tracemalloc (numpy's buffers
     included): the float block of keep x steps floats, 1.6 MB here, and
-    one tail.  Making every tail a list at once held 8.1 MB."""
+    one tail, or one chunk of formatted rows and one slice's text.
+    Making every tail a list at once held 8.1 MB."""
 
     def test_consuming_tail_by_tail_holds_one_block(self):
         steps, keep = 1000, bifurcation.DEFAULT_KEEP
@@ -203,3 +206,80 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * keep * steps * 8
+
+    def test_consuming_the_csv_holds_one_block(self):
+        steps, keep = 1000, bifurcation.DEFAULT_KEEP
+        tracemalloc.start()
+        try:
+            data = bifurcation.sweep("logistic", 0.6, 1.0, steps=steps)
+            size = sum(len(chunk) for chunk in data.csv())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > keep * steps * len("0.6,0.5\n")
+        assert peak < 2 * keep * steps * 8
+
+
+def percent_g(xs) -> list[bytes]:
+    """The oracle: one % format per value."""
+    return [b"%.12g" % x for x in xs]
+
+
+def tie_neighbours(n: int, s: int) -> list[float]:
+    """The double nearest (n + 1/2) / 10**s and the doubles either side."""
+    t = float(Fraction(2 * n + 1, 2 * 10**s))
+    return [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
+
+
+class TestFmt12:
+    """``_fmt12`` against the per-value % format, byte for byte."""
+
+    @staticmethod
+    def check(xs):
+        xs = [float(x) for x in xs]
+        assert bifurcation._fmt12(np.array(xs, dtype=float)) == \
+            percent_g(xs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0, max_value=1), max_size=64))
+    def test_unit_interval(self, xs):
+        self.check(xs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=64))
+    def test_finite_floats(self, xs):
+        self.check(xs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(10**11, 10**12 - 1), st.integers(12, 15))
+    def test_near_ties(self, n, s):
+        # x * 10**s falls within an ulp of n + 1/2: the % path decides
+        self.check(tie_neighbours(n, s))
+
+    @pytest.mark.parametrize("s", [12, 13, 14, 15])
+    def test_ties_at_the_ends_of_a_decade(self, s):
+        # n + 1/2 rounds up to 10**12 (a carry into a 13th digit) at the
+        # top and to the smallest 12-digit integers at the bottom
+        self.check([x for n in (10**11, 10**11 + 1, 10**12 - 2, 10**12 - 1)
+                    for x in tie_neighbours(n, s)])
+
+    def test_edges(self):
+        below = [np.nextafter(p, 0.0) for p in (1.0, 0.1, 0.01, 0.001, 1e-4)]
+        self.check([0.0, -0.0, 1.0, 5e-324, 2.0**-1074 * 3, 2.0**-1022,
+                    np.nextafter(2.0**-1022, 0.0), 0.1, 0.01, 0.001, 1e-4,
+                    0.5, 0.25, 0.125, 1e-4 * 1.5, 0.999999999999,
+                    0.9999999999995, -0.5, 2.0, 1e300, -1e-300] + below)
+
+    def test_slices_of_a_block(self):
+        # the CSV writer formats a raveled run of rows of its block
+        block = np.random.default_rng(7).random((5, 9))
+        assert bifurcation._fmt12(block[1:4].ravel()) == percent_g(
+            block[1:4].ravel().tolist())
+
+    def test_digit_table(self):
+        table = bifurcation._digit_table()
+        digits = [f"{i:04d}".encode() for i in range(10000)]
+        assert table.dtype == np.dtype("<u4") and len(table) == 20000
+        assert table.tobytes() == b"".join(
+            digits + [d.rstrip(b"0").ljust(4, b"\0") for d in digits])

@@ -13,12 +13,13 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itermaps
-from itermaps.cli import build_parser, csv_slice, dump, fmt, main, parse_map
+from itermaps.cli import build_parser, dump, fmt, main, parse_map
 from itermaps import (bifurcation, cycles, hardness, maps, pl, relunet,
                       spectra)
 
@@ -259,7 +260,8 @@ def ref_bifurcation_stdout(kind, r_lo, r_hi, steps, burn, keep):
 
 
 class TestCsvSlice:
-    """csv_slice against the per-point formatter, on hand-made tails."""
+    """The bifurcation CSV writer against the per-point formatter, on
+    hand-made tails."""
 
     @pytest.mark.parametrize("tail", [
         [0.25] * 7,
@@ -276,8 +278,19 @@ class TestCsvSlice:
             "chaotic", "recurs_not_periodic", "signed_zero_in_period",
             "signed_zero_first", "negative_zero_first"])
     def test_equals_per_point_formatter(self, tail):
-        assert csv_slice(0.875, tail) == "".join(
+        block = np.array(tail, dtype=float).reshape(1, len(tail))
+        assert "".join(bifurcation._csv([0.875], block)) == "r,x\n" + "".join(
             [fmt(0.875) + "," + fmt(x) + "\n" for x in tail])
+
+    def test_slices_across_chunks(self):
+        # 70 slices: three calls of the numpy formatter, the last short
+        rng = np.random.default_rng(5)
+        rs = sorted(rng.random(70).tolist())
+        block = rng.random((70, 6)) ** 6
+        block[3] = [0.0, -0.0, 1.0, 1e-5, 0.5, 0.25]
+        assert "".join(bifurcation._csv(rs, block)) == "r,x\n" + "".join(
+            [fmt(r) + "," + fmt(x) + "\n" for r, tail in zip(rs, block)
+             for x in tail.tolist()])
 
 
 class TestBifurcationCsvOracle:
@@ -285,10 +298,10 @@ class TestBifurcationCsvOracle:
 
     half_to_one holds r = 1/2 and r = 1, whose tent tails are the exact
     Fraction orbits; keep_0 is the grid 1/8, 2/8, ..., 1.  The empty grid
-    lies above r = 1, a range the command refuses as a usage error.  default_burn runs the default burn, after which the logistic
-    tails have settled on float cycles of periods 1, 2, 4 and 6, so its
-    CSV is mostly written a period at a time; keep 45 is a multiple of
-    none of them but 1.
+    lies above r = 1, a range the command refuses as a usage error.
+    default_burn runs the default burn, after which the logistic tails have
+    settled on float cycles of periods 1, 2, 4 and 6, so each of its slices
+    repeats a few values.
     """
 
     @pytest.mark.parametrize("kind", ["logistic", "sine", "tent",

@@ -88,6 +88,16 @@ class TestIncreasingCertificate:
         with pytest.raises(CertificateError, match="symmetric"):
             hardness.certificate(m, [c], 3, 4)
 
+    def test_mirrored_knots_with_unequal_values_rejected(self):
+        # the increasing cycle's own map: knots at 0, 1/4, 1/2, 3/4, 1,
+        # their own mirror image, with values 0, 1/2, 3/4, 1/4, 0
+        m = maps.cycle_map((F(1, 4), F(1, 2), F(3, 4)))
+        xs, dx, ys, _ = m.f.raw
+        assert all(a + b == dx for a, b in zip(xs, reversed(xs)))
+        assert not m.symmetric
+        with pytest.raises(CertificateError, match="not symmetric"):
+            hardness.certificate(m, [increasing_cycle(m, 3)], 3, 10)
+
     def test_p4_and_p5_tents(self):
         for p in (4, 5):
             m = tent_near(spectra.rho_inc(p) / 2)
@@ -106,6 +116,24 @@ class TestIncreasingCertificate:
         assert float(d) == float(F(1, 18))
         with pytest.raises(CertificateError, match="no qualifying gap"):
             hardness.certificate(m, [rec], 3, 10)
+
+    @pytest.mark.parametrize("mode, p", [("increasing", 3), ("stefan", 5)])
+    def test_width_floor_is_reached(self, mode, p):
+        # every candidate gap is exactly the floor: the consecutive gaps of
+        # an increasing cycle, or the three gaps a Stefan cycle's middle
+        # pair cuts its span into (x_3 lies halfway into the first); the
+        # floor admits them, and the full tent's f^10 crosses each often
+        # enough
+        floor = hardness.WIDTH_FLOOR[mode]
+        steps = {"increasing": [0, 1, 2], "stefan": [0, F(1, 2), 1, 2, 3]}
+        pts = [F(1, 5) + s * floor for s in steps[mode]]
+        itinerary = (cycles.increasing_itinerary(p) if mode == "increasing"
+                     else cycles.stefan_itinerary(p))
+        rec = cycles.CycleRecord(period=p,
+                                 orbit=tuple(pts[i - 1] for i in itinerary),
+                                 itinerary=itinerary, residual=0.0)
+        cert = hardness.certificate(maps.TentMap(1), [rec], p, 10)
+        assert (cert.mode, cert.width) == (mode, floor)
 
 
 class TestStefanCertificate:
