@@ -3,6 +3,8 @@ the scalar per-r loop it replaced, the tent grid's integer rationals, the
 CSV's numpy formatter against %.12g, and the memory a consumed sweep and
 its CSV hold."""
 
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -187,6 +189,22 @@ class TestTentRational:
         rs = manifest_tent_grids()
         assert 0.5 in rs and 1.0 in rs
         self.check(rs)
+
+    def test_dyadic_neighbourhoods(self):
+        # the floats about (2**30 - 1) / 2**30, where the last convergent
+        # under the 10**9 bound is 1/1 (q1 = 1 in _rational's tie argument),
+        # and random multiples of 2**-40
+        x = (2**30 - 1) / 2**30
+        near = [x]
+        for direction in (0.0, 1.0):
+            y = x
+            for _ in range(200):
+                y = math.nextafter(y, direction)
+                near.append(y)
+        near += [(2**30 - i) / 2**30 for i in range(2, 200)]
+        rng = random.Random(37)
+        self.check(near + [rng.randrange(1, 2**40 + 1) / 2**40
+                           for _ in range(2000)])
 
 
 class TestMemory:

@@ -245,6 +245,23 @@ class TestBifurcation:
         assert (tmp_path / f"bifurcation_{kind}.json").read_bytes() == \
             meta.encode()
 
+    def test_fresh_interpreter_does_not_import_numpy_ma(self):
+        # numpy.ma costs a fresh process about 14 ms and 1 MB to import;
+        # nothing the command calls (np.unique among them) may pull it in
+        src = str(Path(itermaps.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src if not path else src + os.pathsep + path}
+        code = ("import sys\n"
+                "from itermaps import cli\n"
+                "assert cli.main(['bifurcation', '--steps', '50']) == 0\n"
+                "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == "False\n"
+
 
 def ref_bifurcation_stdout(kind, r_lo, r_hi, steps, burn, keep):
     """bifurcation's stdout as the per-point formatter wrote it: one
@@ -274,13 +291,31 @@ class TestCsvSlice:
         [0.5, 0.0, 0.5, -0.0, 0.5, 0.0, 0.5],
         [0.0, -0.0, 0.0, -0.0, 0.0],
         [-0.0, 0.0, -0.0],
+        [0.3, 0.6, 0.3, 0.9] * 3,
+        [0.2, 0.7] * 5 + [0.4],
+        [0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3],
     ], ids=["period_1", "period_2", "period_3", "keep_0", "keep_1",
             "chaotic", "recurs_not_periodic", "signed_zero_in_period",
-            "signed_zero_first", "negative_zero_first"])
+            "signed_zero_first", "negative_zero_first",
+            "first_recurrence_not_period", "periodic_but_last",
+            "period_4_keep_7"])
     def test_equals_per_point_formatter(self, tail):
         block = np.array(tail, dtype=float).reshape(1, len(tail))
         assert "".join(bifurcation._csv([0.875], block)) == "r,x\n" + "".join(
             [fmt(0.875) + "," + fmt(x) + "\n" for x in tail])
+
+    def test_periods(self):
+        # a first recurrence that is no period, and a period broken by the
+        # last value, leave the whole row to the formatter
+        block = np.array([[0.25] * 7,
+                          [0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3],
+                          [0.3, 0.6, 0.3, 0.9, 0.3, 0.6, 0.3],
+                          [0.2, 0.7] * 3 + [0.4],
+                          [0.0, -0.0] * 3 + [0.0],
+                          [0.1 * i for i in range(1, 8)]])
+        assert bifurcation._periods(block).tolist() == [1, 4, 7, 7, 2, 7]
+        assert bifurcation._periods(block[:, :1]).tolist() == [1] * 6
+        assert bifurcation._periods(block[:, :0]).tolist() == [1] * 6
 
     def test_slices_across_chunks(self):
         # 70 slices: three calls of the numpy formatter, the last short
@@ -291,6 +326,40 @@ class TestCsvSlice:
         assert "".join(bifurcation._csv(rs, block)) == "r,x\n" + "".join(
             [fmt(r) + "," + fmt(x) + "\n" for r, tail in zip(rs, block)
              for x in tail.tolist()])
+
+    def test_periodic_and_chaotic_slices_across_chunks(self):
+        # rows 28 to 37 straddle the first chunk boundary; periods 1 to 5
+        # with keep 12, so some periods do not divide keep
+        rng = np.random.default_rng(37)
+        rs = sorted(rng.random(70).tolist())
+        block = rng.random((70, 12))
+        for i in [*range(0, 70, 3), *range(28, 38)]:
+            p = i % 5 + 1
+            block[i] = np.resize(block[i, :p], 12)
+        assert sorted(set(bifurcation._periods(block).tolist())) == [
+            1, 2, 3, 4, 5, 12]
+        assert "".join(bifurcation._csv(rs, block)) == "r,x\n" + "".join(
+            [fmt(r) + "," + fmt(x) + "\n" for r, tail in zip(rs, block)
+             for x in tail.tolist()])
+
+    def test_periodic_rows_formatted_once(self, monkeypatch, capsys):
+        # the default logistic sweep: 63% of its values sit in periodic
+        # rows, whose repeats skip the formatter
+        counted = []
+
+        def fmt12(x):
+            counted.append(x.size)
+            return fmt12_orig(x)
+
+        fmt12_orig = bifurcation._fmt12
+        monkeypatch.setattr(bifurcation, "_fmt12", fmt12)
+        argv = ["bifurcation", "--family", "logistic"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert sum(counted) <= 0.4 * bifurcation.DEFAULT_STEPS * \
+            bifurcation.DEFAULT_KEEP
+        [entry] = [e for e in cli_outputs.load() if e["argv"] == argv]
+        assert cli_outputs.sha256(out.encode()) == entry["stdout"]
 
 
 class TestBifurcationCsvOracle:
