@@ -443,26 +443,39 @@ SMOOTH_MAPS = [
 ]
 
 
+#: maps whose roots alone are compared: the full logistic map, whose grid
+#: misses points of some cycles, and a sine map in the doubling regime
+ROOTS_ONLY_MAPS = [maps.LogisticMap(1.0), maps.SineMap(0.8)]
+
+
+def assert_roots_match_oracle(m, p_max=10):
+    for p in range(1, p_max + 1):
+        got = cycles._smooth_period_roots(m, p)
+        want = ref_smooth_period_roots(m, p)
+        # float for float: equal values and equal bits
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (m, p)
+
+
 class TestSmoothRootsOracle:
-    """Each period's bisection, with its early stop, against the one that
-    runs all 60 rounds, float for float.
+    """Each bracket's scalar bisection, with its early stop, against the
+    vector one that runs all 60 rounds, float for float, for p = 1..10.
 
     The record digests (one record_json line per record, p_max = 8) were
-    recorded with this per-period bisection, and held while all periods
-    were bisected in one masked vector.
+    recorded with a vector bisection per period and hold unchanged.
     """
 
     @pytest.mark.parametrize("cls, r, digest", SMOOTH_MAPS,
                              ids=[f"{c.kind}:{r}" for c, r, _ in SMOOTH_MAPS])
     def test_roots_and_records_unchanged(self, cls, r, digest):
         m = cls(r)
-        for p in range(1, 9):
-            got = cycles._smooth_period_roots(m, p)
-            want = ref_smooth_period_roots(m, p)
-            # float for float: equal values and equal bits
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert_roots_match_oracle(m)
         text = "\n".join(record_json(c) for c in cycles.find_cycles(m, 8))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("m", ROOTS_ONLY_MAPS,
+                             ids=[f"{m.kind}:{m.r}" for m in ROOTS_ONLY_MAPS])
+    def test_roots_unchanged(self, m):
+        assert_roots_match_oracle(m)
 
 
 class TestLazySearch:

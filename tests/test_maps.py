@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from itermaps import maps, pl, warmup
+from itermaps import cycles, maps, pl, warmup
 from itermaps.errors import NotPiecewiseLinear
 
 from conftest import orbit, tent_near
@@ -34,6 +35,19 @@ class TestEval:
             x = F(rng.randrange(q + 1), q)
             y = m(x)
             assert type(y) is float and y == m(float(x))
+
+    @pytest.mark.parametrize("cls", [maps.LogisticMap, maps.SineMap],
+                             ids=lambda c: c.kind)
+    def test_scalar_step_equals_array_step(self, cls):
+        # smooth period roots grid f^p - x through the array path (np.sin)
+        # and bisect each bracket through the float path (math.sin)
+        for r in (0.7, 0.8, 0.8671, 0.97, 0.99, 1.0):
+            m = cls(r)
+            for p in range(1, 5):
+                xs = np.linspace(0.0, 1.0, cycles.GRID_PER_PERIOD * p + 1)
+                want = m(xs)
+                got = np.array([m(x) for x in xs.tolist()])
+                assert got.tobytes() == want.tobytes(), (m, p)
 
     def test_flat_tent_plateau(self):
         m = maps.FlatTentMap(F(1, 2))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itermaps import cycles, hardness, maps, oscillation, pl, warmup
+from itermaps.errors import ResourceLimitError
 
 SS_12 = 0.8090169943749474  # logistic two-cycle through the critical point
 SS_1324 = 0.8671
@@ -420,6 +421,22 @@ class TestCountMonotone:
     def test_flat_tent_rejected(self):
         with pytest.raises(ValueError):
             oscillation.lap_counts(maps.FlatTentMap(F(1, 2)), 3)
+
+
+class TestRefuseOversized:
+    """The guard refuses exactly when f^k has more than cap knots, its
+    M(f^k) - 1 turning points and its two ends, at the boundary."""
+
+    @pytest.mark.parametrize("r, k, laps", [(F(1), 10, 1024),
+                                            (F(9, 10), 10, 628)],
+                             ids=["tent:1", "tent:9/10"])
+    def test_boundary(self, r, k, laps):
+        m = maps.TentMap(r)
+        assert oscillation.lap_counts(m, k)[-1] == laps
+        assert len(pl.iterate(m.to_pl(), k).knots) == laps + 1
+        with pytest.raises(ResourceLimitError):
+            oscillation.refuse_oversized(m, k, laps)
+        assert oscillation.refuse_oversized(m, k, laps + 1) is None
 
 
 class TestCountCrossings:
