@@ -1,18 +1,18 @@
 """Bifurcation sweeps: long-run orbit clouds over a parameter range.
 
 The initial point 0.5001 (not 0.5) avoids landing exactly on super-stable
-orbits; the metadata records it.  One numpy vector holds the orbit point of
-every member of a sweep, and each step advances all of them at once through
-the family's ``float_step``, the expression its ``__call__`` evaluates on
-floats, so every value is bit-equal to iterating that member alone (the sine
-step calls np.sin where a scalar call uses math.sin; the pinned sweep
-outputs in the tests check that they agree).  The exception is a tent member
-whose slope 2r is an integer (r = 1/2 and r = 1): there the float step is
-exact in binary and each doubling shifts one bit out of the mantissa, so the
-float orbit of 0.5001 reaches 0 within about 55 steps.  Those members are
-iterated exactly from the rational 5001/10000: an integer slope keeps the
-denominator 10000, so the orbit runs on integer numerators and each kept
-value is converted to float.
+orbits; the metadata records it.  Every member steps at its grid value r,
+whatever the family: one numpy vector holds the orbit point of every member
+of a sweep, and each step advances all of them at once through the family's
+``float_step``, so every value is bit-equal to iterating that step at that
+r alone (the sine step calls np.sin where a scalar call uses math.sin;
+the pinned sweep outputs in the tests check that they agree).  The one
+exception is a tent whose slope 2r is an integer (r = 1/2 and r = 1): there
+the float step is exact in binary and each doubling shifts one bit out of
+the mantissa, so the float orbit of 0.5001 reaches 0 within about 55 steps.
+Those members are iterated exactly from the rational 5001/10000: an integer
+slope keeps the denominator 10000, so the orbit runs on integer numerators
+and each kept value is converted to float.
 
 A sweep steps all its members when it is made and keeps one members x keep
 block of floats (1.6 MB at the defaults), a row per member: each kept step
@@ -62,43 +62,6 @@ def _exact_tail(s: int, burn: int, keep: int) -> list[float]:
         n = s * min(n, d - n)
         out.append(n / d)
     return out
-
-
-def _rational(r: float) -> tuple[int, int]:
-    """Fraction(r).limit_denominator(10**9) as (numerator, denominator).
-
-    The same continued-fraction rule on r.as_integer_ratio(), in integers:
-    of the last convergent p1/q1 with q1 <= 10**9 and the semiconvergent
-    beyond it, the nearer to r, and p1/q1 on a tie.  The two lie on either
-    side of r, 1/(q1 q) apart for the semiconvergent's denominator q, and
-    p1/q1 is d/(q1 D) from r = n/D, d the remainder at the stop, so p1/q1
-    is the nearer or tied when 2 d q <= D.
-
-    A float never ties, so ``<=`` and ``<`` give the same result.  At a tie
-    r is the midpoint (p1 q + p q1) / (2 q1 q) of the two fractions, p/q
-    the semiconvergent.  They are adjacent, p1 q - p q1 = +-1, so q1 and q
-    are coprime and neither shares a factor with p1 q + p q1: the midpoint
-    in lowest terms has q1 q or 2 q1 q as denominator.  r is dyadic, so
-    q1 q would be a power of 2, and q1 = 1 or q = 1.  But k is the largest
-    with q <= 10**9, so q > 10**9 - q1: q1 = 1 makes q = 10**9, and q = 1
-    needs q1 = 10**9, and 10**9 is no power of 2.
-    """
-    n, den = r.as_integer_ratio()
-    if den <= 10**9:
-        return n, den
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    d = den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > 10**9:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (10**9 - q0) // q1
-    if 2 * d * (q0 + k * q1) <= den:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
 
 
 #: 10**(11 - E) for the exponent E = -1 - e of x in [1e-4, 1), e = 0..3:
@@ -248,25 +211,16 @@ class _Sweep:
     """The (r, orbit tail) pairs of the family members at rs, in the order
     of rs.
 
-    No member is built.  An exact family (the tents) steps at the rational
-    ``_rational(r)``, Fraction(r).limit_denominator(10**9), which an exact
-    map of r would hold, as a float, and a tent whose rational p/q has an
-    integer slope 2p/q (q <= 2) takes ``_exact_tail``; the smooth families
-    step at r itself.  Every member advances in one vector here, its j-th
-    kept step written to column j of its row of the len(rs) x keep block,
-    and then the rows of the exact tent members are overwritten with their
-    exact tails.
+    No member is built: every member steps at its grid value r through the
+    family's ``float_step``, except a tent whose slope 2r is an integer,
+    which takes ``_exact_tail``.  Every member advances in one vector here,
+    its j-th kept step written to column j of its row of the len(rs) x keep
+    block, and then the rows of the exact tent members are overwritten with
+    their exact tails.
     """
 
     def __init__(self, kind: str, rs: list[float], burn: int, keep: int):
         self.rs = rs
-        # the integer slope of each exact tent member, None for the rest
-        self.slopes = [None] * len(rs)
-        if FAMILIES[kind].is_exact:
-            qs = [_rational(r) for r in rs]
-            if kind == "tent":
-                self.slopes = [2 * p // q if q <= 2 else None for p, q in qs]
-            rs = [p / q for p, q in qs]
         self.block = np.empty((len(rs), keep))
         r = np.array(rs)
         step = FAMILIES[kind].float_step
@@ -276,9 +230,9 @@ class _Sweep:
         for j in range(keep):
             x = step(r, x)
             self.block[:, j] = x
-        for i, s in enumerate(self.slopes):
-            if s is not None:
-                self.block[i] = _exact_tail(s, burn, keep)
+        for i, ri in enumerate(rs):
+            if kind == "tent" and (2 * ri).is_integer():
+                self.block[i] = _exact_tail(int(2 * ri), burn, keep)
 
     def __iter__(self):
         for r, row in zip(self.rs, self.block):

@@ -1,15 +1,17 @@
 """Parametric unimodal map families.
 
 Tent, flat-tent and custom maps are exact: each is a ``PLMap``, which is
-its canonical ``pl.PiecewiseLinear`` f.  An exact x is evaluated by f, and
-the flags ``strictly_unimodal``, ``concave`` and ``symmetric`` and the
-critical point ``apex_x`` are read off f's integer knots.  The two tents
-build f on first use.  Logistic and sine maps are double precision with
-a documented 1e-12 tolerance on orbits.  The four families share one
-constructor, which takes r exact for the tents and as a float otherwise and
-checks that 0 < r <= 1.  All maps send [0,1] to [0,1] with f(0) = f(1) = 0
-and a maximum at the critical point.  ``cycle_map`` builds the custom
-map that connects the dots of a given cycle (its P-linear map).
+its canonical ``pl.PiecewiseLinear`` f.  An exact map evaluates exact points
+only, through f, and the flags ``strictly_unimodal``, ``concave`` and
+``symmetric`` and the critical point ``apex_x`` are read off f's integer
+knots.  The two tents build f on first use; their ``float_step`` is what
+the bifurcation sweep steps them with, at a float r.  Logistic and sine
+maps are double precision with a documented 1e-12 tolerance on orbits.
+The four families share one constructor, which takes r exact for the tents
+and as a float otherwise and checks that 0 < r <= 1.  All maps send [0,1]
+to [0,1] with f(0) = f(1) = 0 and a maximum at the critical point.
+``cycle_map`` builds the custom map that connects the dots of a given cycle
+(its P-linear map).
 """
 
 from __future__ import annotations
@@ -68,18 +70,17 @@ class UnimodalMap:
 class PLMap(UnimodalMap):
     """An exact map: its canonical PL function ``f``, set by the subclass.
 
-    An exact x is evaluated by f; a float x takes ``float_step``, which
-    the two tents define (a custom map has no float path).  The flags and
-    the apex compare f's integer knots.
+    It evaluates exact points only, through f: a float x is refused with
+    ``pl.rat``'s TypeError.  The two tents' ``float_step`` is not reached
+    from here; the bifurcation sweep steps with it.  The flags and the apex
+    compare f's integer knots.
     """
 
     is_exact = True
     f: pl.PiecewiseLinear
 
     def __call__(self, x):
-        if isinstance(x, (Fraction, int)):
-            return self.f(x)
-        return self.float_step(float(self.r), x)
+        return self.f(x)
 
     def to_pl(self) -> pl.PiecewiseLinear:
         return self.f

@@ -26,8 +26,8 @@ def p_odd(p: int, x: float) -> float:
     return x**p - 2 * x ** (p - 2) - 1
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
-    """A root of f in [lo, hi], where f changes sign, to within tol.
+def bisect_root(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f changes sign, to within ROOT_TOL.
 
     Each step evaluates f once, at the midpoint, and returns the midpoint
     at once if f is 0 there.
@@ -37,7 +37,7 @@ def bisect_root(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
         return lo
     if flo * f(hi) > 0:
         raise ValueError("no sign change in bracket")
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = (lo + hi) / 2
         fmid = f(mid)
         if fmid == 0:

@@ -1,10 +1,9 @@
 """Bifurcation sweeps: attractor cluster counts, the vector kernel against
-the scalar per-r loop it replaced, the tent grid's integer rationals, the
-CSV's numpy formatter against %.12g, and the memory a consumed sweep and
-its CSV hold."""
+the scalar per-r loop it replaced, the exact tent members at the boundary
+of the slope rule, the CSV's numpy formatter against %.12g, and the memory
+a consumed sweep and its CSV hold."""
 
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -14,35 +13,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itermaps import bifurcation, maps
-from itermaps.cli import build_parser
 from itermaps.maps import TentMap
-
-import cli_outputs
 
 FAMILIES = ("logistic", "sine", "tent", "flat_tent")
 
 
-def reference_tail(kind, r, burn, keep):
-    """The scalar per-r orbit loop that the vector kernel replaced: one map
-    per r, an exact family's at the rational r.limit_denominator(10**9)."""
-    cls = maps.FAMILIES[kind]
-    m = cls(Fraction(r).limit_denominator(10**9) if cls.is_exact else r)
-    if kind == "tent" and (2 * m.r).denominator == 1:
-        x = bifurcation.X0_EXACT
-        for _ in range(burn):
-            x = m(x)
-        out = []
-        for _ in range(keep):
-            x = m(x)
-            out.append(float(x))
-        return out
+def float_tail(kind, r, burn, keep):
+    """The orbit tail of X0 under the family's float step at r, one scalar
+    step at a time."""
+    step = maps.FAMILIES[kind].float_step
     x = bifurcation.X0
     for _ in range(burn):
-        x = float(m(x))
+        x = float(step(r, x))
     out = []
     for _ in range(keep):
-        x = float(m(x))
+        x = float(step(r, x))
         out.append(x)
+    return out
+
+
+def reference_tail(kind, r, burn, keep):
+    """The scalar per-r orbit loop that the vector kernel replaced: the
+    float step at r, and for a tent whose slope 2r is an integer the exact
+    map TentMap(r) from X0_EXACT."""
+    if kind != "tent" or not (2 * r).is_integer():
+        return float_tail(kind, r, burn, keep)
+    m, x = TentMap(Fraction(r)), bifurcation.X0_EXACT
+    for _ in range(burn):
+        x = m(x)
+    out = []
+    for _ in range(keep):
+        x = m(x)
+        out.append(float(x))
     return out
 
 
@@ -155,56 +157,24 @@ class TestKernelOracle:
                 for r, _ in want] == [tail for _, tail in want]
 
 
-def manifest_tent_grids():
-    """The grid values of the manifest's tent and flat-tent sweeps."""
-    rs = []
-    for entry in cli_outputs.load():
-        if "bifurcation" not in entry["argv"] or entry["exit"] != 0:
-            continue
-        args = build_parser().parse_args(entry["argv"])
-        if args.family in ("tent", "flat_tent"):
-            rs += reference_grid(args.r_lo, args.r_hi, args.steps)
-    return rs
+class TestSlopeRule:
+    """Each tent member steps at r in floats, except where 2r is an
+    integer: r = 1/2 and r = 1 take the exact tail, and the floats next to
+    them do not."""
 
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_integer_slope_takes_the_exact_tail(self, r):
+        burn, keep = bifurcation.DEFAULT_BURN, bifurcation.DEFAULT_KEEP
+        assert orbit_tail("tent", r) == bifurcation._exact_tail(
+            int(2 * r), burn, keep)
 
-class TestTentRational:
-    """The tent grid's rational in integers, ``_rational``, against
-    Fraction(r).limit_denominator(10**9), and its exact members (slope 2r
-    an integer) against (2 * q).denominator == 1."""
-
-    @staticmethod
-    def check(rs):
-        qs = [Fraction(r).limit_denominator(10**9) for r in rs]
-        assert [bifurcation._rational(r) for r in rs] == [
-            (q.numerator, q.denominator) for q in qs]
-        assert bifurcation._Sweep("tent", rs, 0, 0).slopes == [
-            int(2 * q) if (2 * q).denominator == 1 else None for q in qs]
-
-    @settings(max_examples=1000, deadline=None)
-    @given(st.floats(min_value=0, max_value=1, exclude_min=True))
-    def test_floats_in_unit_interval(self, r):
-        self.check([r])
-
-    def test_manifest_grids(self):
-        rs = manifest_tent_grids()
-        assert 0.5 in rs and 1.0 in rs
-        self.check(rs)
-
-    def test_dyadic_neighbourhoods(self):
-        # the floats about (2**30 - 1) / 2**30, where the last convergent
-        # under the 10**9 bound is 1/1 (q1 = 1 in _rational's tie argument),
-        # and random multiples of 2**-40
-        x = (2**30 - 1) / 2**30
-        near = [x]
-        for direction in (0.0, 1.0):
-            y = x
-            for _ in range(200):
-                y = math.nextafter(y, direction)
-                near.append(y)
-        near += [(2**30 - i) / 2**30 for i in range(2, 200)]
-        rng = random.Random(37)
-        self.check(near + [rng.randrange(1, 2**40 + 1) / 2**40
-                           for _ in range(2000)])
+    @pytest.mark.parametrize("r", [math.nextafter(0.5, 1.0),
+                                   math.nextafter(1.0, 0.0)])
+    def test_neighbours_step_in_floats(self, r):
+        burn, keep = bifurcation.DEFAULT_BURN, bifurcation.DEFAULT_KEEP
+        tail = orbit_tail("tent", r)
+        assert tail == float_tail("tent", r, burn, keep)
+        assert tail != bifurcation._exact_tail(round(2 * r), burn, keep)
 
 
 class TestMemory:

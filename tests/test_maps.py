@@ -58,6 +58,10 @@ class TestEval:
         v = maps.TentMap(F(4, 5))(F(3, 4))
         assert isinstance(v, F) and v == F(2, 5)
 
+    def test_exact_map_refuses_float(self):
+        with pytest.raises(TypeError, match="expected exact rational"):
+            maps.TentMap(F(4, 5))(0.3)
+
     def test_parameter_range_enforced(self):
         for cls in (maps.TentMap, maps.LogisticMap, maps.SineMap):
             with pytest.raises(ValueError):
@@ -167,5 +171,4 @@ class TestOrbits:
     def test_orbit_dtype_follows_seed(self):
         m = maps.TentMap(F(4, 5))
         assert isinstance(orbit(m, F(1, 3), 2)[-1], F)
-        assert isinstance(orbit(m, 0.3, 2)[-1], float)
 
