@@ -221,7 +221,7 @@ def cmd_rho_table(args) -> int:
         lines.append(f"{row['p']},{fmt(row['rho_inc'])},"
                      f"{fmt(row['fact_lower_bound'])},{odd}")
         rep.check(f"rho_bracket_p{row['p']}",
-                  row["fact_lower_bound"] - 1e-9 <= row["rho_inc"] < 2,
+                  row["fact_lower_bound"] <= row["rho_inc"] < 2,
                   f"rho_inc={row['rho_inc']:.6f}")
     _write(args.out, "rho_table.csv", "\n".join(lines) + "\n")
     return rep.exit_code

@@ -16,12 +16,14 @@ Cycles of a PL map come from the exact roots of f^p(x) = x.  f maps those
 roots onto themselves, and the ends of a flat piece of f^p - id onto ends,
 so the p-cycles are the cycles of length p of the permutation f makes of
 the roots.  A smooth map's roots are bracketed on a numpy grid, one period
-at a time, and each bracket is bisected on its own in Python floats.  The
-grid need not bracket every point of a cycle, so each root's orbit is
-stepped out from the root itself.  A root within FLOAT_MATCH_TOL of a point
-of an orbit already taken is skipped; an orbit is dropped when two of its
-points meet within FLOAT_MATCH_TOL (its minimal period is smaller) or when
-it misses closing by more than RESIDUAL_TOL (a spurious bracket).
+at a time, and each bracket is bisected on its own in Python floats down to
+adjacent doubles.  The maps are continuous, so every bracket holds a true
+root.  The grid need not bracket every point of a cycle, so each root's
+orbit is stepped out from the root itself.  A root within FLOAT_MATCH_TOL of
+a point of an orbit already taken is skipped, and an orbit is dropped when
+two of its points meet within FLOAT_MATCH_TOL (its minimal period is
+smaller).  Every other orbit is kept, with the float miss by which it
+closes as its residual.
 
 A logistic super-stable parameter is solved from the itinerary alone: the
 cycle's kneading word, in the unimodal order, bisects r on [1/2, 1].  The
@@ -38,11 +40,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import oscillation, pl
+from . import oscillation, pl, spectra
 from .maps import LogisticMap, UnimodalMap
 
 FLOAT_MATCH_TOL = 1e-8
-RESIDUAL_TOL = 1e-9
 
 #: root-bracketing cells per unit period for smooth maps
 GRID_PER_PERIOD = 4096
@@ -157,11 +158,11 @@ def _smooth_period_roots(m: UnimodalMap, p: int) -> list[float]:
     GRID_PER_PERIOD * p cells in numpy: its p(4096p + 1) evaluations are
     where vector work pays, about 3.5 of the 5.7 ms that the roots of
     logistic:0.99 and sine:0.97 to p = 3 and logistic:0.8671 to p = 8
-    take.  Each of their 46 brackets is then bisected on its own in Python
-    floats, p steps y = m(y) a round, the scalar path the orbits are
-    stepped with; ``m`` gives the same bits for a float as for an array.
-    A bracket's rounds stop after 60 or as soon as one would not move it:
-    such a round is a fixed point, so later ones would change nothing.
+    take.  Each of their 46 brackets is then narrowed to adjacent doubles
+    by ``spectra.bisect_floats``, p steps y = m(y) a round, the scalar path
+    the orbits are stepped with; ``m`` gives the same bits for a float as
+    for an array.  The origin is a grid root, so every bracket lies at
+    least 1/(4096p) from 0 and takes at most about 53 rounds.
     """
     xs = np.linspace(0.0, 1.0, GRID_PER_PERIOD * p + 1)
     ys = xs.copy()
@@ -174,15 +175,13 @@ def _smooth_period_roots(m: UnimodalMap, p: int) -> list[float]:
     roots = [0.0] + xs[sign == 0].tolist()
     for lo, hi, g_lo in zip(xs[idx].tolist(), xs[idx + 1].tolist(),
                             gs[idx].tolist()):
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            y = mid
+        def left_of(x):
+            y = x
             for _ in range(p):
                 y = m(y)
-            moved = (lo, mid) if g_lo * (y - mid) < 0 else (mid, hi)
-            if moved == (lo, hi):
-                break
-            lo, hi = moved
+            return g_lo * (y - x) < 0
+
+        lo, hi = spectra.bisect_floats(left_of, lo, hi)
         roots.append((lo + hi) / 2)
     return sorted(set(roots))
 
@@ -235,16 +234,13 @@ def _smooth_cycles(m: UnimodalMap, p_max: int) -> Iterator[CycleRecord]:
             pts = sorted(orbit)
             if any(b - a <= FLOAT_MATCH_TOL for a, b in zip(pts, pts[1:])):
                 continue  # collapsed: adjacent points are the closest pairs
-            residual = abs(m(orbit[-1]) - x)
-            if residual > RESIDUAL_TOL:
-                continue  # spurious bracket, not a true orbit
             for y in orbit:
                 insort(taken, y)
             s = orbit.index(pts[0])
             canon = tuple(orbit[s:] + orbit[:s])
             records.append(CycleRecord(
                 period=p, orbit=canon, itinerary=itinerary_of_points(canon),
-                residual=residual))
+                residual=abs(m(orbit[-1]) - x)))
         # a root need not be its orbit's least point
         records.sort(key=lambda c: c.orbit[0])
         yield from records
@@ -313,8 +309,8 @@ def superstable_r(itin: str) -> float:
     RLRC.  Order: the first p symbols of the critical orbit compare with
     the word in the unimodal order L < C < R, reversed after each R of the
     common prefix; in the logistic family that comparison is monotone in r
-    (Milnor & Thurston, LNM 1342, 1988).  Bisection on [1/2, 1] stops when
-    the midpoint equals an end and returns the upper end, where the orbit
+    (Milnor & Thurston, LNM 1342, 1988).  ``spectra.bisect_floats``
+    narrows [1/2, 1] to adjacent doubles, and the orbit at the upper end
     must have the pattern `itin`: one that no logistic orbit has, such as
     1342 (1234's word), is refused there.
     """
@@ -338,12 +334,7 @@ def superstable_r(itin: str) -> float:
             flip ^= s > 0
         return True
 
-    lo, hi = 0.5, 1.0
-    while lo < (mid := (lo + hi) / 2) < hi:
-        if at_or_above(mid):
-            hi = mid
-        else:
-            lo = mid
+    hi = spectra.bisect_floats(at_or_above, 0.5, 1.0)[1]
     orbit = [0.5]
     for _ in range(p - 1):
         orbit.append(step(hi, orbit[-1]))

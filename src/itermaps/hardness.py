@@ -101,7 +101,8 @@ def certificate(m: UnimodalMap, found: list[CycleRecord], p: int, k: int
         cert = OscCertificate(
             mode=mode, p=p, k=k, a=a, b=b, rate=rate,
             count=oscillation.count_crossings_map(m, k, a, b))
-        # exact: a float rate^e overflows past e of about 1475 at rate phi
+        # exact: a float rate^e overflows past e of about 1475 at rate phi,
+        # and rate is the least double above rho, so this is >= rho^e
         if halves * cert.count >= Fraction(rate) ** cert.exponent:
             return cert
         shortfall.append(cert.count)

@@ -7,46 +7,32 @@ The two polynomial families are
 
 and their dominant roots rho_inc(p) and rho_odd(p) are the growth rates
 that the increasing and Stefan certificates compare crossing counts with.
+Each is returned as the least double above the root: every bisection
+midpoint is decided by the exact integer sign of the polynomial there, so a
+certificate that checks its count against rate^e in exact arithmetic checks
+it against a number at least as large as the theorem's rho^e.
 """
 
 from __future__ import annotations
 
 import math
 
-ROOT_TOL = 1e-12
-
 PHI = (1 + math.sqrt(5)) / 2
 
 
-def p_inc(p: int, x: float) -> float:
-    return x**p - 2 * x ** (p - 1) + 1
+def bisect_floats(left_of, lo: float, hi: float) -> tuple[float, float]:
+    """Narrow [lo, hi] to two equal or adjacent doubles around a point that
+    ``left_of(x)`` places at or left of x (True) or right of it (False).
 
-
-def p_odd(p: int, x: float) -> float:
-    return x**p - 2 * x ** (p - 2) - 1
-
-
-def bisect_root(f, lo: float, hi: float) -> float:
-    """A root of f in [lo, hi], where f changes sign, to within ROOT_TOL.
-
-    Each step evaluates f once, at the midpoint, and returns the midpoint
-    at once if f is 0 there.
+    Each round asks ``left_of`` once, at the midpoint, and the rounds stop
+    when the midpoint equals an end, so no bit is left to decide.
     """
-    flo = f(lo)
-    if flo == 0:
-        return lo
-    if flo * f(hi) > 0:
-        raise ValueError("no sign change in bracket")
-    while hi - lo > ROOT_TOL:
-        mid = (lo + hi) / 2
-        fmid = f(mid)
-        if fmid == 0:
-            return mid
-        if flo * fmid < 0:
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if left_of(mid):
             hi = mid
         else:
-            lo, flo = mid, fmid
-    return (lo + hi) / 2
+            lo = mid
+    return lo, hi
 
 
 def rho_inc(p: int) -> float:
@@ -54,17 +40,31 @@ def rho_inc(p: int) -> float:
 
     The only positive roots are 1 and the dominant one, and the polynomial is
     negative throughout (1, rho), so [1.5, 2] brackets cleanly for all p >= 3.
+    At x = n/d, d^p P_inc(p)(x) = n^(p-1) (n - 2d) + d^p.
     """
     if p < 3:
         raise ValueError("p must be >= 3")
-    return bisect_root(lambda x: p_inc(p, x), 1.5, 2.0)
+
+    def above(x):
+        n, d = x.as_integer_ratio()
+        return n ** (p - 1) * (n - 2 * d) + d**p > 0
+
+    return bisect_floats(above, 1.5, 2.0)[1]
 
 
 def rho_odd(p: int) -> float:
-    """Largest (only positive) root of P_odd(p); decreases toward sqrt(2)."""
+    """Largest (only positive) root of P_odd(p); decreases toward sqrt(2).
+
+    At x = n/d, d^p P_odd(p)(x) = n^(p-2) (n^2 - 2d^2) - d^p.
+    """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and >= 3")
-    return bisect_root(lambda x: p_odd(p, x), math.sqrt(2), 2.0)
+
+    def above(x):
+        n, d = x.as_integer_ratio()
+        return n ** (p - 2) * (n * n - 2 * d * d) - d**p > 0
+
+    return bisect_floats(above, math.sqrt(2), 2.0)[1]
 
 
 def fact_lower_bound(p: int) -> float:

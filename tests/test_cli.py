@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,10 +146,22 @@ class TestParseMap:
 
 class TestRhoTable:
     def test_exit_zero_and_rows(self, capsys):
+        # each rate printed is its 40-digit mpmath root to 12 digits
         code, out = run(["rho-table"], capsys)
         assert code == 0
-        assert "3,1.61803398875,1.61803398875,1.61803398875" in out
-        assert "8,1.9919641966,1.984375,n/a" in out
+        csv = out[out.index("p,rho_inc"):].splitlines()
+        assert len(csv) == 9
+        with mpmath.workdps(40):
+            for line in csv[1:]:
+                p, inc, _, odd = line.split(",")
+                p = int(p)
+                roots = [inc] + ([odd] if p % 2 else [])
+                polys = [lambda x: x**p - 2 * x ** (p - 1) + 1,
+                         lambda x: x**p - 2 * x ** (p - 2) - 1]
+                for text, poly in zip(roots, polys):
+                    root = mpmath.findroot(poly, (1.41, 2), solver="anderson")
+                    assert text == mpmath.nstr(root, 12), (p, text)
+        assert csv[1] == "3,1.61803398875,1.61803398875,1.61803398875"
 
     def test_deterministic(self, capsys):
         _, out1 = run(["rho-table"], capsys)

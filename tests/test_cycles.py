@@ -241,6 +241,24 @@ class TestFindCyclesExact:
             cycles.find_cycles(BrokenTent(1), 2)
 
 
+def primitive_necklaces(n: int) -> int:
+    """Binary necklaces of length n with no smaller period:
+    (1/n) sum over d | n of mu(d) 2^(n/d)."""
+    def mobius(d):
+        m, q = 1, 2
+        while d > 1:
+            if d % q == 0:
+                d //= q
+                if d % q == 0:
+                    return 0
+                m = -m
+            q += 1
+        return m
+
+    return sum(mobius(d) * 2 ** (n // d)
+               for d in range(1, n + 1) if n % d == 0) // n
+
+
 class TestCycleCountOracles:
     def test_full_tent_counts_are_primitive_necklaces(self):
         # cycles of minimal period p of the doubling tent: the number of
@@ -248,6 +266,14 @@ class TestCycleCountOracles:
         found = cycles.find_cycles(tent(1), 10)
         counts = [sum(1 for c in found if c.period == p) for p in range(1, 11)]
         assert counts == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
+
+    def test_full_logistic_counts_are_primitive_necklaces(self):
+        # logistic:1 is conjugate to the doubling tent, so no float orbit
+        # of a true root may be dropped, however loosely it closes
+        counts = [0] * 14
+        for c in cycles.find_cycles(maps.LogisticMap(1.0), 14):
+            counts[c.period - 1] += 1
+        assert counts == [primitive_necklaces(p) for p in range(1, 15)]
 
     def test_records_cover_minimal_period_roots(self, rng):
         # every root of f^p(x) = x of minimal period p lies on exactly one
@@ -382,7 +408,7 @@ def ref_find_cycles(m, p_max):
             else:
                 seen.append(canon)
             residual = abs(float(m(orbit[-1])) - float(orbit[0]))
-            if residual > (0 if exact else cycles.RESIDUAL_TOL):
+            if exact and residual > 0:
                 continue
             records.append(cycles.CycleRecord(
                 period=p, orbit=canon,

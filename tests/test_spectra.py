@@ -18,10 +18,21 @@ most twice the first (the tests check both for p = 3..8, k <= 40).
 
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from itermaps import spectra
+
+
+def p_inc(p, x):
+    return x**p - 2 * x ** (p - 1) + 1
+
+
+def p_odd(p, x):
+    return x**p - 2 * x ** (p - 2) - 1
 
 
 def transition_matrix(p: int) -> tuple[tuple[int, ...], ...]:
@@ -71,10 +82,13 @@ class TestRoots:
         assert spectra.rho_odd(p) == pytest.approx(TABLE[p][2], abs=1e-3)
 
     def test_roots_are_roots(self):
-        for p in range(3, 11):
-            assert abs(spectra.p_inc(p, spectra.rho_inc(p))) < 1e-9
-            if p % 2 == 1:
-                assert abs(spectra.p_odd(p, spectra.rho_odd(p))) < 1e-9
+        # each rate is the least double above its root: the polynomial,
+        # evaluated exactly, is below 0 one double lower and above 0 there
+        for poly, rho, ps in ((p_inc, spectra.rho_inc, range(3, 41)),
+                              (p_odd, spectra.rho_odd, range(3, 40, 2))):
+            for p in ps:
+                x = rho(p)
+                assert poly(p, F(math.nextafter(x, 0))) < 0 < poly(p, F(x))
 
     def test_monotone_trends(self):
         incs = [spectra.rho_inc(p) for p in range(3, 11)]
@@ -86,7 +100,7 @@ class TestRoots:
         rows = spectra.rho_table()
         assert [row["p"] for row in rows] == list(range(3, 11))
         for row in rows:
-            assert row["fact_lower_bound"] - 1e-9 <= row["rho_inc"] < 2
+            assert row["fact_lower_bound"] <= row["rho_inc"] < 2
 
     def test_odd_bracket_from_theory(self):
         for p in (3, 5, 7, 9, 11):
@@ -98,6 +112,20 @@ class TestRoots:
             spectra.rho_inc(2)
         with pytest.raises(ValueError):
             spectra.rho_odd(4)
+
+
+class TestBisectFloats:
+    @given(st.floats(-1e300, 1e300), st.floats(0, 1e300),
+           st.floats(-1e300, 1e300), st.booleans())
+    def test_ends_equal_or_adjacent(self, lo, width, cut, strict):
+        # a monotone left_of: False below the cut, True above it
+        hi = lo + width
+        a, b = spectra.bisect_floats(
+            lambda x: x > cut if strict else x >= cut, lo, hi)
+        assert lo <= a <= b <= math.nextafter(a, math.inf) and b <= hi
+        # an end that moved was put there by left_of's answer
+        assert a == lo or a <= cut
+        assert b == hi or b >= cut
 
 
 class TestTransitionMatrix:
@@ -122,8 +150,7 @@ class TestTransitionMatrix:
             p = rng.randint(3, 9)
             x = rng.uniform(-2, 2)
             reduced = x ** (p - 1) - sum(x**i for i in range(p - 1))
-            assert (x - 1) * reduced == pytest.approx(
-                spectra.p_inc(p, x), abs=1e-9)
+            assert (x - 1) * reduced == pytest.approx(p_inc(p, x), abs=1e-9)
 
 
 class TestCrossingVectors:
